@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: tables, basis-check, kernel build|verify, entropy check,
-solve, sweep, check, report.  Exit codes: 0 success, 1 check failure,
-2 usage/configuration error.  Reports are JSON with stable key order;
-tabular output is RFC-4180 CSV with a header row; field and mesh exports
-are legacy ASCII VTK.  All pipelines are deterministic at a fixed worker
-count, so identical configurations reproduce byte-identical reports.
+solve, sweep, check, report.  Exit codes: 0 success, 1 check failure
+(including a solve that finds no fixed point), 2 usage/configuration
+error, 3 internal error (the traceback goes to stderr).  Reports are
+JSON with stable key order; tabular output is RFC-4180 CSV with a header
+row; field and mesh exports are legacy ASCII VTK.  All pipelines are
+deterministic at a fixed worker count, so identical configurations
+reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ import csv
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from . import gaschart as gc
 from .config import ConfigError, RunConfig, dump_config, parse_config
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -177,13 +181,14 @@ def cmd_entropy_check(args) -> int:
     for nu in nus:
         for th in ths:
             rho = gc.rho_of_nu(nu)
-            c1 = 1.0  # H*_tt - rho H*_ntt
-            c2 = rho * c1  # rho c1 - |rho H*_nt + H*_ttt|
+            margins = en.convexity_check(gen, [nu], [th])
+            c1 = margins["margin_convexity"]  # H*_tt - rho H*_ntt
+            c2 = margins["margin_cross"]  # rho c1 - |rho H*_nt + H*_ttt|
             s = gc.StatePolar(rho=float(rho), theta=float(th))
             q1, q2 = en.loewner_morawetz(gen, s)
             p1, p2 = float(pair.Q1(rho, th)), float(pair.Q2(rho, th))
             defect = max(abs(q1 - p1), abs(q2 - p2))
-            ok &= defect < 1e-9
+            ok &= defect < 1e-9 and margins["admissible"]
             rows.append([_fmt(nu), _fmt(th), _fmt(c1), _fmt(c2),
                          _fmt(defect)])
     _write_csv(args.out, ["nu", "theta", "margin_convexity", "margin_cross",
@@ -353,9 +358,14 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except Exception as exc:  # surfaced as a check failure with context
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    except Exception as exc:
+        # the solver is imported lazily; only a loaded solver can raise
+        solver = sys.modules.get("cavlab.solver")
+        if solver is not None and isinstance(exc, solver.ConvergenceError):
+            print(f"no convergence: {exc}", file=sys.stderr)
+            return CHECK_FAILED
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,7 +73,12 @@ class DomainSpec:
 
 @dataclass
 class Mesh:
-    """Conforming triangulation with tagged boundary and P1 operators."""
+    """Conforming triangulation with tagged boundary and P1 operators.
+
+    The sparse P1 operators (stiffness, consistent mass and the
+    divergence load operator) are assembled on first use and then kept,
+    so the solver and the diagnostics share one copy of each per mesh.
+    """
 
     vertices: np.ndarray       # (n, 2)
     triangles: np.ndarray      # (m, 3) positively oriented
@@ -209,7 +215,49 @@ class Mesh:
         return float(bnd - interior)
 
     def stiffness_matrix(self) -> sp.csr_matrix:
-        """Assembled P1 Laplacian (no boundary conditions applied)."""
+        """Assembled P1 Laplacian (no boundary conditions applied).
+
+        Built once per mesh; every call returns the same matrix.
+        """
+        return self._stiffness
+
+    def mass_matrix(self) -> sp.csr_matrix:
+        """Consistent P1 mass matrix; built once per mesh."""
+        return self._mass
+
+    def divergence_rhs(self, vector_nodal: np.ndarray) -> np.ndarray:
+        """Load vector b_i = int F . grad(lambda_i) dx for P1 F."""
+        vec = np.asarray(vector_nodal, dtype=float)
+        return self.divergence_operator @ vec.reshape(-1)
+
+    @cached_property
+    def divergence_operator(self) -> sp.csr_matrix:
+        """(n, 2n) map from a nodal field F, flattened row-major (F[j, d]
+        in column 2j + d), to the load vector of `divergence_rhs`.
+
+        Formed as S @ A: A (2m x 2n) takes each component's cell mean of
+        F, S (n x 2m) scatters |T| grad(lambda_i) of each cell into row i.
+        Rows 2c + d of A and of S^T hold one entry per vertex of cell c,
+        so both are built directly in CSR form, with no COO index
+        broadcast.  S^T is transposed and dropped before A is allocated,
+        which keeps the build's transient memory below the solver's.
+        """
+        n, m = self.n_vertices, len(self.triangles)
+        tri = self.triangles.astype(np.int32)
+        row_ptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
+        scatter = sp.csr_matrix(
+            ((self.areas[:, None, None]
+              * self.grads.transpose(0, 2, 1)).ravel(),
+             np.repeat(tri, 2, axis=0).ravel(), row_ptr),
+            shape=(2 * m, n)).T.tocsr()
+        comp = np.arange(2, dtype=np.int32)[:, None]
+        mean = sp.csr_matrix(
+            (np.full(6 * m, 1.0 / 3.0), (2 * tri[:, None, :] + comp).ravel(),
+             row_ptr), shape=(2 * m, 2 * n))
+        return scatter @ mean
+
+    @cached_property
+    def _stiffness(self) -> sp.csr_matrix:
         m = len(self.triangles)
         local = np.einsum("mid,mjd->mij", self.grads, self.grads) \
             * self.areas[:, None, None]
@@ -220,15 +268,19 @@ class Mesh:
                           shape=(self.n_vertices, self.n_vertices))
         return K.tocsr()
 
-    def divergence_rhs(self, vector_nodal: np.ndarray) -> np.ndarray:
-        """Load vector b_i = int F . grad(lambda_i) dx for P1 F."""
-        vec = np.asarray(vector_nodal, dtype=float)
-        mean_vec = vec[self.triangles].mean(axis=1)  # (m, 2)
-        contrib = np.einsum("md,mid->mi", mean_vec, self.grads) \
-            * self.areas[:, None]
-        b = np.zeros(self.n_vertices)
-        np.add.at(b, self.triangles, contrib)
-        return b
+    @cached_property
+    def _mass(self) -> sp.csr_matrix:
+        tris, a = self.triangles, self.areas
+        rows, cols, vals = [], [], []
+        for i in range(3):
+            for j in range(3):
+                rows.append(tris[:, i])
+                cols.append(tris[:, j])
+                vals.append(a / 12.0 * (2.0 if i == j else 1.0))
+        return sp.coo_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_vertices,) * 2).tocsr()
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:

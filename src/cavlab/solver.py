@@ -14,11 +14,15 @@ the obstacle,
 (n pointing into the fluid).  sigma(rho) = 2 rho - atanh(rho) absorbs the
 degenerate diffusion factor 1 - c^2/q^2, and the clipped speed
 qt(rho) = (1 - rho_+^2)_+^(1/2) guards transients; at convergence it
-coincides with the Bernoulli speed.  Each Picard step performs two
-Poisson solves against one prefactored stiffness matrix, blended with
-damping omega; steps that leave the invertible sigma range are retried
-with halved omega and projected as a last resort (projections counted,
-zero at convergence).
+coincides with the Bernoulli speed.  The P1 operators (stiffness,
+divergence load, mass) belong to the mesh and are built once per mesh.
+Each Picard step solves both Poisson problems as one two-column solve
+against one prefactored stiffness matrix, blended with damping omega;
+steps that leave the invertible sigma range are retried with halved
+omega and projected as a last resort (projections counted, zero at
+convergence).  The nonlinear right-hand side is evaluated once per
+iteration: the load vectors `residual_norms` computes for the new
+iterate are passed on as the next step's right-hand side.
 """
 
 from __future__ import annotations
@@ -141,7 +145,8 @@ def circulation_flux(rho, theta):
 
 
 class PicardSolver:
-    """Two Poisson solves per step against one prefactored Laplacian."""
+    """Both Poisson problems of a step in one solve against one
+    prefactored Laplacian."""
 
     def __init__(self, mesh: Mesh, config: SolverConfig):
         self.mesh = mesh
@@ -150,34 +155,25 @@ class PicardSolver:
         self.free = np.setdiff1d(np.arange(mesh.n_vertices), self.dirichlet)
         K = mesh.stiffness_matrix()
         self.K = K
-        self.K_fd = K[self.free][:, self.dirichlet].tocsc()
-        self.lu = spla.splu(K[self.free][:, self.free].tocsc())
+        K_free = K[self.free]
+        self.lu = spla.splu(K_free[:, self.free].tocsc())
+        # per-step constants: far-field sigma, its lift into the free
+        # rows (theta is 0 on the far field) and the sigma guard
+        self.sigma_inf = config.sigma_inf
+        self.sigma_hi = gc.sigma_of_rho(RHO_GUARD)
+        sigma_d = np.full(len(self.dirichlet), self.sigma_inf)
+        self.lift = np.column_stack([K_free[:, self.dirichlet] @ sigma_d,
+                                     np.zeros(len(self.free))])
         mask = mesh.boundary_tags == OBSTACLE
         self.obs_edges = mesh.boundary_edges[mask]
         self.obs_normals = mesh.edge_normals_in[mask]
-        self.obs_lengths = mesh.edge_lengths[mask]
-        # consistent P1 mass for manufactured sources
-        tris = mesh.triangles
-        a = mesh.areas
-        rows, cols, vals = [], [], []
-        for i in range(3):
-            for j in range(3):
-                rows.append(tris[:, i])
-                cols.append(tris[:, j])
-                vals.append(a / 12.0 * (2.0 if i == j else 1.0))
-        self.mass = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mesh.n_vertices,) * 2).tocsr()
-
-    def _edge_midvals(self, nodal):
-        e = self.obs_edges
-        return 0.5 * (np.asarray(nodal)[e[:, 0]] + np.asarray(nodal)[e[:, 1]])
-
-    def _scatter_edges(self, b, per_edge):
-        half = 0.5 * per_edge * self.obs_lengths
-        np.add.at(b, self.obs_edges[:, 0], half)
-        np.add.at(b, self.obs_edges[:, 1], half)
+        # trapezoid scatter of per-edge fluxes onto both edge endpoints
+        half = 0.5 * mesh.edge_lengths[mask]
+        edge = np.arange(len(half))
+        self.obs_scatter = sp.csr_matrix(
+            (np.concatenate([half, half]),
+             (self.obs_edges.T.ravel(), np.concatenate([edge, edge]))),
+            shape=(mesh.n_vertices, len(half)))
 
     def rhs(self, sigma, theta, eps, source_sigma=None, source_theta=None):
         """Load vectors of both Poisson problems for the current iterate."""
@@ -186,69 +182,59 @@ class PicardSolver:
         G = circulation_flux(rho, theta)
         b_sig = self.mesh.divergence_rhs(F)
         b_the = self.mesh.divergence_rhs(G)
-        if len(self.obs_edges):
-            Fm = 0.5 * (F[self.obs_edges[:, 0]] + F[self.obs_edges[:, 1]])
-            Gm = 0.5 * (G[self.obs_edges[:, 0]] + G[self.obs_edges[:, 1]])
-            Fn = np.sum(Fm * self.obs_normals, axis=1)
-            Gn = np.sum(Gm * self.obs_normals, axis=1)
-            sink = np.abs(Fn) - Fn  # inflow defect, vanishes where F.n >= 0
-            tmp = np.zeros_like(b_sig)
-            self._scatter_edges(tmp, -sink)
-            b_sig += tmp
-            tmp = np.zeros_like(b_the)
-            self._scatter_edges(tmp, Gn)
-            b_the += tmp
+        e = self.obs_edges
+        Fn = np.sum(0.5 * (F[e[:, 0]] + F[e[:, 1]]) * self.obs_normals, axis=1)
+        Gn = np.sum(0.5 * (G[e[:, 0]] + G[e[:, 1]]) * self.obs_normals, axis=1)
+        sink = np.abs(Fn) - Fn  # inflow defect, vanishes where F.n >= 0
+        b_sig -= self.obs_scatter @ sink
+        b_the += self.obs_scatter @ Gn
         b_sig /= eps
         b_the /= eps
         if source_sigma is not None:
-            b_sig -= self.mass @ np.asarray(source_sigma)
+            b_sig -= self.mesh.mass_matrix() @ np.asarray(source_sigma)
         if source_theta is not None:
-            b_the -= self.mass @ np.asarray(source_theta)
+            b_the -= self.mesh.mass_matrix() @ np.asarray(source_theta)
         return b_sig, b_the
 
-    def _solve_pair(self, b_sig, b_the, sigma_d, theta_d):
-        out = []
-        for b, bdry in ((b_sig, sigma_d), (b_the, theta_d)):
-            rhs_f = b[self.free] - self.K_fd @ bdry
-            out.append(self.lu.solve(rhs_f))
-        return out
+    def _solve_pair(self, b_sig, b_the):
+        """Free-node values of both Poisson problems, in one solve."""
+        rhs_f = np.column_stack([b_sig[self.free], b_the[self.free]]) \
+            - self.lift
+        out = self.lu.solve(rhs_f)
+        return out[:, 0], out[:, 1]
 
     def residual_norms(self, sigma, theta, eps, source_sigma=None,
                        source_theta=None):
-        """Nonlinear weak residuals of the current fields (free nodes)."""
+        """Nonlinear weak residuals of the current fields (free nodes).
+
+        Returns ((r_sigma, r_theta), (b_sigma, b_theta)): the relative
+        residual norms and the load vectors they were computed from,
+        which are the right-hand side of the next Picard step.
+        """
         b_sig, b_the = self.rhs(sigma, theta, eps, source_sigma, source_theta)
         r1 = (self.K @ sigma - b_sig)[self.free]
         r2 = (self.K @ theta - b_the)[self.free]
         s1 = max(float(np.linalg.norm(b_sig[self.free])), 1.0)
         s2 = max(float(np.linalg.norm(b_the[self.free])), 1.0)
-        return (float(np.linalg.norm(r1)) / s1,
-                float(np.linalg.norm(r2)) / s2)
+        return ((float(np.linalg.norm(r1)) / s1,
+                 float(np.linalg.norm(r2)) / s2), (b_sig, b_the))
 
-    def picard_step(self, sigma, theta, eps, omega,
-                    source_sigma=None, source_theta=None):
-        """One damped update; returns (sigma, theta, omega_used, projections)."""
-        cfg = self.config
-        b_sig, b_the = self.rhs(sigma, theta, eps, source_sigma, source_theta)
-        sig_f, the_f = self._solve_pair(
-            b_sig, b_the, np.full(len(self.dirichlet), cfg.sigma_inf),
-            np.zeros(len(self.dirichlet)))
-        sig_new = sigma.copy()
-        the_new = theta.copy()
-        sig_new[self.dirichlet] = cfg.sigma_inf
-        the_new[self.dirichlet] = 0.0
+    def picard_step(self, sigma, theta, b_sig, b_the, omega):
+        """One damped update from the load vectors (b_sig, b_the) of
+        (sigma, theta); returns (sigma, theta, omega_used, projections)."""
+        sig_f, the_f = self._solve_pair(b_sig, b_the)
         projections = 0
         w = omega
-        sigma_hi = gc.sigma_of_rho(RHO_GUARD)
         for _ in range(6):
             cand_s = sigma.copy()
             cand_s[self.free] = (1 - w) * sigma[self.free] + w * sig_f
-            cand_s[self.dirichlet] = cfg.sigma_inf
-            if np.all((cand_s >= -1e-12) & (cand_s <= sigma_hi)):
+            cand_s[self.dirichlet] = self.sigma_inf
+            if np.all((cand_s >= -1e-12) & (cand_s <= self.sigma_hi)):
                 break
             w *= 0.5  # step leaves the invertible range: reject and damp
         else:
-            projections = int(np.sum((cand_s < 0) | (cand_s > sigma_hi)))
-            cand_s = np.clip(cand_s, 0.0, sigma_hi)
+            projections = int(np.sum((cand_s < 0) | (cand_s > self.sigma_hi)))
+            cand_s = np.clip(cand_s, 0.0, self.sigma_hi)
         cand_t = theta.copy()
         cand_t[self.free] = (1 - w) * theta[self.free] + w * the_f
         cand_t[self.dirichlet] = 0.0
@@ -268,14 +254,14 @@ class PicardSolver:
         cfg = self.config
         n = self.mesh.n_vertices
         if warm_start is None:
-            start_s = np.full(n, cfg.sigma_inf)
+            start_s = np.full(n, self.sigma_inf)
             start_t = np.zeros(n)
         else:
             start_s = warm_start[0].copy()
             start_t = warm_start[1].copy()
-        start_s[self.dirichlet] = cfg.sigma_inf
+        start_s[self.dirichlet] = self.sigma_inf
         start_t[self.dirichlet] = 0.0
-        sig_scale = max(abs(cfg.sigma_inf), 0.1)
+        sig_scale = max(abs(self.sigma_inf), 0.1)
         th_scale = max(cfg.k_inf, 0.1)
         omega = getattr(self, "_omega_hint", cfg.omega) \
             if cfg.adapt_omega else cfg.omega
@@ -284,20 +270,21 @@ class PicardSolver:
         total_iters = 0
         while True:
             sigma, theta = start_s.copy(), start_t.copy()
+            loads = self.rhs(sigma, theta, eps, source_sigma, source_theta)
             updates, residuals = [], []
             projections = 0
             aborted = False
             while total_iters < cfg.max_iters:
                 total_iters += 1
                 new_s, new_t, w_used, proj = self.picard_step(
-                    sigma, theta, eps, omega, source_sigma, source_theta)
+                    sigma, theta, *loads, omega)
                 projections += proj
                 upd = max(np.abs(new_s - sigma).max() / sig_scale,
                           np.abs(new_t - theta).max() / th_scale)
                 upd /= max(w_used, 1e-12)  # full-step equivalent
                 sigma, theta = new_s, new_t
-                res = self.residual_norms(sigma, theta, eps, source_sigma,
-                                          source_theta)
+                res, loads = self.residual_norms(sigma, theta, eps,
+                                                 source_sigma, source_theta)
                 updates.append(float(upd))
                 residuals.append(max(res))
                 if upd < cfg.picard_tol and max(res) < cfg.residual_tol:

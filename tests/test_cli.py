@@ -1,0 +1,52 @@
+"""Command-line entry point: exit codes and the entropy-check output."""
+
+import csv
+
+import cavlab.gaschart as gc
+from cavlab import cli
+from cavlab import entropy as en
+from cavlab import solver as sv
+from cavlab.config import RunConfig
+
+
+def _raise(exc):
+    def run_sweep(cfg):
+        raise exc
+    return run_sweep
+
+
+def test_internal_error_is_not_a_check_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_sweep", _raise(RuntimeError("boom")))
+    code = cli.main(["sweep"])
+    assert code == cli.INTERNAL_ERROR
+    assert code not in (0, cli.CHECK_FAILED, cli.USAGE_ERROR)
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_nonconvergence_is_a_check_failure(monkeypatch):
+    exc = sv.ConvergenceError("no fixed point", {"updates": []})
+    monkeypatch.setattr(cli, "_run_sweep", _raise(exc))
+    assert cli.main(["check"]) == cli.CHECK_FAILED
+
+
+def test_usage_error():
+    assert cli.main(["no-such-command"]) == cli.USAGE_ERROR
+
+
+def test_entropy_check_writes_computed_margins(tmp_path):
+    out = tmp_path / "margins.csv"
+    assert cli.main(["entropy", "check", "--points", "3",
+                     "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    cfg = RunConfig()
+    nu_bar = gc.nu_of_rho(gc.rho_of_q(cfg.solver.q_inf))
+    gen = en.special_generator(gc.GasChart(nu_star=cfg.kernel.nu_star),
+                               nu_bar)
+    for row in rows:
+        ref = en.convexity_check(gen, [float(row["nu"])],
+                                 [float(row["theta"])])
+        assert float(row["margin_convexity"]) == ref["margin_convexity"]
+        assert float(row["margin_cross"]) == ref["margin_cross"]

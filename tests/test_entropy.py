@@ -7,7 +7,6 @@ import pytest
 
 import cavlab.gaschart as gc
 from cavlab import entropy as en
-from cavlab import kernelengine as ke
 
 Q_INF = 0.9
 RHO_INF = math.sqrt(1 - Q_INF ** 2)
@@ -30,14 +29,8 @@ def pair_star(chart):
 
 
 @pytest.fixture(scope="module")
-def kernels(chart):
-    return (ke.build_kernel("regular", chart),
-            ke.build_kernel("singular", chart))
-
-
-@pytest.fixture(scope="module")
-def gen_kernel(kernels):
-    return en.kernel_generator(regular=kernels[0], singular=kernels[1],
+def gen_kernel(regular, singular):
+    return en.kernel_generator(regular=regular, singular=singular,
                                weight_regular=0.5, weight_singular=0.5)
 
 

@@ -19,16 +19,6 @@ def chart():
 
 
 @pytest.fixture(scope="module")
-def regular(chart):
-    return ke.build_kernel("regular", chart)
-
-
-@pytest.fixture(scope="module")
-def singular(chart):
-    return ke.build_kernel("singular", chart)
-
-
-@pytest.fixture(scope="module")
 def model(chart):
     return ke.CoefficientModel(chart)
 

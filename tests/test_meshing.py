@@ -122,6 +122,34 @@ def test_stiffness_matrix_properties(mesh):
     assert np.abs((K @ x)[interior]).max() < 1e-12
 
 
+def _divergence_reference(mesh, F):
+    """b_i = sum_T |T| grad(lambda_i) . mean_T(F), assembled per triangle."""
+    mean = F[mesh.triangles].mean(axis=1)
+    contrib = np.einsum("md,mid->mi", mean, mesh.grads) * mesh.areas[:, None]
+    b = np.zeros(mesh.n_vertices)
+    np.add.at(b, mesh.triangles, contrib)
+    return b
+
+
+@pytest.mark.parametrize("bump_height", [0.05, 0.0])
+def test_divergence_rhs_matches_per_triangle_formula(bump_height):
+    mesh = mh.build_mesh(mh.DomainSpec(bump_height=bump_height,
+                                       h_mesh=1 / 16))
+    F = np.random.default_rng(7).standard_normal((mesh.n_vertices, 2))
+    ref = _divergence_reference(mesh, F)
+    assert np.abs(mesh.divergence_rhs(F) - ref).max() \
+        <= 1e-13 * np.abs(ref).max()
+
+
+def test_operators_built_once(mesh):
+    assert mesh.stiffness_matrix() is mesh.stiffness_matrix()
+    assert mesh.mass_matrix() is mesh.mass_matrix()
+    assert mesh.divergence_operator is mesh.divergence_operator
+    ones = np.ones(mesh.n_vertices)
+    assert ones @ (mesh.mass_matrix() @ ones) == pytest.approx(
+        mesh.areas.sum(), rel=1e-13)
+
+
 def test_vtk_export(mesh, tmp_path):
     path = tmp_path / "mesh.vtk"
     mh.write_vtk(str(path), mesh, point_fields={"one": np.ones(

@@ -160,3 +160,38 @@ def test_nonconvergence_reports_history():
         sv.solve_epsilon(cfg, mesh, 0.05)
     assert "updates" in exc.value.history
     assert len(exc.value.history["updates"]) == 3
+
+
+def test_solve_pair_matches_single_solves():
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.2,))
+    solver = sv.PicardSolver(mesh, cfg)
+    assert solver.K is mesh.stiffness_matrix()
+    b_sig, b_the = np.random.default_rng(3).standard_normal(
+        (2, mesh.n_vertices))
+    K_fd = mesh.stiffness_matrix()[solver.free][:, solver.dirichlet]
+    n_d = len(solver.dirichlet)
+    pair = solver._solve_pair(b_sig, b_the)
+    for got, b, bdry in zip(pair, (b_sig, b_the),
+                            (np.full(n_d, cfg.sigma_inf), np.zeros(n_d))):
+        ref = solver.lu.solve(b[solver.free] - K_fd @ bdry)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_one_rhs_evaluation_per_iteration(monkeypatch):
+    calls = []
+    rhs = sv.PicardSolver.rhs
+
+    def counting_rhs(self, *args, **kwargs):
+        calls.append(1)
+        return rhs(self, *args, **kwargs)
+
+    monkeypatch.setattr(sv.PicardSolver, "rhs", counting_rhs)
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.2, 0.1))
+    solutions = sv.sweep(cfg, mesh)
+    iterations = sum(sol.iterations for sol in solutions)
+    # one evaluation per iteration plus one per attempt; an attempt is
+    # aborted no earlier than its 30th iteration
+    attempts_max = len(cfg.epsilons) + iterations // 30
+    assert len(calls) <= iterations + attempts_max
