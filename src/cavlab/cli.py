@@ -6,8 +6,8 @@ solve, sweep, check, report.  Exit codes: 0 success, 1 check failure
 error, 3 internal error (the traceback goes to stderr).  Reports are
 JSON with stable key order; tabular output is RFC-4180 CSV with a header
 row; field and mesh exports are legacy ASCII VTK.  All pipelines are
-deterministic at a fixed worker count, so identical configurations
-reproduce byte-identical reports.
+deterministic, so identical configurations reproduce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def cmd_kernel_build(args) -> int:
     from .kernelengine import GridSpec, build_kernel
     chart = gc.GasChart(nu_star=args.nu_star)
     grid = GridSpec(xi_max_factor=args.xi_max)
-    tr = build_kernel(args.kind, chart, grid=grid, workers=args.workers)
+    tr = build_kernel(args.kind, chart, grid=grid)
     tr.save(args.out)
     print(f"built {args.kind} kernel table -> {args.out} "
           f"(nu_star={tr.nu_star:g}, calibration={tr.coeffs.calibration!r})")
@@ -310,7 +310,6 @@ def make_parser() -> argparse.ArgumentParser:
     kb.add_argument("--nu-star", type=float, default=gc.NU_CR / 2.0)
     kb.add_argument("--xi-max", type=float, default=200.0)
     kb.add_argument("--out", required=True)
-    kb.add_argument("--workers", type=int, default=1)
     kb.set_defaults(fn=cmd_kernel_build)
     kv = ksub.add_parser("verify")
     kv.add_argument("table")

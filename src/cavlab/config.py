@@ -24,7 +24,6 @@ class KernelConfig:
     xi_max_factor: float = 200.0
     n_nu: int = 241
     n_xi_log: int = 200
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ _INT_KEYS = {
     "solver.max_iters": ("solver", "max_iters"),
     "kernel.n_nu": ("kernel", "n_nu"),
     "kernel.n_xi_log": ("kernel", "n_xi_log"),
-    "kernel.workers": ("kernel", "workers"),
 }
 _OTHER_KEYS = ("solver.epsilons", "output.dir", "determinism.seedless")
 
@@ -129,7 +127,6 @@ def dump_config(cfg: RunConfig) -> str:
         f"kernel.xi_max = {k.xi_max_factor!r}",
         f"kernel.n_nu = {k.n_nu!r}",
         f"kernel.n_xi_log = {k.n_xi_log!r}",
-        f"kernel.workers = {k.workers!r}",
         f"output.dir = {cfg.output_dir}",
         f"determinism.seedless = {str(cfg.deterministic).lower()}",
     ]

@@ -280,8 +280,7 @@ def kernel_generator(regular: KernelTransform | None = None,
             if smoothing_width is None:
                 smoothing_width = gc.k_of_nu(tr.nu_star) / 6.0
             phi = GaussianSmoother(smoothing_width)
-            sk = SmoothedKernel(tr, phi, np.zeros(1), np.zeros(1),
-                                None, None, None, None)
+            sk = SmoothedKernel(tr, phi, np.zeros(1), np.zeros(1), None)
             pieces.append((float(w), sk))
             nu_star = tr.nu_star if nu_star is None else min(nu_star,
                                                              tr.nu_star)

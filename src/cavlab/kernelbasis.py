@@ -98,61 +98,66 @@ def _eval_switch(xi, closed, series_coeffs):
     return out if out.shape else float(out)
 
 
-def fhat(lam: int, xi):
-    """Transform of the rescaled cone profile of order lam at xi."""
+# closed trig forms of fhat and its first two derivatives, by order
+_CLOSED = {
+    0: lambda x: 2.0 * np.sin(x) / x,
+    1: lambda x: 4.0 * (np.sin(x) / x - np.cos(x)) / x ** 2,
+    2: lambda x: 16.0 * (3.0 * np.sin(x) / x ** 2 - 3.0 * np.cos(x) / x
+                         - np.sin(x)) / x ** 3,
+    -1: np.cos,
+    -2: lambda x: 0.5 * (x * np.sin(x) + np.cos(x)),
+    -3: lambda x: 0.125 * (3.0 * np.cos(x) + 3.0 * x * np.sin(x)
+                           - x * x * np.cos(x)),
+}
+_CLOSED_D1 = {
+    0: lambda x: 2.0 * (x * np.cos(x) - np.sin(x)) / x ** 2,
+    1: lambda x: 4.0 * (x * x * np.sin(x) + 3.0 * x * np.cos(x)
+                        - 3.0 * np.sin(x)) / x ** 4,
+    2: lambda x: 16.0 * (6.0 * x * x * np.sin(x) - x ** 3 * np.cos(x)
+                         + 15.0 * x * np.cos(x)
+                         - 15.0 * np.sin(x)) / x ** 6,
+    -1: lambda x: -np.sin(x),
+    -2: lambda x: 0.5 * x * np.cos(x),
+    -3: lambda x: 0.125 * (x * np.cos(x) + x * x * np.sin(x)),
+}
+_CLOSED_D2 = {
+    0: lambda x: 2.0 * (-x * x * np.sin(x) - 2.0 * x * np.cos(x)
+                        + 2.0 * np.sin(x)) / x ** 3,
+    1: lambda x: 4.0 * (x ** 3 * np.cos(x) - 5.0 * x * x * np.sin(x)
+                        - 12.0 * x * np.cos(x)
+                        + 12.0 * np.sin(x)) / x ** 5,
+    2: lambda x: 16.0 * (x ** 4 * np.sin(x) + 9.0 * x ** 3 * np.cos(x)
+                         - 39.0 * x * x * np.sin(x)
+                         - 90.0 * x * np.cos(x)
+                         + 90.0 * np.sin(x)) / x ** 7,
+    -1: lambda x: -np.cos(x),
+    -2: lambda x: 0.5 * (np.cos(x) - x * np.sin(x)),
+    -3: lambda x: 0.125 * (np.cos(x) + x * np.sin(x)
+                           + x * x * np.cos(x)),
+}
+
+
+def _check_order(lam: int) -> None:
     if lam not in ORDERS:
         raise ValueError(f"order {lam} not in {ORDERS}")
-    closed = {
-        0: lambda x: 2.0 * np.sin(x) / x,
-        1: lambda x: 4.0 * (np.sin(x) / x - np.cos(x)) / x ** 2,
-        2: lambda x: 16.0 * (3.0 * np.sin(x) / x ** 2 - 3.0 * np.cos(x) / x
-                             - np.sin(x)) / x ** 3,
-        -1: np.cos,
-        -2: lambda x: 0.5 * (x * np.sin(x) + np.cos(x)),
-        -3: lambda x: 0.125 * (3.0 * np.cos(x) + 3.0 * x * np.sin(x)
-                               - x * x * np.cos(x)),
-    }[lam]
-    return _eval_switch(xi, closed, _SERIES[lam][0])
+
+
+def fhat(lam: int, xi):
+    """Transform of the rescaled cone profile of order lam at xi."""
+    _check_order(lam)
+    return _eval_switch(xi, _CLOSED[lam], _SERIES[lam][0])
 
 
 def fhat_d1(lam: int, xi):
     """d/dxi of fhat, closed trig forms."""
-    if lam not in ORDERS:
-        raise ValueError(f"order {lam} not in {ORDERS}")
-    closed = {
-        0: lambda x: 2.0 * (x * np.cos(x) - np.sin(x)) / x ** 2,
-        1: lambda x: 4.0 * (x * x * np.sin(x) + 3.0 * x * np.cos(x)
-                            - 3.0 * np.sin(x)) / x ** 4,
-        2: lambda x: 16.0 * (6.0 * x * x * np.sin(x) - x ** 3 * np.cos(x)
-                             + 15.0 * x * np.cos(x)
-                             - 15.0 * np.sin(x)) / x ** 6,
-        -1: lambda x: -np.sin(x),
-        -2: lambda x: 0.5 * x * np.cos(x),
-        -3: lambda x: 0.125 * (x * np.cos(x) + x * x * np.sin(x)),
-    }[lam]
-    return _eval_switch(xi, closed, _SERIES[lam][1])
+    _check_order(lam)
+    return _eval_switch(xi, _CLOSED_D1[lam], _SERIES[lam][1])
 
 
 def fhat_d2(lam: int, xi):
     """d2/dxi2 of fhat, closed trig forms."""
-    if lam not in ORDERS:
-        raise ValueError(f"order {lam} not in {ORDERS}")
-    closed = {
-        0: lambda x: 2.0 * (-x * x * np.sin(x) - 2.0 * x * np.cos(x)
-                            + 2.0 * np.sin(x)) / x ** 3,
-        1: lambda x: 4.0 * (x ** 3 * np.cos(x) - 5.0 * x * x * np.sin(x)
-                            - 12.0 * x * np.cos(x)
-                            + 12.0 * np.sin(x)) / x ** 5,
-        2: lambda x: 16.0 * (x ** 4 * np.sin(x) + 9.0 * x ** 3 * np.cos(x)
-                             - 39.0 * x * x * np.sin(x)
-                             - 90.0 * x * np.cos(x)
-                             + 90.0 * np.sin(x)) / x ** 7,
-        -1: lambda x: -np.cos(x),
-        -2: lambda x: 0.5 * (np.cos(x) - x * np.sin(x)),
-        -3: lambda x: 0.125 * (np.cos(x) + x * np.sin(x)
-                               + x * x * np.cos(x)),
-    }[lam]
-    return _eval_switch(xi, closed, _SERIES[lam][2])
+    _check_order(lam)
+    return _eval_switch(xi, _CLOSED_D2[lam], _SERIES[lam][2])
 
 
 def fhat_bessel(lam: int, xi):

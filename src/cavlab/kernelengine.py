@@ -83,8 +83,8 @@ class GridSpec:
 # Coefficient evaluation: series branch + jet branch
 # ----------------------------------------------------------------------
 
-def _gauss_panel(f, a, b, nodes=_GAUSS_NODES):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_panel(f, a, b):
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.sum(w * f(mid + half * x)))
 
@@ -320,23 +320,6 @@ class CoefficientModel:
             out[i] = b0.shift(2).c[0]
         return out
 
-    def _ell1_pointwise(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        out = np.empty_like(nu)
-        small = nu < self._nu_switch
-        out[small] = self.series["ell1"](nu[small])
-        if np.any(~small):
-            # needs J(nu) at arbitrary points: integrate from the switch
-            for i in np.nonzero(~small)[0]:
-                Jv = self._J0 + _gauss_panel(
-                    lambda t: np.asarray(self._beta0pp_pointwise(t))
-                    * np.asarray(gc.k_of_nu(t))
-                    * np.asarray(gc.kprime_of_nu(t)) ** -0.5,
-                    self._nu_switch, float(nu[i]), nodes=48)
-                _b0, _b1, _b2, ell1 = self._beta_jets(float(nu[i]), Jv, 0.0)
-                out[i] = ell1.c[0]
-        return out
-
     def _cumulative(self, nu_grid, integrand, start_value):
         """start_value at the switch + cumulative Gauss panels on the grid."""
         vals = np.zeros_like(nu_grid)
@@ -417,102 +400,74 @@ class _ChartSplines:
                                    np.asarray(forcing_vals))
 
 
-def integrate_remainder(kind: str, coeffs: CoefficientTable, xi: float,
-                        nu_start: float | None = None,
-                        nu_star: float | None = None,
-                        nu_eval: np.ndarray | None = None,
-                        splines: _ChartSplines | None = None,
+def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
                         rtol: float = 1e-10, atol: float = 1e-14,
-                        dense: bool = False, with_xi_derivative: bool = False):
-    """Solve y'' + k'^2 xi^2 y = forcing, y(nu_start) = y'(nu_start) = 0.
+                        with_xi_derivative: bool = False):
+    """Solve y'' + k'^2 xi^2 y = forcing, y = y' = 0 at nu_grid[0], for all xi.
 
     forcing = ell(nu) fhat_2(xi k) (regular) or ell2(nu) fhat_0(xi k)
-    (singular).  Returns (nu_eval, y, y'); with dense=True also the
-    scipy dense-output object.  Truncating the launch at nu_start is
-    admissible because |y| = O(nu_start^(7/3)) there.
+    (singular).  The columns share k, k' and the forcing profile, so they
+    are integrated together as one stacked DOP853 state: each right-hand
+    side evaluates the splines once and the basis function once on the
+    whole vector xi k.  rtol and atol hold for each column, as in a solve
+    of its own.  Returns (nu_grid, y, y'), each solution of shape
+    (n_nu,) + shape(xi).  Truncating the launch at nu_grid[0] is
+    admissible because |y| = O(nu^(7/3)) there.
 
     with_xi_derivative=True augments the system with u = dy/dxi, which
     solves u'' + k'^2 xi^2 u = d(forcing)/dxi - 2 xi k'^2 y, and returns
-    (nu_eval, y, y', u, u').
+    (nu_grid, y, y', u, u').
     """
-    if nu_star is None:
-        nu_star = coeffs.nu_star
-    if nu_start is None:
-        nu_start = coeffs.nu_grid[0]
-    if nu_eval is None:
-        nu_eval = coeffs.nu_grid
-    if splines is None:
-        name = "ell" if kind == "regular" else "ell2"
-        splines = _ChartSplines(nu_star, coeffs.nu_grid, coeffs.columns[name])
-    lam = 2 if kind == "regular" else 0
-
-    if with_xi_derivative:
-        def rhs(nu, y):
-            w = nu ** (1 / 3)
-            k = splines.k(w)
-            kp = splines.kp(w)
-            ell = splines.forcing(w)
-            om2 = (kp * xi) ** 2
-            f = ell * kb.fhat(lam, xi * k)
-            fx = ell * k * kb.fhat_d1(lam, xi * k)
-            return (y[1], f - om2 * y[0],
-                    y[3], fx - om2 * y[2] - 2.0 * xi * kp * kp * y[0])
-        y0 = [0.0, 0.0, 0.0, 0.0]
-    else:
-        def rhs(nu, y):
-            w = nu ** (1 / 3)
-            k = splines.k(w)
-            kp = splines.kp(w)
-            f = splines.forcing(w) * kb.fhat(lam, xi * k)
-            return (y[1], f - (kp * xi) ** 2 * y[0])
-        y0 = [0.0, 0.0]
-
-    sol = solve_ivp(rhs, (nu_start, nu_star), y0, method="DOP853",
-                    t_eval=np.asarray(nu_eval), rtol=rtol, atol=atol,
-                    dense_output=dense)
-    if not sol.success:
-        raise RuntimeError(
-            f"remainder integration failed at xi={xi}: {sol.message}")
-    out = (sol.t, *sol.y)
-    if dense:
-        return (*out, sol.sol)
-    return out
-
-
-def build_remainder_table(kind: str, coeffs: CoefficientTable,
-                          xi_grid: np.ndarray, workers: int = 1,
-                          rtol: float = 1e-10, atol: float = 1e-14):
-    """Remainder, nu- and xi-derivatives on (nu_grid, xi_grid >= 0)."""
+    xi = np.asarray(xi, dtype=float)
+    x = xi.ravel()
+    n = x.size
     name = "ell" if kind == "regular" else "ell2"
     splines = _ChartSplines(coeffs.nu_star, coeffs.nu_grid,
                             coeffs.columns[name])
-    n_nu, n_xi = len(coeffs.nu_grid), len(xi_grid)
-    tables = [np.zeros((n_nu, n_xi)) for _ in range(4)]
+    lam = 2 if kind == "regular" else 0
+    n_parts = 4 if with_xi_derivative else 2
 
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_column_worker,
-                                    [(kind, coeffs, float(x), rtol, atol)
-                                     for x in xi_grid]))
-        for j, cols in enumerate(results):
-            for t, c in zip(tables, cols):
-                t[:, j] = c
-    else:
-        for j in range(n_xi):
-            _, y, yp, u, up = integrate_remainder(
-                kind, coeffs, float(xi_grid[j]), splines=splines,
-                rtol=rtol, atol=atol, with_xi_derivative=True)
-            for t, c in zip(tables, (y, yp, u, up)):
-                t[:, j] = c
-    return tuple(tables)  # ghat, ghat_nu, ghat_xi, ghat_nuxi
+    def rhs(nu, Y):
+        w = nu ** (1 / 3)
+        k = splines.k(w)
+        kp = splines.kp(w)
+        ell = splines.forcing(w)
+        om2 = (kp * x) ** 2
+        y = Y[:n]
+        parts = [Y[n:2 * n], ell * kb.fhat(lam, x * k) - om2 * y]
+        if with_xi_derivative:
+            fx = ell * k * kb.fhat_d1(lam, x * k)
+            parts += [Y[3 * n:],
+                      fx - om2 * Y[2 * n:3 * n] - 2.0 * x * kp * kp * y]
+        return np.concatenate(parts)
+
+    # scipy bounds the RMS of the scaled error over the whole state, which
+    # lets one component reach sqrt(size) times the tolerance; shrinking
+    # both tolerances by that factor keeps every column within rtol/atol
+    shrink = np.sqrt(n_parts * n)
+    nu_grid = coeffs.nu_grid
+    sol = solve_ivp(rhs, (nu_grid[0], coeffs.nu_star), np.zeros(n_parts * n),
+                    method="DOP853", t_eval=nu_grid, rtol=rtol / shrink,
+                    atol=atol / shrink)
+    if not sol.success:
+        raise RuntimeError(
+            "remainder integration failed at xi="
+            f"{', '.join(map(repr, x.tolist()))}: {sol.message}")
+    shape = (len(sol.t),) + xi.shape
+    return (sol.t, *(np.ascontiguousarray(sol.y[i * n:(i + 1) * n].T)
+                     .reshape(shape) for i in range(n_parts)))
 
 
-def _column_worker(args):
-    kind, coeffs, xi, rtol, atol = args
-    _, y, yp, u, up = integrate_remainder(kind, coeffs, xi, rtol=rtol,
-                                          atol=atol, with_xi_derivative=True)
-    return y, yp, u, up
+def build_remainder_table(kind: str, coeffs: CoefficientTable,
+                          xi_grid: np.ndarray):
+    """Remainder, nu-, xi- and mixed derivatives on (nu_grid, xi_grid >= 0).
+
+    All columns come from one stacked integration (integrate_remainder);
+    returns (ghat, ghat_nu, ghat_xi, ghat_nuxi), each (n_nu, n_xi).
+    """
+    _, *tables = integrate_remainder(kind, coeffs, xi_grid,
+                                     with_xi_derivative=True)
+    return tuple(tables)
 
 
 # ----------------------------------------------------------------------
@@ -574,8 +529,8 @@ class KernelTransform:
         nu_flat = nu_b.ravel()
         uniq, inv = np.unique(nu_flat, return_inverse=True)
         loguniq = np.log(uniq)
-        rows = val_spl(loguniq)[inv]   # (N, n_xi)
-        drows = slope_spl(loguniq)[inv]
+        rows = val_spl(loguniq)   # (n_unique_nu, n_xi)
+        drows = slope_spl(loguniq)
         ax = np.abs(xi_b.ravel())
         axc = np.clip(ax, self.xi_grid[0], self.xi_grid[-1])
         j = np.clip(np.searchsorted(self.xi_grid, axc) - 1, 0,
@@ -583,9 +538,8 @@ class KernelTransform:
         x0, x1 = self.xi_grid[j], self.xi_grid[j + 1]
         h = x1 - x0
         t = (axc - x0) / h
-        idx = np.arange(len(ax))
-        v0, v1 = rows[idx, j], rows[idx, j + 1]
-        d0, d1 = drows[idx, j] * h, drows[idx, j + 1] * h
+        v0, v1 = rows[inv, j], rows[inv, j + 1]
+        d0, d1 = drows[inv, j] * h, drows[inv, j + 1] * h
         t2, t3 = t * t, t * t * t
         vals = (2 * t3 - 3 * t2 + 1) * v0 + (t3 - 2 * t2 + t) * d0 \
             + (-2 * t3 + 3 * t2) * v1 + (t3 - t2) * d1
@@ -747,7 +701,7 @@ def assemble(kind: str, coeffs: CoefficientTable, xi_grid: np.ndarray,
 
 def build_kernel(kind: str, chart: gc.GasChart | None = None,
                  nu_star: float | None = None, grid: GridSpec | None = None,
-                 workers: int = 1, calibrate: bool = True) -> KernelTransform:
+                 calibrate: bool = True) -> KernelTransform:
     """Full build: coefficients, remainder sweep, assembly, calibration.
 
     Calibration rescales the whole (linear) construction by one scalar so
@@ -767,7 +721,7 @@ def build_kernel(kind: str, chart: gc.GasChart | None = None,
     else:
         raise ValueError("kind must be 'regular' or 'singular'")
     xi_grid = grid.xi_grid(gc.k_of_nu(nu_star))
-    tables = build_remainder_table(kind, coeffs, xi_grid, workers=workers)
+    tables = build_remainder_table(kind, coeffs, xi_grid)
     tr = assemble(kind, coeffs, xi_grid, *tables)
     if calibrate:
         est = tr.limit_estimates(xis=(0.5,))[0]
@@ -841,19 +795,17 @@ def verify_energy_inequality(transform: KernelTransform,
     coeffs = transform.coeffs
     name = "ell" if transform.kind == "regular" else "ell2"
     lam = 2 if transform.kind == "regular" else 0
-    worst = 0.0
-    for xi in xis:
-        nu, y, yp = integrate_remainder(transform.kind, coeffs, float(xi))
-        kp = np.asarray(gc.kprime_of_nu(nu))
-        kv = np.asarray(gc.k_of_nu(nu))
-        E = yp ** 2 + (kp * xi) ** 2 * y ** 2
-        F2 = (coeffs.columns[name] / coeffs.calibration
-              * kb.fhat(lam, xi * kv)) ** 2 * coeffs.calibration ** 2
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (F2[1:] + F2[:-1]) * np.diff(nu))])
-        bound = nu * cum
-        ratio = np.max(E[1:] / np.maximum(bound[1:], 1e-300))
-        worst = max(worst, float(ratio))
+    xis = np.asarray(xis, dtype=float)
+    nu, y, yp = integrate_remainder(transform.kind, coeffs, xis)
+    kp = np.asarray(gc.kprime_of_nu(nu))[:, None]
+    kv = np.asarray(gc.k_of_nu(nu))[:, None]
+    E = yp ** 2 + (kp * xis) ** 2 * y ** 2
+    F2 = (coeffs.columns[name][:, None] / coeffs.calibration
+          * kb.fhat(lam, xis * kv)) ** 2 * coeffs.calibration ** 2
+    cum = np.concatenate([np.zeros((1, len(xis))), np.cumsum(
+        0.5 * (F2[1:] + F2[:-1]) * np.diff(nu)[:, None], axis=0)])
+    bound = nu[:, None] * cum
+    worst = float(np.max(E[1:] / np.maximum(bound[1:], 1e-300)))
     return {"max_ratio": worst, "pass": bool(worst <= 1.0 + 1e-6)}
 
 
@@ -929,13 +881,12 @@ def verify_pde_residual(transform: KernelTransform,
             scale = np.maximum(np.abs((kp * xi) ** 2 * (v0 + v1 + v2)), 1.0)
             worst = max(worst, float(np.max(np.abs(resid / scale))))
     # remainder validation by tolerance refinement
-    rem_drift = 0.0
-    for xi in xis[:2]:
-        _, y, _ = integrate_remainder(transform.kind, coeffs, float(xi))
-        _, y2, _ = integrate_remainder(transform.kind, coeffs, float(xi),
-                                       rtol=1e-12, atol=1e-16)
-        rem_drift = max(rem_drift, float(np.max(np.abs(y - y2))
-                                         / max(np.max(np.abs(y2)), 1e-300)))
+    xr = np.asarray(xis[:2], dtype=float)
+    _, y, _ = integrate_remainder(transform.kind, coeffs, xr)
+    _, y2, _ = integrate_remainder(transform.kind, coeffs, xr,
+                                   rtol=1e-12, atol=1e-16)
+    rem_drift = float(np.max(np.max(np.abs(y - y2), axis=0)
+                             / np.maximum(np.max(np.abs(y2), axis=0), 1e-300)))
     return {"max_relative_residual": worst,
             "remainder_refinement_drift": rem_drift}
 
@@ -1011,9 +962,6 @@ class SmoothedKernel:
     s_grid: np.ndarray
     nu_grid: np.ndarray
     values: np.ndarray        # H*phi on (nu, s)
-    values_nu: np.ndarray     # H_nu*phi
-    values_ss: np.ndarray     # H_ss*phi
-    values_s: np.ndarray      # H_s*phi
 
     def convolved(self, nu, s, s_deriv: int = 0, nu_deriv: int = 0,
                   n_xi: int = 4096):
@@ -1068,7 +1016,7 @@ def smooth_kernel(transform: KernelTransform,
                   phi: GaussianSmoother | float | None = None,
                   s_grid: np.ndarray | None = None,
                   nu_grid: np.ndarray | None = None) -> SmoothedKernel:
-    """Sample H*phi and its derivative combinations on physical grids."""
+    """Sample H*phi on physical (nu, s) grids."""
     if phi is None:
         phi = GaussianSmoother(gc.k_of_nu(transform.nu_star) / 6.0)
     elif not isinstance(phi, GaussianSmoother):
@@ -1080,11 +1028,8 @@ def smooth_kernel(transform: KernelTransform,
     if nu_grid is None:
         nu_grid = np.geomspace(transform.nu_min * 10, transform.nu_star, 12)
     sk = SmoothedKernel(transform, phi, np.asarray(s_grid),
-                        np.asarray(nu_grid), None, None, None, None)
-    sk.values = sk.convolved(nu_grid, s_grid, 0, 0)
-    sk.values_nu = sk.convolved(nu_grid, s_grid, 0, 1)
-    sk.values_ss = sk.convolved(nu_grid, s_grid, 2, 0)
-    sk.values_s = sk.convolved(nu_grid, s_grid, 1, 0)
+                        np.asarray(nu_grid), None)
+    sk.values = sk.convolved(nu_grid, s_grid)
     return sk
 
 

@@ -50,3 +50,14 @@ def test_entropy_check_writes_computed_margins(tmp_path):
                                  [float(row["theta"])])
         assert float(row["margin_convexity"]) == ref["margin_convexity"]
         assert float(row["margin_cross"]) == ref["margin_cross"]
+
+
+def test_workers_option_is_gone(tmp_path):
+    # kernel tables come from one vectorised integration; no pool to size
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel.workers = 2\n")
+    assert cli.main(["entropy", "check", "--config", str(cfg), "--points",
+                     "2", "--out", str(tmp_path / "m.csv")]) == cli.USAGE_ERROR
+    assert cli.main(["kernel", "build", "--kind", "regular", "--out",
+                     str(tmp_path / "t.cavk"),
+                     "--workers", "2"]) == cli.USAGE_ERROR

@@ -1,5 +1,7 @@
 """Kernel construction: coefficients, remainder, assembly, estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -135,15 +137,49 @@ class TestRemainderODE:
                                atol=1e-6 * np.abs(y1).max())
 
     def test_failure_reporting(self, chart, monkeypatch):
-        # a failed integration must raise, naming the offending xi
+        # a failed integration must raise, naming the xi values it carried
         coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
 
         class Failed:
             success = False
             message = "step size underflow"
         monkeypatch.setattr(ke, "solve_ivp", lambda *a, **k: Failed())
-        with pytest.raises(RuntimeError, match="xi=5.0"):
-            ke.integrate_remainder("regular", coeffs, 5.0)
+        with pytest.raises(RuntimeError, match="xi=5.0, 7.5"):
+            ke.integrate_remainder("regular", coeffs, [5.0, 7.5])
+
+    @pytest.mark.parametrize("kind", ["regular", "singular"])
+    def test_stacked_columns_match_single_columns(self, chart, kind):
+        # the stacked state is error-controlled in an RMS norm over all
+        # columns; each column must still match its own tight solve
+        build = (ke.build_regular_coeffs if kind == "regular"
+                 else ke.build_singular_coeffs)
+        coeffs = build(chart, grid=ke.GridSpec(n_nu=121))
+        xis = np.array([0.0, 0.7, 3.0, 25.0])
+        nu, *stacked = ke.integrate_remainder(kind, coeffs, xis,
+                                              with_xi_derivative=True)
+        assert np.array_equal(nu, coeffs.nu_grid)
+        for j, xi in enumerate(xis):
+            _, *ref = ke.integrate_remainder(kind, coeffs, xi, rtol=1e-13,
+                                             atol=1e-17,
+                                             with_xi_derivative=True)
+            for got, want in zip(stacked, ref):
+                assert got.shape == (len(nu), len(xis))
+                err = np.max(np.abs(got[:, j] - want))
+                assert err <= 1e-8 * np.max(np.abs(want)), (kind, xi)
+
+    def test_table_is_one_integration(self, chart, monkeypatch):
+        coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
+        xi_grid = np.array([0.0, 1.0, 4.0, 9.0])
+        calls = []
+        integrate = ke.integrate_remainder
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(ke, "integrate_remainder", counting)
+        tables = ke.build_remainder_table("regular", coeffs, xi_grid)
+        assert len(calls) == 1
+        assert [t.shape for t in tables] == [(81, 4)] * 4
 
 
 class TestAssembledKernels:
@@ -220,6 +256,20 @@ class TestAssembledKernels:
             integrals = 2.0 * np.trapezoid(rows * xi ** alpha, xi, axis=1)
             C = np.max(integrals / nus ** (2 - alpha / 3))
             assert np.isfinite(C) and C < 1e4
+
+    def test_hhat_memory_is_per_pair(self, regular):
+        # interpolating in xi reads two table entries per (nu, xi) pair;
+        # copying a whole table row per pair needs n_pairs * n_xi floats
+        nus = np.geomspace(regular.nu_min * 2, regular.nu_star, 50)
+        xis = np.linspace(0.0, 60.0, 400)
+        row_per_pair = nus.size * xis.size * len(regular.xi_grid) * 8
+        tracemalloc.start()
+        try:
+            regular.Hhat(nus[:, None], xis[None, :])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < row_per_pair / 4
 
     def test_domain_error(self, regular):
         with pytest.raises(ValueError):
