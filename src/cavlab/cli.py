@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Subcommands: tables, basis-check, kernel build|verify, entropy check,
-solve, sweep, check, report.  Exit codes: 0 success, 1 check failure
-(including a solve that finds no fixed point), 2 usage/configuration
-error, 3 internal error (the traceback goes to stderr).  Reports are
-JSON with stable key order; tabular output is RFC-4180 CSV with a header
-row; field and mesh exports are legacy ASCII VTK.  All pipelines are
-deterministic, so identical configurations reproduce byte-identical
-reports.
+solve, sweep, check, report.  `sweep` and `check` share one loop over
+the configured viscosities, `solver.sweep`; a configuration file with an
+unknown or repeated key is a usage error.  Exit codes: 0 success, 1
+check failure (including a solve that finds no fixed point), 2
+usage/configuration error, 3 internal error (the traceback goes to
+stderr).  Reports are JSON with stable key order; tabular output is
+RFC-4180 CSV with a header row; field and mesh exports are legacy ASCII
+VTK.  All pipelines are deterministic, so identical configurations
+reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -198,17 +200,11 @@ def cmd_entropy_check(args) -> int:
 
 
 def _run_sweep(cfg: RunConfig):
+    """Mesh and warm-started solutions of the configured sweep."""
     from .meshing import build_mesh
-    from .solver import PicardSolver
+    from .solver import sweep
     mesh = build_mesh(cfg.geometry)
-    solver = PicardSolver(mesh, cfg.solver)
-    solutions = []
-    warm = None
-    for eps in cfg.solver.epsilons:
-        sol = solver.solve_epsilon(eps, warm_start=warm)
-        solutions.append(sol)
-        warm = (sol.sigma, sol.theta)
-    return mesh, solutions
+    return mesh, sweep(cfg.solver, mesh)
 
 
 def cmd_solve(args) -> int:

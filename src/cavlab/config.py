@@ -1,13 +1,14 @@
 """Run configuration: a flat key = value text format.
 
-Unknown keys are rejected so that a stored copy of the configuration
-reproduces the run exactly.  Lines starting with '#' and blank lines are
+Unknown and repeated keys are rejected so that a stored copy of the
+configuration reproduces the run exactly, and every accepted key reaches
+the code it configures.  Lines starting with '#' and blank lines are
 ignored; values are parsed by key-specific converters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import gaschart as gc
 from .meshing import DomainSpec
@@ -21,9 +22,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class KernelConfig:
     nu_star: float = gc.NU_CR / 2.0
-    xi_max_factor: float = 200.0
-    n_nu: int = 241
-    n_xi_log: int = 200
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,6 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     output_dir: str = "run"
-    deterministic: bool = True
 
 
 _FLOAT_KEYS = {
@@ -47,14 +44,11 @@ _FLOAT_KEYS = {
     "solver.residual_tol": ("solver", "residual_tol"),
     "solver.tol_inv_factor": ("solver", "tol_inv_factor"),
     "kernel.nu_star": ("kernel", "nu_star"),
-    "kernel.xi_max": ("kernel", "xi_max_factor"),
 }
 _INT_KEYS = {
     "solver.max_iters": ("solver", "max_iters"),
-    "kernel.n_nu": ("kernel", "n_nu"),
-    "kernel.n_xi_log": ("kernel", "n_xi_log"),
 }
-_OTHER_KEYS = ("solver.epsilons", "output.dir", "determinism.seedless")
+_OTHER_KEYS = ("solver.epsilons", "output.dir")
 
 KNOWN_KEYS = sorted(set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_OTHER_KEYS))
 
@@ -92,8 +86,6 @@ def parse_config(text: str) -> RunConfig:
                 groups["solver"]["epsilons"] = eps
             elif key == "output.dir":
                 extras["output_dir"] = val
-            elif key == "determinism.seedless":
-                extras["deterministic"] = val.lower() in ("1", "true", "yes")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
 
@@ -124,10 +116,6 @@ def dump_config(cfg: RunConfig) -> str:
         f"solver.max_iters = {s.max_iters!r}",
         f"solver.tol_inv_factor = {s.tol_inv_factor!r}",
         f"kernel.nu_star = {k.nu_star!r}",
-        f"kernel.xi_max = {k.xi_max_factor!r}",
-        f"kernel.n_nu = {k.n_nu!r}",
-        f"kernel.n_xi_log = {k.n_xi_log!r}",
         f"output.dir = {cfg.output_dir}",
-        f"determinism.seedless = {str(cfg.deterministic).lower()}",
     ]
     return "\n".join(lines) + "\n"

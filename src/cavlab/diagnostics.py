@@ -11,13 +11,13 @@ sqrt(eps) envelope fits across a viscosity sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import entropy as en
 from . import gaschart as gc
-from .meshing import FARFIELD, OBSTACLE, Mesh
+from .meshing import OBSTACLE, Mesh
 from .solver import Solution, SolverConfig
 
 DEGENERACY_FLOOR = 1e-12

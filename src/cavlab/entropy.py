@@ -19,7 +19,7 @@ evaluated by Fourier quadrature of the kernel tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,9 +269,12 @@ def kernel_generator(regular: KernelTransform | None = None,
                      nu_min: float | None = None) -> Generator:
     """Generator H = w1 Hr*phi + w2 Hs*phi for a Gaussian test function.
 
-    Every derivative is a Fourier quadrature with the extra s-derivatives
-    falling on the test function, so third-order angle derivatives are as
-    accurate as the tables (never differenced).
+    Every derivative d^i/dnu^i d^j/dtheta^j (i <= 1, j <= 4) is one call
+    of SmoothedKernel.convolved_pairs per kernel on the flattened
+    (nu, theta) pairs, theta taking the place of s: a Fourier quadrature
+    with the angle derivatives falling on the test function, so
+    third-order angle derivatives are as accurate as the tables (never
+    differenced).
     """
     pieces = []
     nu_star = None

@@ -17,7 +17,7 @@ k'(nu)^2 = (M^2-1)/rho^2 = (1-2 rho^2)/rho^4 with k(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -36,18 +36,6 @@ NU_CR = math.atanh(RHO_CR) - RHO_CR
 SIGMA_CR = 2.0 * RHO_CR - math.atanh(RHO_CR)
 K_AT_QCR = (math.sqrt(2.0) - 1.0) * math.pi / 2.0
 
-
-@dataclass(frozen=True)
-class GasConstants:
-    gamma: float = 3.0
-    q_cr: float = Q_CR
-    q_cav: float = Q_CAV
-    rho_cr: float = RHO_CR
-    nu_cr: float = NU_CR
-    k_at_qcr: float = K_AT_QCR
-
-
-CONSTANTS = GasConstants()
 
 _K_SERIES, _RHO_SERIES = characteristic_series()
 
@@ -360,34 +348,17 @@ def eigenstructure(state: StatePolar):
 
 @dataclass(frozen=True)
 class GasChart:
-    """Immutable bundle of the gamma = 3 closures with a working range nu_star.
+    """Working range nu_star of the gamma = 3 chart; the closures are the
+    module functions.
 
     The working range defaults to nu_cr/2; all kernel machinery operates on
     (0, nu_star].  Safe for concurrent reads.
     """
 
     nu_star: float = NU_CR / 2.0
-    constants: GasConstants = field(default_factory=GasConstants)
 
     def __post_init__(self):
         _check(0.0 < self.nu_star < NU_CR, "nu_star must lie in (0, nu_cr)")
-
-    rho_of_q = staticmethod(rho_of_q)
-    q_of_rho = staticmethod(q_of_rho)
-    nu_of_rho = staticmethod(nu_of_rho)
-    rho_of_nu = staticmethod(rho_of_nu)
-    sigma_of_rho = staticmethod(sigma_of_rho)
-    rho_of_sigma = staticmethod(rho_of_sigma)
-    k_of_q = staticmethod(k_of_q)
-    kprime_of_q = staticmethod(kprime_of_q)
-    q_of_k = staticmethod(q_of_k)
-    k_of_nu = staticmethod(k_of_nu)
-    kprime_of_nu = staticmethod(kprime_of_nu)
-    kdoubleprime_of_nu = staticmethod(kdoubleprime_of_nu)
-    mach = staticmethod(mach)
-
-    def nu_of_q(self, q):
-        return nu_of_rho(rho_of_q(q))
 
     def table(self, nu_values):
         """Chart dump columns for the CLI: nu,rho,q,sigma,k,kprime,kdoubleprime,M."""

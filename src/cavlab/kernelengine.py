@@ -29,9 +29,8 @@ two branches agree to ~1e-11 in the overlap.
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -39,8 +38,8 @@ from scipy.interpolate import CubicSpline
 
 from . import gaschart as gc
 from . import kernelbasis as kb
-from .vacuum import (NU_SERIES_SWITCH, CubeRootSeries, characteristic_series,
-                     speed_coefficient_jets)
+from .vacuum import (NU_SERIES_SWITCH, CubeRootSeries, TaylorJet,
+                     characteristic_series, speed_coefficient_jets)
 
 C0_PAPER = 3.0 ** 0.5 / 4.0 * 3.0 ** (-0.5)  # sqrt(3)/4 * c_sharp^(-3/2)
 D0_PAPER = 3.0 ** (-0.5) * 3.0 ** 0.5        # 3^(-1/2) * c_sharp^(3/2)
@@ -159,7 +158,6 @@ class CoefficientModel:
         Ic = np.empty(n + 1)
         Ic[0] = I_val
         Ic[1:] = integrand.c / np.arange(1, n + 1)
-        from .vacuum import TaylorJet
         I = TaylorJet(Ic)
         a1 = -0.125 * (kj * kj * kj * isq) * I
         return a0, a1, a0pp
@@ -170,7 +168,6 @@ class CoefficientModel:
         b0 = self.d0 * (kj.power(-1.0) * isq)
         b0pp = b0.shift(2)
         integrand = b0pp * kj * isq
-        from .vacuum import TaylorJet
         n = integrand.order + 1
         Jc = np.empty(n + 1)
         Jc[0] = J_val
@@ -199,7 +196,6 @@ class CoefficientModel:
         small = nu < self._nu_switch
         out[small] = self.series["alpha0pp"](nu[small])
         for i in np.nonzero(~small)[0]:
-            _a0, _a1, a0pp = None, None, None
             kj, kpj = self._chart_jets(float(nu[i]), order=4)
             a0 = self.c0 * (kj * kj * kpj.power(-0.5))
             out[i] = a0.shift(2).c[0]
@@ -948,13 +944,22 @@ class GaussianSmoother:
         return float(np.sqrt(-2.0 * np.log(tail)) / self.sigma)
 
 
+# Fourier quadrature of the smoothed kernels: composite Simpson on an odd
+# number of points, summed over xi for blocks of (nu, s) pairs so that
+# memory stays O(_PAIR_BLOCK * _N_XI) whatever the number of pairs.
+_N_XI = 4097
+_PAIR_BLOCK = 256
+
+
 @dataclass
 class SmoothedKernel:
     """Physical-space samples of the kernel convolved with a test function.
 
-    All quantities are cosine/sine quadratures of the tabulated transform
-    against phi_hat; extra s-derivatives fall on the test function, so
-    derivatives up to the stored order are exact images of the transform.
+    Every value is a cosine or sine quadrature of the tabulated transform
+    against phi_hat (convolved_pairs); extra s-derivatives fall on the
+    test function, so derivatives up to any order are exact images of
+    the transform.  values holds H*phi on the (nu_grid, s_grid) tensor
+    grid.
     """
 
     transform: KernelTransform
@@ -963,53 +968,50 @@ class SmoothedKernel:
     nu_grid: np.ndarray
     values: np.ndarray        # H*phi on (nu, s)
 
-    def convolved(self, nu, s, s_deriv: int = 0, nu_deriv: int = 0,
-                  n_xi: int = 4096):
-        """( d^j/ds^j [H or H_nu] * phi )(nu, s) by Fourier quadrature."""
+    def convolved_pairs(self, nu_flat, s_flat, s_deriv: int = 0,
+                        nu_deriv: int = 0):
+        """( d^j/ds^j [H or H_nu] * phi )(nu_i, s_i) on matched pairs.
+
+        Hhat is even in xi, so with j = s_deriv
+
+            d^j/ds^j (H*phi)(nu, s)
+                = (1/pi) int_0^inf Hhat(nu, xi) phi_hat(xi) xi^j
+                  cos(s xi + j pi/2) dxi,
+
+        where cos(x + j pi/2) is one of cos, -sin, -cos, sin.  Pairs are
+        taken in blocks sorted by nu; each block evaluates Hhat once per
+        distinct nu it holds.
+        """
         tr = self.transform
         xi_top = min(self.phi.xi_cutoff(), 2.0 * tr.xi_grid[-1])
-        xi = np.linspace(0.0, xi_top, n_xi)
-        nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        Hcol = (tr.Hhat_nu if nu_deriv else tr.Hhat)(nu_arr[:, None], xi[None, :])
-        base = Hcol * self.phi.phi_hat(xi)[None, :]
-        phase = np.outer(s_arr, xi)
-        osc = {0: np.cos(phase), 1: -np.sin(phase) * xi,
-               2: -np.cos(phase) * xi ** 2, 3: np.sin(phase) * xi ** 3,
-               4: np.cos(phase) * xi ** 4}[s_deriv]
-        # composite Simpson
-        wgt = np.full(n_xi, 2.0)
-        wgt[1::2] = 4.0
-        wgt[0] = wgt[-1] = 1.0
-        dxi = xi[1] - xi[0]
-        out = (base[:, None, :] * osc[None, :, :] * wgt) @ np.ones(n_xi)
-        out = out * (dxi / 3.0) / np.pi
-        if np.isscalar(nu) and np.isscalar(s):
-            return float(out[0, 0])
+        xi = np.linspace(0.0, xi_top, _N_XI)
+        simpson = np.full(_N_XI, 2.0)
+        simpson[1::2] = 4.0
+        simpson[0] = simpson[-1] = 1.0
+        sign = (1.0, -1.0, -1.0, 1.0)[s_deriv % 4]
+        trig = np.sin if s_deriv % 2 else np.cos
+        weight = simpson * self.phi.phi_hat(xi) * xi ** s_deriv \
+            * (sign * (xi[1] - xi[0]) / (3.0 * np.pi))
+        transform = tr.Hhat_nu if nu_deriv else tr.Hhat
+        nu_flat = np.asarray(nu_flat, dtype=float).ravel()
+        s_flat = np.asarray(s_flat, dtype=float).ravel()
+        out = np.empty(nu_flat.size)
+        order = np.argsort(nu_flat, kind="stable")
+        for start in range(0, nu_flat.size, _PAIR_BLOCK):
+            idx = order[start:start + _PAIR_BLOCK]
+            uniq, inv = np.unique(nu_flat[idx], return_inverse=True)
+            rows = transform(uniq[:, None], xi[None, :]) * weight
+            osc = np.multiply.outer(s_flat[idx], xi)
+            trig(osc, out=osc)
+            osc *= rows[inv]
+            out[idx] = osc.sum(axis=1)
         return out
 
-    def convolved_pairs(self, nu_flat, s_flat, s_deriv: int = 0,
-                        nu_deriv: int = 0, n_xi: int = 4096):
-        """convolved() on matched (nu_i, s_i) pairs; O(n_points * n_xi)."""
-        tr = self.transform
-        xi_top = min(self.phi.xi_cutoff(), 2.0 * tr.xi_grid[-1])
-        n_xi += 1 - (n_xi % 2)
-        xi = np.linspace(0.0, xi_top, n_xi)
-        nu_flat = np.asarray(nu_flat, dtype=float)
-        s_flat = np.asarray(s_flat, dtype=float)
-        uniq, inv = np.unique(nu_flat, return_inverse=True)
-        Hrows = (tr.Hhat_nu if nu_deriv else tr.Hhat)(uniq[:, None],
-                                                      xi[None, :])
-        base = (Hrows * self.phi.phi_hat(xi)[None, :])[inv]
-        phase = np.outer(s_flat, xi)
-        osc = {0: np.cos(phase), 1: -np.sin(phase) * xi,
-               2: -np.cos(phase) * xi ** 2, 3: np.sin(phase) * xi ** 3,
-               4: np.cos(phase) * xi ** 4}[s_deriv]
-        wgt = np.full(n_xi, 2.0)
-        wgt[1::2] = 4.0
-        wgt[0] = wgt[-1] = 1.0
-        dxi = xi[1] - xi[0]
-        return ((base * osc) @ wgt) * (dxi / 3.0) / np.pi
+    def on_grid(self, s_deriv: int = 0, nu_deriv: int = 0) -> np.ndarray:
+        """convolved_pairs on the (nu_grid, s_grid) tensor grid."""
+        NU, S = np.meshgrid(self.nu_grid, self.s_grid, indexing="ij")
+        return self.convolved_pairs(NU, S, s_deriv, nu_deriv).reshape(
+            NU.shape)
 
 
 def smooth_kernel(transform: KernelTransform,
@@ -1029,7 +1031,7 @@ def smooth_kernel(transform: KernelTransform,
         nu_grid = np.geomspace(transform.nu_min * 10, transform.nu_star, 12)
     sk = SmoothedKernel(transform, phi, np.asarray(s_grid),
                         np.asarray(nu_grid), None)
-    sk.values = sk.convolved(nu_grid, s_grid)
+    sk.values = sk.on_grid()
     return sk
 
 
@@ -1053,16 +1055,14 @@ def smoothing_compactness_report(sk: SmoothedKernel) -> dict:
     sup_s |d^j/ds^j (rho H_nu + H_ss)*phi| <= C phi rho(nu) and
     |d^j/ds^j (rho H_nu)*phi| + |d^j/ds^j H_s*phi| <= C, j = 0,1,2.
     """
-    rho = np.asarray(gc.rho_of_nu(sk.nu_grid))
+    rho = np.asarray(gc.rho_of_nu(sk.nu_grid))[:, None]
+    H_s = {d: sk.on_grid(d) for d in (1, 2, 3, 4)}
     out = {}
     for j in (0, 1, 2):
-        comb = rho[:, None] * sk.convolved(sk.nu_grid, sk.s_grid, j, 1) \
-            + sk.convolved(sk.nu_grid, sk.s_grid, j + 2, 0)
-        out[f"C_combination_j{j}"] = float(
-            np.max(np.abs(comb) / rho[:, None]))
-        bnd = np.abs(rho[:, None] * sk.convolved(sk.nu_grid, sk.s_grid, j, 1))
-        bnd2 = np.abs(sk.convolved(sk.nu_grid, sk.s_grid, j + 1, 0))
-        out[f"C_rho_Hnu_j{j}"] = float(bnd.max())
-        out[f"C_Hs_j{j}"] = float(bnd2.max())
+        rho_Hnu = rho * sk.on_grid(j, 1)
+        comb = rho_Hnu + H_s[j + 2]
+        out[f"C_combination_j{j}"] = float(np.max(np.abs(comb) / rho))
+        out[f"C_rho_Hnu_j{j}"] = float(np.abs(rho_Hnu).max())
+        out[f"C_Hs_j{j}"] = float(np.abs(H_s[j + 1]).max())
     out["huygens_leakage"] = huygens_leakage(sk)
     return out

@@ -168,11 +168,6 @@ class Mesh:
         """Integral of a per-triangle quantity."""
         return float(np.sum(self.areas * np.asarray(cell_values)))
 
-    def integrate_nodal(self, field: np.ndarray) -> float:
-        """Integral of a P1 field (vertex average rule; exact for P1)."""
-        return float(np.sum(self.areas
-                            * np.asarray(field)[self.triangles].mean(axis=1)))
-
     def l2_norm(self, field: np.ndarray) -> float:
         """Lumped-mass L2 norm of a nodal field."""
         field = np.asarray(field, dtype=float)
@@ -190,12 +185,6 @@ class Mesh:
         sgn = 1.0 if inward else -1.0
         return sgn * float(np.sum(np.sum(mid * nrm, axis=1)
                                   * self.edge_lengths[mask]))
-
-    def boundary_integral(self, edge_values: np.ndarray, tag: int) -> float:
-        """Integral over tagged edges of per-edge midpoint values."""
-        mask = self.boundary_tags == tag
-        return float(np.sum(np.asarray(edge_values)
-                            * self.edge_lengths[mask]))
 
     def weak_divergence(self, vector_nodal: np.ndarray, test_nodal) -> float:
         """int psi div F := boundary term - int F . grad psi (P1 weak form)."""

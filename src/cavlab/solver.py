@@ -27,8 +27,7 @@ iterate are passed on as the next step's right-hand side.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +58,6 @@ class SolverConfig:
     # budget is sized so the default sweep converges with adaptive damping
     max_iters: int = 8000
     tol_inv_factor: float = 1e-3
-    adapt_omega: bool = True
 
     def __post_init__(self):
         if not gc.Q_CR < self.q_inf < gc.Q_CAV:
@@ -263,8 +261,7 @@ class PicardSolver:
         start_t[self.dirichlet] = 0.0
         sig_scale = max(abs(self.sigma_inf), 0.1)
         th_scale = max(cfg.k_inf, 0.1)
-        omega = getattr(self, "_omega_hint", cfg.omega) \
-            if cfg.adapt_omega else cfg.omega
+        omega = getattr(self, "_omega_hint", cfg.omega)
         omega_min = cfg.omega / 1024.0
         all_updates, all_residuals = [], []
         total_iters = 0
@@ -294,8 +291,7 @@ class PicardSolver:
                     return Solution(eps, sigma, theta, total_iters,
                                     all_updates, all_residuals, w_used,
                                     projections, cfg)
-                if cfg.adapt_omega and len(residuals) >= 30 \
-                        and len(residuals) % 10 == 0:
+                if len(residuals) >= 30 and len(residuals) % 10 == 0:
                     envelope = min(residuals[-10:])
                     if not np.isfinite(envelope) \
                             or envelope > 2.0 * min(residuals):
@@ -311,11 +307,6 @@ class PicardSolver:
                     f"residual {all_residuals[-1]:.3e}, omega {omega:.2e})",
                     {"updates": all_updates, "residuals": all_residuals})
             omega = max(omega * 0.5, omega_min)
-
-
-def solve_epsilon(config: SolverConfig, mesh: Mesh, eps: float,
-                  warm_start=None) -> Solution:
-    return PicardSolver(mesh, config).solve_epsilon(eps, warm_start)
 
 
 def sweep(config: SolverConfig, mesh: Mesh) -> list:

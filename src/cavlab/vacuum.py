@@ -65,15 +65,6 @@ def _pdiv(a, b, n):
     return out
 
 
-def _pcompose(outer, inner, n):
-    # outer(inner(x)) with inner[0] == 0, by Horner on the truncated series
-    out = [Fraction(0)] * n
-    for c in reversed(outer[:n]):
-        out = _pmul(out, inner, n)
-        out[0] += c
-    return out
-
-
 def _psqrt_unit(a, n):
     # sqrt(a) with a[0] == 1, Newton iteration on series
     out = [Fraction(0)] * n
@@ -100,7 +91,6 @@ def rational_chart_series(order: int = SERIES_ORDER):
     # Work with the odd series rho(t) = t*(1 + correction in t^2).
     m = n // 2 + 2  # order in the squared variable
     S = [Fraction(3, 2 * j + 3) for j in range(m)]  # S[0]=1, S[1]=3/5, ...
-    Sroot = _psqrt_unit(_psqrt_unit(S, m), m)  # S^(1/4)... placeholder
     # cube root of S via Newton: R^3 = S, R[0]=1
     R = [Fraction(0)] * m
     R[0] = Fraction(1)
@@ -110,7 +100,6 @@ def rational_chart_series(order: int = SERIES_ORDER):
         R3 = _pmul(_pmul(R, R, i + 1), R, i + 1)
         acc -= R3[i]
         R[i] = acc / 3
-    del Sroot
     # Now t = rho * R(rho^2); invert for rho = t * U(t^2):
     # t/rho = R(rho^2) with rho^2 = t^2*U^2 -> U * R(t^2 U^2) = 1.
     U = [Fraction(0)] * m
@@ -119,7 +108,6 @@ def rational_chart_series(order: int = SERIES_ORDER):
         # coefficient i of U*R(x*U^2) must vanish (x = t^2)
         U2 = _pmul(U, U, m)
         xU2 = [Fraction(0)] + U2[: m - 1]
-        RxU2 = _pcompose(R[1:], xU2, m)  # R(xU^2) - 1, needs x factor
         # R(y) = 1 + sum_{j>=1} R[j] y^j with y = xU2
         Rfull = [Fraction(1)] + [Fraction(0)] * (m - 1)
         ypow = [Fraction(1)] + [Fraction(0)] * (m - 1)
@@ -127,7 +115,6 @@ def rational_chart_series(order: int = SERIES_ORDER):
             ypow = _pmul(ypow, xU2, m)
             for idx in range(m):
                 Rfull[idx] += R[j] * ypow[idx]
-        del RxU2
         prod = _pmul(U, Rfull, m)
         # prod must equal [1,0,0,...]; correct U[i] (prod[i] depends on U[i]
         # linearly with unit coefficient at this order)
@@ -142,7 +129,6 @@ def rational_chart_series(order: int = SERIES_ORDER):
     # k(rho) = sum_j integrand_sq[j] * rho^(2j+1) / (2j+1)
     kq = [integrand_sq[j] / (2 * j + 1) for j in range(m)]
     # compose with rho(t) = t*U(t^2):  rho^(2j+1) = t^(2j+1) U^(2j+1)(t^2)
-    k_sq_part = [Fraction(0)] * m  # series in t^2 of k(t)/ (t * U)
     # k(t) = t*U(t^2) * sum_j kq[j] * (t^2 U(t^2)^2)^j
     xU2 = _pmul([Fraction(0), Fraction(1)] + [Fraction(0)] * (m - 2), rho_sq, m)
     acc = [Fraction(0)] * m
@@ -153,7 +139,6 @@ def rational_chart_series(order: int = SERIES_ORDER):
         for idx in range(m):
             acc[idx] += kq[j] * ypow[idx]
     k_even = _pmul(U, acc, m)
-    del k_sq_part
     # expand back to odd series in t
     rho_t = [Fraction(0)] * n
     k_t = [Fraction(0)] * n
@@ -298,14 +283,6 @@ class TaylorJet:
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
-
-    @classmethod
-    def variable(cls, value: float, order: int) -> "TaylorJet":
-        c = np.zeros(order + 1)
-        c[0] = value
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
 
     @classmethod
     def constant(cls, value: float, order: int) -> "TaylorJet":

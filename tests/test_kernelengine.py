@@ -302,13 +302,50 @@ class TestSmoothing:
 
     def test_initial_data_physical(self, regular, singular):
         sk = ke.smooth_kernel(regular)
-        tiny = np.array([regular.nu_min * 2])
-        prof = sk.convolved(tiny, sk.s_grid)[0]
+        tiny = np.full_like(sk.s_grid, regular.nu_min * 2)
+        prof = sk.convolved_pairs(tiny, sk.s_grid)
         assert np.abs(prof).max() < 1e-6  # H^r * phi -> 0
         sk = ke.smooth_kernel(singular)
-        prof = sk.convolved(np.array([singular.nu_min * 2]), sk.s_grid)[0]
+        tiny = np.full_like(sk.s_grid, singular.nu_min * 2)
+        prof = sk.convolved_pairs(tiny, sk.s_grid)
         phi = sk.phi.phi(sk.s_grid)
         assert np.abs(prof - phi).max() / phi.max() < 1e-2  # -> delta datum
+
+    def test_smoothing_memory_is_per_block(self, regular):
+        # the quadrature sums over xi a block of (nu, s) pairs at a time;
+        # one dense (n_nu, n_s, n_xi) product on the default grids takes
+        # 12 * 321 * 4097 floats (126 MB)
+        tracemalloc.start()
+        try:
+            ke.smooth_kernel(regular)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("nu_deriv", (0, 1))
+    def test_s_derivatives(self, regular, singular, nu_deriv):
+        # d^j/ds^j (H*phi) is even in s for even j and odd for odd j, and
+        # its centred difference in s is the derivative of order j + 1
+        for tr in (regular, singular):
+            phi = ke.GaussianSmoother(gc.k_of_nu(tr.nu_star) / 6.0)
+            sk = ke.SmoothedKernel(tr, phi, np.zeros(1), np.zeros(1), None)
+            s = np.linspace(-1.5, 1.5, 41) * gc.k_of_nu(tr.nu_star)
+            nu = np.full_like(s, tr.nu_star / 3.0)
+            h = 2.5e-4 * phi.width
+            for j in range(5):
+                val = sk.convolved_pairs(nu, s, j, nu_deriv)
+                scale = np.abs(val).max()
+                assert scale > 0
+                mirror = sk.convolved_pairs(nu, -s, j, nu_deriv)
+                assert np.abs(mirror - (-1) ** j * val).max() \
+                    <= 1e-12 * scale
+                if j == 4:
+                    continue
+                fd = (sk.convolved_pairs(nu, s + h, j, nu_deriv)
+                      - sk.convolved_pairs(nu, s - h, j, nu_deriv)) / (2 * h)
+                nxt = sk.convolved_pairs(nu, s, j + 1, nu_deriv)
+                assert np.abs(fd - nxt).max() <= 1e-5 * np.abs(nxt).max()
 
     def test_compactness_constants(self, regular):
         sk = ke.smooth_kernel(regular)

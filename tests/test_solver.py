@@ -24,7 +24,7 @@ def test_config_validation():
 def test_constant_flow_exact_fixed_point():
     mesh = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=0.1))
     cfg = sv.SolverConfig(epsilons=(0.2,), max_iters=5)
-    sol = sv.solve_epsilon(cfg, mesh, 0.2)
+    sol = sv.PicardSolver(mesh, cfg).solve_epsilon(0.2)
     assert sol.iterations == 1
     assert sol.update_history[0] < 1e-14
     assert np.abs(sol.sigma - cfg.sigma_inf).max() < 1e-13
@@ -111,7 +111,7 @@ def test_manufactured_convergence_order(eps):
 def obstacle_solution():
     mesh = mh.build_mesh(mh.DomainSpec())
     cfg = sv.SolverConfig(epsilons=(0.2,))
-    sol = sv.solve_epsilon(cfg, mesh, 0.2)
+    sol = sv.PicardSolver(mesh, cfg).solve_epsilon(0.2)
     return mesh, cfg, sol
 
 
@@ -147,17 +147,17 @@ def test_clipped_speed_consistency(obstacle_solution):
 def test_solution_determinism():
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
     cfg = sv.SolverConfig(epsilons=(0.2,))
-    a = sv.solve_epsilon(cfg, mesh, 0.2)
-    b = sv.solve_epsilon(cfg, mesh, 0.2)
+    a = sv.PicardSolver(mesh, cfg).solve_epsilon(0.2)
+    b = sv.PicardSolver(mesh, cfg).solve_epsilon(0.2)
     assert np.array_equal(a.sigma, b.sigma)
     assert np.array_equal(a.theta, b.theta)
 
 
 def test_nonconvergence_reports_history():
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
-    cfg = sv.SolverConfig(epsilons=(0.05,), max_iters=3, adapt_omega=False)
+    cfg = sv.SolverConfig(epsilons=(0.05,), max_iters=3)
     with pytest.raises(sv.ConvergenceError) as exc:
-        sv.solve_epsilon(cfg, mesh, 0.05)
+        sv.PicardSolver(mesh, cfg).solve_epsilon(0.05)
     assert "updates" in exc.value.history
     assert len(exc.value.history["updates"]) == 3
 
