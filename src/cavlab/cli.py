@@ -77,13 +77,14 @@ class ArtifactStore:
     def save_fields(self, mesh, sol) -> None:
         rho = sol.rho
         q = sol.q
-        rows = [
+        # a generator: rows are formatted as they are written
+        rows = (
             (_fmt(x), _fmt(y), _fmt(s), _fmt(t), _fmt(r), _fmt(qq),
              _fmt(wm), _fmt(wp))
             for (x, y), s, t, r, qq, wm, wp in zip(
                 mesh.vertices, sol.sigma, sol.theta, rho, q,
                 sol.W_minus, sol.W_plus)
-        ]
+        )
         _write_csv(self.path(f"fields_eps_{sol.epsilon:g}.csv"),
                    ["x", "y", "sigma", "theta", "rho", "q", "Wminus",
                     "Wplus"], rows)

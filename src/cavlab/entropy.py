@@ -355,13 +355,16 @@ def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
     def fit(nu, th):
         NU, TH = np.meshgrid(nu, th, indexing="ij")
         rho = np.asarray(gc.rho_of_nu(np.asarray(nu)))[:, None]
+        # each of the 7 distinct derivative grids is evaluated once
+        h_nu = [gen.d(1, j)(NU, TH) for j in (0, 1, 2)]
+        h_th = {j: gen.d(0, j)(NU, TH) for j in (1, 2, 3, 4)}
         C1 = 0.0
         C2 = 0.0
         for j in (0, 1, 2):
-            comb = rho * gen.d(1, j)(NU, TH) + gen.d(0, j + 2)(NU, TH)
+            comb = rho * h_nu[j] + h_th[j + 2]
             C1 = max(C1, float(np.max(np.abs(comb) / rho)))
-            C2 = max(C2, float(np.max(np.abs(rho * gen.d(1, j)(NU, TH))
-                                      + np.abs(gen.d(0, j + 1)(NU, TH)))))
+            C2 = max(C2, float(np.max(np.abs(rho * h_nu[j])
+                                      + np.abs(h_th[j + 1]))))
         return C1, C2
 
     nu = np.asarray(nu_grid, dtype=float)

@@ -113,16 +113,28 @@ class Mesh:
         nrm[flip] *= -1.0
         self.edge_normals_in = nrm
 
+    def _edge_keys(self, a, b):
+        """Key lo * n + hi of each edge (a[i], b[i]), lo < hi its ends."""
+        return np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+
+    def _triangle_edge_keys(self):
+        """Keys of the three edges of every triangle, in triangle order."""
+        t = self.triangles
+        return self._edge_keys(t.ravel(), t[:, [1, 2, 0]].ravel())
+
     def _adjacent_triangle_centroids(self):
-        edge_map = {}
-        for it, tri in enumerate(self.triangles):
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                edge_map[frozenset((tri[a], tri[b]))] = it
+        # a boundary edge lies on exactly one triangle
+        keys = self._triangle_edge_keys()
+        order = np.argsort(keys)
+        be = self.boundary_edges
+        bkeys = self._edge_keys(be[:, 0], be[:, 1])
+        pos = np.minimum(np.searchsorted(keys, bkeys, sorter=order),
+                         len(keys) - 1)
+        hit = order[pos]
+        if not np.array_equal(keys[hit], bkeys):
+            raise ValueError("boundary edge on no triangle")
         cents = self.vertices[self.triangles].mean(axis=1)
-        out = np.empty((len(self.boundary_edges), 2))
-        for i, (a, b) in enumerate(self.boundary_edges):
-            out[i] = cents[edge_map[frozenset((a, b))]]
-        return out
+        return cents[hit // 3]
 
     # ---- topology ------------------------------------------------------
 
@@ -131,11 +143,7 @@ class Mesh:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        edges = set()
-        for tri in self.triangles:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                edges.add(frozenset((tri[a], tri[b])))
-        return len(edges)
+        return len(np.unique(self._triangle_edge_keys()))
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.edge_count() + len(self.triangles)
@@ -295,14 +303,13 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     def vid(i, j):
         return i * (ny + 1) + j
 
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # quad (i, j) -> triangles (v00, v10, v11), (v00, v11, v01), in
+    # i-major then j order
+    v00 = vid(np.arange(nx, dtype=np.int64)[:, None], np.arange(ny)[None, :])
+    v10, v01, v11 = v00 + (ny + 1), v00 + 1, v00 + (ny + 2)
+    triangles = np.stack([np.stack([v00, v10, v11], axis=-1),
+                          np.stack([v00, v11, v01], axis=-1)],
+                         axis=2).reshape(-1, 3)
 
     edges, tags = [], []
     for i in range(nx):  # bottom and top walls
@@ -323,29 +330,29 @@ def build_mesh(spec: DomainSpec) -> Mesh:
 
 def write_vtk(path: str, mesh: Mesh, point_fields: dict | None = None,
               cell_fields: dict | None = None) -> None:
-    """Legacy ASCII VTK polydata export (POINTS/POLYGONS + data sections)."""
+    """Legacy ASCII VTK polydata export (POINTS/POLYGONS + data sections).
+
+    Lines are written as they are formatted, so no copy of the file is
+    held in memory.
+    """
     v, t = mesh.vertices, mesh.triangles
-    lines = ["# vtk DataFile Version 3.0", "cavlab mesh", "ASCII",
-             "DATASET POLYDATA", f"POINTS {len(v)} double"]
-    for x, y in v:
-        lines.append(f"{x:.17g} {y:.17g} 0.0")
-    lines.append(f"POLYGONS {len(t)} {4 * len(t)}")
-    for a, b, c in t:
-        lines.append(f"3 {a} {b} {c}")
-    if point_fields:
-        lines.append(f"POINT_DATA {len(v)}")
-        for name, vals in point_fields.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{float(x):.17g}" for x in vals)
-    lines.append(f"CELL_DATA {len(t)}")
-    lines.append("SCALARS area double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(f"{float(a):.17g}" for a in mesh.areas)
-    if cell_fields:
-        for name, vals in cell_fields.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{float(x):.17g}" for x in vals)
+
+    def scalars(fh, name, vals):
+        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        fh.writelines(f"{float(x):.17g}\n" for x in vals)
+
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# vtk DataFile Version 3.0\ncavlab mesh\nASCII\n"
+                 f"DATASET POLYDATA\nPOINTS {len(v)} double\n")
+        fh.writelines(f"{x:.17g} {y:.17g} 0.0\n" for x, y in v)
+        fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in t)
+        if point_fields:
+            fh.write(f"POINT_DATA {len(v)}\n")
+            for name, vals in point_fields.items():
+                scalars(fh, name, vals)
+        fh.write(f"CELL_DATA {len(t)}\n")
+        scalars(fh, "area", mesh.areas)
+        if cell_fields:
+            for name, vals in cell_fields.items():
+                scalars(fh, name, vals)

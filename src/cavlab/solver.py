@@ -1,4 +1,5 @@
-"""Viscous approximate solutions by damped Picard iteration.
+"""Viscous approximate solutions by safeguarded Anderson-accelerated Picard
+iteration.
 
 For each viscosity eps the mixed Dirichlet-Neumann system is solved in
 the potential form
@@ -16,13 +17,22 @@ degenerate diffusion factor 1 - c^2/q^2, and the clipped speed
 qt(rho) = (1 - rho_+^2)_+^(1/2) guards transients; at convergence it
 coincides with the Bernoulli speed.  The P1 operators (stiffness,
 divergence load, mass) belong to the mesh and are built once per mesh.
-Each Picard step solves both Poisson problems as one two-column solve
-against one prefactored stiffness matrix, blended with damping omega;
-steps that leave the invertible sigma range are retried with halved
-omega and projected as a last resort (projections counted, zero at
-convergence).  The nonlinear right-hand side is evaluated once per
-iteration: the load vectors `residual_norms` computes for the new
-iterate are passed on as the next step's right-hand side.
+
+The Picard map g sends the current iterate to the solution of both
+Poisson problems with its loads, as one two-column solve against one
+prefactored stiffness matrix.  Its contraction factor degrades roughly
+like 1/eps, so the iterates are mixed by type-II Anderson acceleration
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
+ANDERSON_DEPTH differences of the scaled iterates and residuals
+g(x) - x, with mixing parameter beta.  Two safeguards act inside the
+one loop: an attempt whose residual envelope grows is restarted from the
+warm start with an empty history and halved beta, and a candidate that
+leaves the invertible sigma range is replaced by a damped Picard step
+(halved until it fits, projected as a last resort, projections counted
+and zero at convergence) and the history is cleared.  The nonlinear
+right-hand side is evaluated once per iteration: the load vectors
+`residual_norms` computes for the new iterate are passed on as the next
+step's right-hand side.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ from . import gaschart as gc
 from .meshing import FARFIELD, OBSTACLE, Mesh
 
 RHO_GUARD = gc.RHO_CR - 1e-6
+# number of (iterate, residual) differences Anderson mixing keeps
+ANDERSON_DEPTH = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -54,8 +66,7 @@ class SolverConfig:
     omega: float = 0.5
     picard_tol: float = 1e-8
     residual_tol: float = 1e-7
-    # the damped map loses contractivity roughly like 1/eps; the default
-    # budget is sized so the default sweep converges with adaptive damping
+    # iteration budget per viscosity, over all attempts
     max_iters: int = 8000
     tol_inv_factor: float = 1e-3
 
@@ -142,6 +153,43 @@ def circulation_flux(rho, theta):
     return np.stack([q * np.sin(theta), -q * np.cos(theta)], axis=1)
 
 
+class AndersonHistory:
+    """The last ANDERSON_DEPTH differences of iterates and of residuals,
+    kept in preallocated ring buffers (one column per difference)."""
+
+    def __init__(self, size: int):
+        self.dx = np.empty((size, ANDERSON_DEPTH), order="F")
+        self.df = np.empty((size, ANDERSON_DEPTH), order="F")
+        self.x_prev = np.empty(size)
+        self.f_prev = np.empty(size)
+        self.clear()
+
+    def clear(self):
+        self.count = 0    # stored columns
+        self.next = 0     # column the next difference overwrites
+        self.has_prev = False
+
+    def mix(self, x, f, beta):
+        """Type-II Anderson candidate x + beta f - (dX + beta dF) gamma,
+        gamma minimising |f - dF gamma|_2, for the residual f = g(x) - x;
+        records the differences to the previous (x, f) first."""
+        if self.has_prev:
+            col = self.next
+            np.subtract(x, self.x_prev, out=self.dx[:, col])
+            np.subtract(f, self.f_prev, out=self.df[:, col])
+            self.next = (col + 1) % ANDERSON_DEPTH
+            self.count = min(self.count + 1, ANDERSON_DEPTH)
+        self.x_prev[:] = x
+        self.f_prev[:] = f
+        self.has_prev = True
+        cand = x + beta * f
+        if self.count:
+            dx, df = self.dx[:, :self.count], self.df[:, :self.count]
+            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            cand -= dx @ gamma + beta * (df @ gamma)
+        return cand
+
+
 class PicardSolver:
     """Both Poisson problems of a step in one solve against one
     prefactored Laplacian."""
@@ -154,11 +202,18 @@ class PicardSolver:
         K = mesh.stiffness_matrix()
         self.K = K
         K_free = K[self.free]
-        self.lu = spla.splu(K_free[:, self.free].tocsc())
+        # K is symmetric: order on the pattern of K + K^T, which keeps the
+        # factor about a third smaller than the default COLAMD ordering
+        self.lu = spla.splu(K_free[:, self.free].tocsc(),
+                            permc_spec="MMD_AT_PLUS_A")
         # per-step constants: far-field sigma, its lift into the free
-        # rows (theta is 0 on the far field) and the sigma guard
+        # rows (theta is 0 on the far field), the sigma guard, and the
+        # scales of sigma and theta in update norms and Anderson mixing
         self.sigma_inf = config.sigma_inf
         self.sigma_hi = gc.sigma_of_rho(RHO_GUARD)
+        n_free = len(self.free)
+        self.scale = np.repeat([max(abs(self.sigma_inf), 0.1),
+                                max(config.k_inf, 0.1)], n_free)
         sigma_d = np.full(len(self.dirichlet), self.sigma_inf)
         self.lift = np.column_stack([K_free[:, self.dirichlet] @ sigma_d,
                                      np.zeros(len(self.free))])
@@ -217,37 +272,60 @@ class PicardSolver:
         return ((float(np.linalg.norm(r1)) / s1,
                  float(np.linalg.norm(r2)) / s2), (b_sig, b_the))
 
-    def picard_step(self, sigma, theta, b_sig, b_the, omega):
-        """One damped update from the load vectors (b_sig, b_the) of
-        (sigma, theta); returns (sigma, theta, omega_used, projections)."""
-        sig_f, the_f = self._solve_pair(b_sig, b_the)
-        projections = 0
-        w = omega
-        for _ in range(6):
-            cand_s = sigma.copy()
-            cand_s[self.free] = (1 - w) * sigma[self.free] + w * sig_f
-            cand_s[self.dirichlet] = self.sigma_inf
-            if np.all((cand_s >= -1e-12) & (cand_s <= self.sigma_hi)):
-                break
-            w *= 0.5  # step leaves the invertible range: reject and damp
-        else:
-            projections = int(np.sum((cand_s < 0) | (cand_s > self.sigma_hi)))
-            cand_s = np.clip(cand_s, 0.0, self.sigma_hi)
+    def picard_step(self, sigma, theta, b_sig, b_the, beta, history):
+        """One accelerated step from the load vectors (b_sig, b_the) of
+        (sigma, theta).
+
+        g(x), the undamped Picard map, is one two-column solve; the
+        candidate is `history.mix` of the scaled free-node values.  A
+        candidate outside the invertible sigma range is replaced by the
+        damped step x + w (g(x) - x), w halved from beta until it fits,
+        and the history is cleared.  Returns (sigma, theta, update, w,
+        projections): update is the scaled full-step norm |g(x) - x|_inf
+        and w the damping of a fallback step (beta otherwise).
+        """
+        free, n_free = self.free, len(self.free)
+        g = np.concatenate(self._solve_pair(b_sig, b_the)) / self.scale
+        x = np.concatenate([sigma[free], theta[free]]) / self.scale
+        f = g - x
+        update = float(np.abs(f).max())
+        cand = history.mix(x, f, beta) * self.scale
+        cand_s = sigma.copy()
+        cand_s[free] = cand[:n_free]
+        w, projections = beta, 0
+        if not self._in_range(cand_s):
+            history.clear()
+            for _ in range(6):
+                cand = (x + w * f) * self.scale
+                cand_s[free] = cand[:n_free]
+                if self._in_range(cand_s):
+                    break
+                w *= 0.5  # step leaves the invertible range: damp
+            else:
+                projections = int(np.sum((cand_s < 0)
+                                         | (cand_s > self.sigma_hi)))
+                cand_s = np.clip(cand_s, 0.0, self.sigma_hi)
         cand_t = theta.copy()
-        cand_t[self.free] = (1 - w) * theta[self.free] + w * the_f
-        cand_t[self.dirichlet] = 0.0
-        return cand_s, cand_t, w, projections
+        cand_t[free] = cand[n_free:]
+        return cand_s, cand_t, update, w, projections
+
+    def _in_range(self, sigma):
+        return bool(np.all((sigma >= -1e-12) & (sigma <= self.sigma_hi)))
 
     def solve_epsilon(self, eps: float, warm_start=None,
                       source_sigma=None, source_theta=None) -> Solution:
         """Iterate to the fixed point at one viscosity.
 
-        The damped map loses contractivity as eps shrinks; attempts with
-        growing residual envelope are aborted, the state reset to the
-        warm start, and the damping halved (the spec's reject-and-halve
-        rule, applied at attempt granularity so one oversized step cannot
-        destroy a good warm start).  The successful damping is kept as
-        the starting hint for the next viscosity.
+        Each iteration is one `picard_step`: Anderson mixing of the
+        undamped Picard map with mixing parameter beta, starting at
+        `config.omega` for every viscosity.  The map loses contractivity
+        as eps shrinks; an attempt whose residual envelope grows is
+        aborted, the state reset to the warm start, the history cleared
+        and beta halved (applied at attempt granularity so one bad step
+        cannot destroy a good warm start).  Nothing carries over from one
+        call to the next.  Converged means the scaled full-step update
+        |g(x) - x|_inf is below `picard_tol` and the relative residual of
+        the new iterate below `residual_tol`.
         """
         cfg = self.config
         n = self.mesh.n_vertices
@@ -259,33 +337,28 @@ class PicardSolver:
             start_t = warm_start[1].copy()
         start_s[self.dirichlet] = self.sigma_inf
         start_t[self.dirichlet] = 0.0
-        sig_scale = max(abs(self.sigma_inf), 0.1)
-        th_scale = max(cfg.k_inf, 0.1)
-        omega = getattr(self, "_omega_hint", cfg.omega)
-        omega_min = cfg.omega / 1024.0
+        beta = cfg.omega
+        beta_min = cfg.omega / 1024.0
+        history = AndersonHistory(2 * len(self.free))
         all_updates, all_residuals = [], []
         total_iters = 0
         while True:
             sigma, theta = start_s.copy(), start_t.copy()
             loads = self.rhs(sigma, theta, eps, source_sigma, source_theta)
+            history.clear()
             updates, residuals = [], []
             projections = 0
             aborted = False
             while total_iters < cfg.max_iters:
                 total_iters += 1
-                new_s, new_t, w_used, proj = self.picard_step(
-                    sigma, theta, *loads, omega)
+                sigma, theta, upd, w_used, proj = self.picard_step(
+                    sigma, theta, *loads, beta, history)
                 projections += proj
-                upd = max(np.abs(new_s - sigma).max() / sig_scale,
-                          np.abs(new_t - theta).max() / th_scale)
-                upd /= max(w_used, 1e-12)  # full-step equivalent
-                sigma, theta = new_s, new_t
                 res, loads = self.residual_norms(sigma, theta, eps,
                                                  source_sigma, source_theta)
-                updates.append(float(upd))
+                updates.append(upd)
                 residuals.append(max(res))
                 if upd < cfg.picard_tol and max(res) < cfg.residual_tol:
-                    self._omega_hint = omega
                     all_updates += updates
                     all_residuals += residuals
                     return Solution(eps, sigma, theta, total_iters,
@@ -300,13 +373,13 @@ class PicardSolver:
             all_updates += updates
             all_residuals += residuals
             if not aborted or total_iters >= cfg.max_iters \
-                    or omega <= omega_min:
+                    or beta <= beta_min:
                 raise ConvergenceError(
                     f"no fixed point after {total_iters} iterations at "
                     f"eps={eps} (last update {all_updates[-1]:.3e}, "
-                    f"residual {all_residuals[-1]:.3e}, omega {omega:.2e})",
+                    f"residual {all_residuals[-1]:.3e}, beta {beta:.2e})",
                     {"updates": all_updates, "residuals": all_residuals})
-            omega = max(omega * 0.5, omega_min)
+            beta = max(beta * 0.5, beta_min)
 
 
 def sweep(config: SolverConfig, mesh: Mesh) -> list:

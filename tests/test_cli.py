@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes and the entropy-check output."""
 
 import csv
+import json
 
 import cavlab.gaschart as gc
 from cavlab import cli
@@ -61,3 +62,15 @@ def test_workers_option_is_gone(tmp_path):
     assert cli.main(["kernel", "build", "--kind", "regular", "--out",
                      str(tmp_path / "t.cavk"),
                      "--workers", "2"]) == cli.USAGE_ERROR
+
+
+def test_check_on_small_config(tmp_path):
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("geometry.h_mesh = 0.0625\n"
+                   "solver.epsilons = 0.2, 0.1, 0.05\n"
+                   f"output.dir = {run_dir}\n")
+    assert cli.main(["check", "--config", str(cfg)]) in (0, cli.CHECK_FAILED)
+    with open(run_dir / "report.json") as fh:
+        report = json.load(fh)
+    assert [r["epsilon"] for r in report["records"]] == [0.2, 0.1, 0.05]

@@ -150,6 +150,53 @@ def test_operators_built_once(mesh):
         mesh.areas.sum(), rel=1e-13)
 
 
+def _loop_triangles(mesh):
+    """Triangle list built one quad at a time, as a reference."""
+    nx = len(np.unique(mesh.vertices[:, 0])) - 1
+    ny = mesh.n_vertices // (nx + 1) - 1
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            v01, v11 = v00 + 1, v10 + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def _loop_edges(mesh):
+    """Triangle index of every edge, one frozenset per edge."""
+    edge_map = {}
+    for it, tri in enumerate(mesh.triangles):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            edge_map[frozenset((tri[a], tri[b]))] = it
+    return edge_map
+
+
+def _loop_adjacent_centroids(mesh):
+    edge_map = _loop_edges(mesh)
+    cents = mesh.vertices[mesh.triangles].mean(axis=1)
+    return np.array([cents[edge_map[frozenset((a, b))]]
+                     for a, b in mesh.boundary_edges])
+
+
+def test_vectorised_build_matches_loops(monkeypatch):
+    spec = mh.DomainSpec(h_mesh=1 / 32)
+    mesh = mh.build_mesh(spec)
+    assert np.array_equal(mesh._adjacent_triangle_centroids(),
+                          _loop_adjacent_centroids(mesh))
+    monkeypatch.setattr(mh.Mesh, "_adjacent_triangle_centroids",
+                        _loop_adjacent_centroids)
+    ref = mh.Mesh(mesh.vertices.copy(), _loop_triangles(mesh),
+                  mesh.boundary_edges.copy(), mesh.boundary_tags.copy(),
+                  spec)
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags",
+                 "edge_normals_in"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert mesh.edge_count() == len(_loop_edges(mesh))
+
+
 def test_vtk_export(mesh, tmp_path):
     path = tmp_path / "mesh.vtk"
     mh.write_vtk(str(path), mesh, point_fields={"one": np.ones(
@@ -158,6 +205,29 @@ def test_vtk_export(mesh, tmp_path):
     assert text.startswith("# vtk DataFile Version 3.0")
     for section in ("POINTS", "POLYGONS", "POINT_DATA", "CELL_DATA"):
         assert section in text
+
+
+def test_vtk_export_text(tmp_path):
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 4))
+    rho = np.linspace(0.1, 0.5, mesh.n_vertices)
+    cell = np.arange(len(mesh.triangles)) / 7.0
+    path = tmp_path / "mesh.vtk"
+    mh.write_vtk(str(path), mesh, point_fields={"rho": rho},
+                 cell_fields={"c": cell})
+    nv, nt = mesh.n_vertices, len(mesh.triangles)
+    lines = ["# vtk DataFile Version 3.0", "cavlab mesh", "ASCII",
+             "DATASET POLYDATA", f"POINTS {nv} double"]
+    lines += [f"{x:.17g} {y:.17g} 0.0" for x, y in mesh.vertices]
+    lines.append(f"POLYGONS {nt} {4 * nt}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    for section, name, vals in ((f"POINT_DATA {nv}", "rho", rho),
+                                (f"CELL_DATA {nt}", "area", mesh.areas),
+                                (None, "c", cell)):
+        if section:
+            lines.append(section)
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{float(x):.17g}" for x in vals]
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_spec_validation():

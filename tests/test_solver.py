@@ -195,3 +195,81 @@ def test_one_rhs_evaluation_per_iteration(monkeypatch):
     # aborted no earlier than its 30th iteration
     attempts_max = len(cfg.epsilons) + iterations // 30
     assert len(calls) <= iterations + attempts_max
+
+
+@pytest.fixture(scope="module")
+def coarse_sweep():
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.2, 0.1, 0.05))
+    return mesh, cfg, sv.sweep(cfg, mesh)
+
+
+def test_coarse_sweep_converges(coarse_sweep):
+    mesh, cfg, solutions = coarse_sweep
+    assert [s.epsilon for s in solutions] == list(cfg.epsilons)
+    for sol in solutions:
+        assert sol.update_history[-1] < cfg.picard_tol
+        assert sol.residual_history[-1] < cfg.residual_tol
+        assert sol.projection_count == 0
+
+
+def test_iteration_count(coarse_sweep):
+    # the sweep (0.2, 0.1) is the first two solves of the fixture's sweep
+    mesh, cfg, solutions = coarse_sweep
+    assert sum(sol.iterations for sol in solutions[:2]) <= 150
+
+
+def test_fixed_point_matches_tight_reference(coarse_sweep):
+    mesh, cfg, solutions = coarse_sweep
+    tight = sv.SolverConfig(epsilons=cfg.epsilons, picard_tol=1e-12,
+                            residual_tol=1e-11)
+    for sol, ref in zip(solutions, sv.sweep(tight, mesh)):
+        assert np.abs(sol.sigma - ref.sigma).max() <= 1e-7
+        assert np.abs(sol.theta - ref.theta).max() <= 1e-7
+
+
+def test_no_state_carried_between_solves():
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.1,))
+    solver = sv.PicardSolver(mesh, cfg)
+    first = solver.solve_epsilon(0.1)
+    harder = solver.solve_epsilon(0.03)
+    assert harder.omega_final < cfg.omega  # the harder solve halved beta
+    again = solver.solve_epsilon(0.1)
+    assert again.iterations == first.iterations
+    assert np.array_equal(again.sigma, first.sigma)
+    assert np.array_equal(again.theta, first.theta)
+
+
+class _OutOfRangeHistory:
+    """Anderson history whose candidates leave the invertible range."""
+
+    def __init__(self):
+        self.cleared = 0
+
+    def mix(self, x, f, beta):
+        return x + 1e3
+
+    def clear(self):
+        self.cleared += 1
+
+
+def test_out_of_range_candidate_falls_back_to_damped_step():
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.2,))
+    solver = sv.PicardSolver(mesh, cfg)
+    sigma = np.full(mesh.n_vertices, cfg.sigma_inf)
+    theta = np.zeros(mesh.n_vertices)
+    loads = solver.rhs(sigma, theta, 0.2)
+    history = _OutOfRangeHistory()
+    new_s, new_t, _, w, proj = solver.picard_step(
+        sigma, theta, *loads, cfg.omega, history)
+    assert history.cleared == 1
+    assert (w, proj) == (cfg.omega, 0)
+    sig_f, the_f = solver._solve_pair(*loads)
+    free = solver.free
+    assert np.allclose(new_s[free], sigma[free] + w * (sig_f - sigma[free]),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(new_t[free], w * the_f, rtol=0, atol=1e-14)
+    assert np.array_equal(new_s[solver.dirichlet],
+                          sigma[solver.dirichlet])
