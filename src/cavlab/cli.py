@@ -5,11 +5,12 @@ solve, sweep, check, report.  `sweep` and `check` share one loop over
 the configured viscosities, `solver.sweep`; a configuration file with an
 unknown or repeated key is a usage error.  Exit codes: 0 success, 1
 check failure (including a solve that finds no fixed point), 2
-usage/configuration error, 3 internal error (the traceback goes to
-stderr).  Reports are JSON with stable key order; tabular output is
-RFC-4180 CSV with a header row; field and mesh exports are legacy ASCII
-VTK.  All pipelines are deterministic, so identical configurations
-reproduce byte-identical reports.
+usage/configuration error (including a malformed kernel table), 3
+internal error (the traceback goes to stderr).  Reports are JSON with
+stable key order; tabular output is RFC-4180 CSV with a header row;
+field and mesh exports are legacy ASCII VTK.  All pipelines are
+deterministic, so identical configurations reproduce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -355,11 +356,16 @@ def main(argv=None) -> int:
         print(f"missing file: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:
-        # the solver is imported lazily; only a loaded solver can raise
+        # solver and kernelengine are imported lazily; only a loaded
+        # module can raise its own error
         solver = sys.modules.get("cavlab.solver")
         if solver is not None and isinstance(exc, solver.ConvergenceError):
             print(f"no convergence: {exc}", file=sys.stderr)
             return CHECK_FAILED
+        kernels = sys.modules.get("cavlab.kernelengine")
+        if kernels is not None and isinstance(exc, kernels.KernelTableError):
+            print(f"bad kernel table: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         traceback.print_exc()
         return INTERNAL_ERROR
 

@@ -25,10 +25,17 @@ all digits (they are small residues of nu^(-1)-size terms), so every
 coefficient function is computed from cube-root series below the switch
 point and from Taylor-jet arithmetic on the closed forms above it; the
 two branches agree to ~1e-11 in the overlap.
+
+The jet branch is evaluated on whole node arrays at once: a TaylorJet
+keeps its Taylor coefficients on the last axis of ``c`` and one base
+point per entry of the leading axes, so each stage (the Gauss nodes of
+all quadrature panels, the grid rows above the switch) is one chart solve
+and one batch of jet recurrences, looping over the jet order only.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -82,19 +89,15 @@ class GridSpec:
 # Coefficient evaluation: series branch + jet branch
 # ----------------------------------------------------------------------
 
-def _gauss_panel(f, a, b):
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * x)))
-
-
 class CoefficientModel:
     """Evaluates all kernel coefficient functions and their nu-derivatives.
 
     Below the series switch everything comes from CubeRootSeries built on
     the frozen k-series (cancellation-free); above it from Taylor jets of
     the closed forms, with the quadrature coefficients integrated from the
-    switch point (the series supply the lower part exactly).
+    switch point (the series supply the lower part exactly).  Every stage
+    acts on a whole array of nodes: one chart solve and one batch of jets
+    per array, never one per node.
     """
 
     def __init__(self, chart: gc.GasChart, c0: float = C0_PAPER,
@@ -140,108 +143,127 @@ class CoefficientModel:
         self._J0 = float(s["J"](self._nu_switch))
         self._K0 = float(s["K"](self._nu_switch))
 
-    # ---- jet building blocks -----------------------------------------
+    # ---- jet building blocks (arrays of nodes above the switch) --------
 
-    def _chart_jets(self, nu: float, order: int = _JET_ORDER):
+    def _chart_jets(self, nu, order: int = _JET_ORDER):
         rho0 = gc.rho_of_nu(nu)
         k0 = gc.k_of_nu(nu)
-        kjet, kpjet, _ = speed_coefficient_jets(nu, rho0, k0, order)
+        kjet, kpjet, _ = speed_coefficient_jets(rho0, k0, order)
         return kjet, kpjet
 
-    def _alpha_jets(self, nu: float, I_val: float):
+    @staticmethod
+    def _integral_jet(value, integrand: TaylorJet) -> TaylorJet:
+        """Jet of int integrand, given its value at the base points."""
+        n = integrand.order + 1
+        c = np.empty(integrand.c.shape[:-1] + (n + 1,))
+        c[..., 0] = value
+        c[..., 1:] = integrand.c / np.arange(1, n + 1)
+        return TaylorJet(c)
+
+    def _alpha_jets(self, nu, I_val):
         kj, kpj = self._chart_jets(nu)
         isq = kpj.power(-0.5)
         a0 = self.c0 * (kj * kj * isq)
         a0pp = a0.shift(2)
-        integrand = (kj * kj).power(-1.0) * isq * a0pp
-        n = integrand.order + 1
-        Ic = np.empty(n + 1)
-        Ic[0] = I_val
-        Ic[1:] = integrand.c / np.arange(1, n + 1)
-        I = TaylorJet(Ic)
+        I = self._integral_jet(I_val, (kj * kj).power(-1.0) * isq * a0pp)
         a1 = -0.125 * (kj * kj * kj * isq) * I
         return a0, a1, a0pp
 
-    def _beta_jets(self, nu: float, J_val: float, K_val: float):
+    def _beta_jets(self, nu, J_val, K_val):
         kj, kpj = self._chart_jets(nu)
         isq = kpj.power(-0.5)
         b0 = self.d0 * (kj.power(-1.0) * isq)
         b0pp = b0.shift(2)
-        integrand = b0pp * kj * isq
-        n = integrand.order + 1
-        Jc = np.empty(n + 1)
-        Jc[0] = J_val
-        Jc[1:] = integrand.c / np.arange(1, n + 1)
-        J = TaylorJet(Jc)
+        J = self._integral_jet(J_val, b0pp * kj * isq)
         b1 = 0.25 * (kj * kj).power(-1.0) * isq * J
         b1p, b1pp = b1.shift(1), b1.shift(2)
         kpj_full = kj.shift(1)
         kppj = kj.shift(2)
         ell1 = (b1pp * kj * kj + 6.0 * (b1p * kpj_full * kj)
                 + 6.0 * (b1 * kpj_full * kpj_full) + 3.0 * (b1 * kppj * kj))
-        integrand2 = ell1 * isq
-        n2 = integrand2.order + 1
-        Kc = np.empty(n2 + 1)
-        Kc[0] = K_val
-        Kc[1:] = integrand2.c[:n2] / np.arange(1, n2 + 1)
-        K = TaylorJet(Kc)
+        K = self._integral_jet(K_val, ell1 * isq)
         b2 = -0.25 * (kj * kj * kj).power(-1.0) * isq * K
-        return b0, b1, b2, ell1
+        return b0, b1, b2, ell1, kj
 
-    # ---- quadrature integrands (scalar closed forms) -------------------
-
-    def _alpha0pp_pointwise(self, nu):
+    def _split(self, nu, series_name: str, upper_values):
+        """Series below the switch, upper_values(nu[upper]) above it."""
         nu = np.asarray(nu, dtype=float)
         out = np.empty_like(nu)
         small = nu < self._nu_switch
-        out[small] = self.series["alpha0pp"](nu[small])
-        for i in np.nonzero(~small)[0]:
-            kj, kpj = self._chart_jets(float(nu[i]), order=4)
-            a0 = self.c0 * (kj * kj * kpj.power(-0.5))
-            out[i] = a0.shift(2).c[0]
+        out[small] = self.series[series_name](nu[small])
+        out[~small] = upper_values(nu[~small])
         return out
+
+    # ---- quadrature integrands -----------------------------------------
+
+    def _alpha0pp_pointwise(self, nu):
+        def jets(x):
+            kj, kpj = self._chart_jets(x, order=4)
+            return (self.c0 * (kj * kj * kpj.power(-0.5))).derivative(2)
+        return self._split(nu, "alpha0pp", jets)
+
+    def _beta0pp_pointwise(self, nu):
+        def jets(x):
+            kj, kpj = self._chart_jets(x, order=4)
+            b0 = self.d0 * (kj.power(-1.0) * kpj.power(-0.5))
+            return b0.derivative(2)
+        return self._split(nu, "beta0pp", jets)
 
     def _I_integrand(self, nu):
         k = np.asarray(gc.k_of_nu(nu))
         kp = np.asarray(gc.kprime_of_nu(nu))
         return k ** -2.0 * kp ** -0.5 * self._alpha0pp_pointwise(nu)
 
+    def _cumulative(self, nu_grid, integrand, start_value):
+        """start_value at the switch + cumulative Gauss panels on the grid.
+
+        All panels [switch, nu_0], [nu_0, nu_1], ... of the grid nodes at
+        or above the switch are integrated by one integrand call on the
+        stacked Gauss nodes; zero below the switch.
+        """
+        upper = nu_grid >= self._nu_switch
+        ends = nu_grid[upper]
+        starts = np.concatenate([[self._nu_switch], ends[:-1]])
+        mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
+        x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        nodes = mid[:, None] + half[:, None] * x
+        f = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
+        panels = half * np.sum(w * f, axis=1)
+        vals = np.zeros_like(nu_grid)
+        vals[upper] = np.cumsum(np.concatenate([[start_value], panels]))[1:]
+        return vals
+
+    def _rows(self, nu_grid, jets):
+        """Columns name, name+'p', name+'pp' (as many as each jet gives):
+        one evaluation of each series below the switch, the jets'
+        derivatives above it."""
+        upper = nu_grid >= self._nu_switch
+        cols = {}
+        for name, jet, n in jets:
+            for j, suffix in enumerate(("", "p", "pp")[:n]):
+                ser = (self.series[name].dnu().dnu() if j == 2
+                       else self.series[name + suffix])
+                col = np.empty_like(nu_grid)
+                col[~upper] = ser(nu_grid[~upper])
+                col[upper] = jet.derivative(j)
+                cols[name + suffix] = col
+        return cols
+
     # ---- public rows ----------------------------------------------------
 
     def regular_rows(self, nu_grid: np.ndarray) -> dict:
         """Coefficient table columns on an ascending nu grid."""
         nu_grid = np.asarray(nu_grid, dtype=float)
-        cols = {name: np.empty_like(nu_grid)
-                for name in ("alpha0", "alpha0p", "alpha0pp",
-                             "alpha1", "alpha1p", "alpha1pp",
-                             "ell", "ellp")}
+        upper = nu_grid >= self._nu_switch
         Ivals = self._cumulative(nu_grid, self._I_integrand, self._I0)
-        for i, nu in enumerate(nu_grid):
-            if nu < self._nu_switch:
-                for name in cols:
-                    key = name.replace("pp", "")
-                    if name.endswith("pp"):
-                        cols[name][i] = self.series[key].dnu().dnu()(nu)
-                    else:
-                        cols[name][i] = self.series[name](nu)
-            else:
-                a0, a1, a0pp = self._alpha_jets(float(nu), Ivals[i])
-                ell = -(a1.shift(2) + 1.25 * a0pp)
-                cols["alpha0"][i] = a0.c[0]
-                cols["alpha0p"][i] = a0.c[1]
-                cols["alpha0pp"][i] = 2.0 * a0.c[2]
-                cols["alpha1"][i] = a1.c[0]
-                cols["alpha1p"][i] = a1.c[1]
-                cols["alpha1pp"][i] = 2.0 * a1.c[2]
-                cols["ell"][i] = ell.c[0]
-                cols["ellp"][i] = ell.c[1]
-        return cols
+        a0, a1, a0pp = self._alpha_jets(nu_grid[upper], Ivals[upper])
+        ell = -(a1.shift(2) + 1.25 * a0pp)
+        return self._rows(nu_grid, (("alpha0", a0, 3), ("alpha1", a1, 3),
+                                    ("ell", ell, 2)))
 
     def singular_rows(self, nu_grid: np.ndarray) -> dict:
         nu_grid = np.asarray(nu_grid, dtype=float)
-        names = ("beta0", "beta0p", "beta0pp", "beta1", "beta1p", "beta1pp",
-                 "beta2", "beta2p", "beta2pp", "ell1", "ell2", "ell2p")
-        cols = {name: np.empty_like(nu_grid) for name in names}
+        upper = nu_grid >= self._nu_switch
 
         def J_integrand(nu):
             k = np.asarray(gc.k_of_nu(nu))
@@ -250,84 +272,31 @@ class CoefficientModel:
 
         Jvals = self._cumulative(nu_grid, J_integrand, self._J0)
         # ell1 needs J at arbitrary quadrature nodes: spline the cumulative
-        # (J is smooth in w and the grid is dense enough for 1e-12 accuracy)
-        upper = nu_grid >= self._nu_switch
+        # in w (between the nodes of the default grid it is good to ~4e-10
+        # relative against a direct integral)
         w_knots = np.concatenate([[self._nu_switch ** (1 / 3)],
                                   nu_grid[upper] ** (1 / 3)])
         J_knots = np.concatenate([[self._J0], Jvals[upper]])
         w_knots, keep = np.unique(w_knots, return_index=True)
         J_spl = CubicSpline(w_knots, J_knots[keep])
 
-        def ell1_fast(nu):
-            nu = np.atleast_1d(np.asarray(nu, dtype=float))
-            out = np.empty_like(nu)
-            for i, x in enumerate(nu):
-                if x < self._nu_switch:
-                    out[i] = self.series["ell1"](x)
-                else:
-                    Jv = float(J_spl(x ** (1 / 3)))
-                    out[i] = self._beta_jets(x, Jv, 0.0)[3].c[0]
-            return out
+        def ell1_upper(x):
+            return self._beta_jets(x, J_spl(x ** (1 / 3)), 0.0)[3].c[..., 0]
 
         def K_integrand(nu):
             kp = np.asarray(gc.kprime_of_nu(nu))
-            return ell1_fast(nu) * kp ** -0.5
+            return self._split(nu, "ell1", ell1_upper) * kp ** -0.5
 
         Kvals = self._cumulative(nu_grid, K_integrand, self._K0)
-        for i, nu in enumerate(nu_grid):
-            if nu < self._nu_switch:
-                for name in names:
-                    if name.endswith("pp"):
-                        cols[name][i] = self.series[
-                            name[:-2]].dnu().dnu()(nu)
-                    else:
-                        cols[name][i] = self.series[name](nu)
-            else:
-                b0, b1, b2, ell1 = self._beta_jets(float(nu), Jvals[i],
-                                                   Kvals[i])
-                kj, _ = self._chart_jets(float(nu))
-                b2p, b2pp = b2.shift(1), b2.shift(2)
-                kpj, kppj = kj.shift(1), kj.shift(2)
-                ell2 = -(kj * kj) * (b2pp * kj * kj + 6.0 * (b2p * kpj * kj)
-                                     + 6.0 * (b2 * kpj * kpj)
-                                     + 3.0 * (b2 * kppj * kj))
-                cols["beta0"][i] = b0.c[0]
-                cols["beta0p"][i] = b0.c[1]
-                cols["beta0pp"][i] = 2.0 * b0.c[2]
-                cols["beta1"][i] = b1.c[0]
-                cols["beta1p"][i] = b1.c[1]
-                cols["beta1pp"][i] = 2.0 * b1.c[2]
-                cols["beta2"][i] = b2.c[0]
-                cols["beta2p"][i] = b2.c[1]
-                cols["beta2pp"][i] = 2.0 * b2.c[2]
-                cols["ell1"][i] = ell1.c[0]
-                cols["ell2"][i] = ell2.c[0]
-                cols["ell2p"][i] = ell2.c[1]
-        return cols
-
-    def _beta0pp_pointwise(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        out = np.empty_like(nu)
-        small = nu < self._nu_switch
-        out[small] = self.series["beta0pp"](nu[small])
-        for i in np.nonzero(~small)[0]:
-            kj, kpj = self._chart_jets(float(nu[i]), order=4)
-            b0 = self.d0 * (kj.power(-1.0) * kpj.power(-0.5))
-            out[i] = b0.shift(2).c[0]
-        return out
-
-    def _cumulative(self, nu_grid, integrand, start_value):
-        """start_value at the switch + cumulative Gauss panels on the grid."""
-        vals = np.zeros_like(nu_grid)
-        acc = start_value
-        prev = self._nu_switch
-        for i, nu in enumerate(nu_grid):
-            if nu < self._nu_switch:
-                continue
-            acc += _gauss_panel(integrand, prev, float(nu))
-            vals[i] = acc
-            prev = float(nu)
-        return vals
+        b0, b1, b2, ell1, kj = self._beta_jets(nu_grid[upper], Jvals[upper],
+                                               Kvals[upper])
+        b2p, b2pp = b2.shift(1), b2.shift(2)
+        kpj, kppj = kj.shift(1), kj.shift(2)
+        ell2 = -(kj * kj) * (b2pp * kj * kj + 6.0 * (b2p * kpj * kj)
+                             + 6.0 * (b2 * kpj * kpj) + 3.0 * (b2 * kppj * kj))
+        return self._rows(nu_grid, (("beta0", b0, 3), ("beta1", b1, 3),
+                                    ("beta2", b2, 3), ("ell1", ell1, 1),
+                                    ("ell2", ell2, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -471,6 +440,11 @@ def build_remainder_table(kind: str, coeffs: CoefficientTable,
 # ----------------------------------------------------------------------
 
 MAGIC = b"CAVK1"
+_TABLE_VERSION = 1
+
+
+class KernelTableError(ValueError):
+    """A kernel table file that is truncated, padded or not a table."""
 
 
 @dataclass
@@ -634,7 +608,8 @@ class KernelTransform:
         names = sorted(cols)
         with open(path, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<BB", 1, 0 if self.kind == "regular" else 1))
+            fh.write(struct.pack("<BB", _TABLE_VERSION,
+                                 0 if self.kind == "regular" else 1))
             fh.write(struct.pack("<II", len(self.coeffs.nu_grid),
                                  len(self.xi_grid)))
             fh.write(struct.pack("<ddd", self.coeffs.nu_star,
@@ -656,28 +631,70 @@ class KernelTransform:
 
     @classmethod
     def load(cls, path: str) -> "KernelTransform":
+        """Read a table written by save; a malformed file raises
+        KernelTableError naming the file and the section at fault."""
         with open(path, "rb") as fh:
-            magic = fh.read(5)
+            size = os.fstat(fh.fileno()).st_size
+
+            def need(n, section):
+                # checked before reading, so a corrupt count allocates nothing
+                left = size - fh.tell()
+                if left < n:
+                    raise KernelTableError(
+                        f"{path}: truncated in section {section} (needs {n} "
+                        f"bytes at offset {fh.tell()}, {left} left)")
+
+            def unpack(fmt, section):
+                n = struct.calcsize(fmt)
+                need(n, section)
+                return struct.unpack(fmt, fh.read(n))
+
+            def floats(n, section):
+                need(8 * n, section)
+                return np.fromfile(fh, "<f8", n)
+
+            need(len(MAGIC), "magic")
+            magic = fh.read(len(MAGIC))
             if magic != MAGIC:
-                raise ValueError(f"not a kernel table (magic {magic!r})")
-            _ver, kind_id = struct.unpack("<BB", fh.read(2))
-            n_nu, n_xi = struct.unpack("<II", fh.read(8))
-            nu_star, norm, norm_paper = struct.unpack("<ddd", fh.read(24))
-            calibration, = struct.unpack("<d", fh.read(8))
-            n_names, = struct.unpack("<I", fh.read(4))
+                raise KernelTableError(
+                    f"{path}: not a kernel table (magic {magic!r})")
+            version, kind_id = unpack("<BB", "version/kind")
+            if version != _TABLE_VERSION:
+                raise KernelTableError(
+                    f"{path}: unknown table version {version} in section "
+                    f"version/kind")
+            if kind_id not in (0, 1):
+                raise KernelTableError(
+                    f"{path}: unknown kind byte {kind_id} in section "
+                    f"version/kind")
+            n_nu, n_xi = unpack("<II", "grid sizes")
+            nu_star, norm, norm_paper = unpack("<ddd", "normalization")
+            calibration, = unpack("<d", "calibration")
+            n_names, = unpack("<I", "column names")
             names = []
             for _ in range(n_names):
-                ln, = struct.unpack("<I", fh.read(4))
-                names.append(fh.read(ln).decode())
-            nu_grid = np.fromfile(fh, "<f8", n_nu)
-            xi_grid = np.fromfile(fh, "<f8", n_xi)
-            cols = {name: np.fromfile(fh, "<f8", n_nu) for name in names}
-            rem = [np.fromfile(fh, "<f8", n_nu * n_xi).reshape(n_nu, n_xi)
-                   for _ in range(4)]
+                ln, = unpack("<I", "column names")
+                need(ln, "column names")
+                try:
+                    names.append(fh.read(ln).decode())
+                except UnicodeDecodeError as exc:
+                    raise KernelTableError(
+                        f"{path}: undecodable name in section column names"
+                    ) from exc
+            nu_grid = floats(n_nu, "nu grid")
+            xi_grid = floats(n_xi, "xi grid")
+            cols = {name: floats(n_nu, f"column {name}") for name in names}
+            rem = [floats(n_nu * n_xi, f"remainder {name}")
+                   for name in ("ghat", "ghat_nu", "ghat_xi", "ghat_nuxi")]
+            if fh.tell() != size:
+                raise KernelTableError(
+                    f"{path}: {size - fh.tell()} trailing bytes after "
+                    f"section remainder ghat_nuxi")
         kind = "regular" if kind_id == 0 else "singular"
         coeffs = CoefficientTable(kind, nu_star, nu_grid, cols, norm_paper,
                                   norm, calibration)
-        return cls(kind, coeffs, xi_grid, *rem)
+        return cls(kind, coeffs, xi_grid,
+                   *(r.reshape(n_nu, n_xi) for r in rem))
 
 
 def assemble(kind: str, coeffs: CoefficientTable, xi_grid: np.ndarray,
@@ -803,19 +820,6 @@ def verify_energy_inequality(transform: KernelTransform,
     bound = nu[:, None] * cum
     worst = float(np.max(E[1:] / np.maximum(bound[1:], 1e-300)))
     return {"max_ratio": worst, "pass": bool(worst <= 1.0 + 1e-6)}
-
-
-def _coefficient_part(kind: str, cols: dict, nu, xi):
-    """Coefficient sum of the expansion from exact row values."""
-    nu = np.asarray(nu, dtype=float)
-    k = np.asarray(gc.k_of_nu(nu))
-    z = np.asarray(xi) * k
-    if kind == "regular":
-        return cols["alpha0"] * kb.fhat(1, z) + cols["alpha1"] * kb.fhat(2, z)
-    k2 = k * k
-    return (cols["beta0"] * kb.fhat(-2, z)
-            + cols["beta1"] * k2 * kb.fhat(-1, z)
-            + cols["beta2"] * k2 * k2 * kb.fhat(0, z))
 
 
 def verify_pde_residual(transform: KernelTransform,

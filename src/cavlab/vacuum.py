@@ -52,19 +52,6 @@ def _pmul(a, b, n):
     return out
 
 
-def _pdiv(a, b, n):
-    # a/b with b[0] != 0
-    out = [Fraction(0)] * n
-    inv0 = Fraction(1) / b[0]
-    for i in range(n):
-        acc = a[i] if i < len(a) else Fraction(0)
-        for j in range(1, i + 1):
-            if j < len(b):
-                acc -= b[j] * out[i - j]
-        out[i] = acc * inv0
-    return out
-
-
 def _psqrt_unit(a, n):
     # sqrt(a) with a[0] == 1, Newton iteration on series
     out = [Fraction(0)] * n
@@ -277,7 +264,15 @@ class CubeRootSeries:
 # ----------------------------------------------------------------------
 
 class TaylorJet:
-    """Taylor coefficients f(nu0+h) = sum c[j] h**j, truncated."""
+    """Taylor coefficients f(nu0+h) = sum c[..., j] h**j, truncated.
+
+    The coefficients sit on the last axis of ``c``; any leading axes index
+    independent base points, so one jet carries a whole array of nodes and
+    every operation acts on all of them at once, looping only over the
+    jet order.  A 1-D ``c`` is a single base point.  Operands of
+    different order are truncated to the shorter one; plain numbers and
+    arrays (one value per base point) act as constant jets.
+    """
 
     __slots__ = ("c",)
 
@@ -285,36 +280,42 @@ class TaylorJet:
         self.c = np.asarray(c, dtype=float)
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "TaylorJet":
-        c = np.zeros(order + 1)
-        c[0] = value
+    def constant(cls, value, order: int) -> "TaylorJet":
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (order + 1,))
+        c[..., 0] = value
         return cls(c)
 
     @property
     def order(self) -> int:
-        return len(self.c) - 1
+        return self.c.shape[-1] - 1
 
-    def derivative(self, j: int = 1) -> float:
-        """j-th derivative value at the base point."""
+    def derivative(self, j: int = 1):
+        """j-th derivative value at the base point(s)."""
         from math import factorial
-        return self.c[j] * factorial(j)
+        return self.c[..., j] * factorial(j)
 
     def shift(self, j: int = 1) -> "TaylorJet":
         """Jet of the j-th derivative (loses j orders)."""
         c = self.c
         for _ in range(j):
-            c = c[1:] * np.arange(1, len(c))
+            c = c[..., 1:] * np.arange(1, c.shape[-1])
         return TaylorJet(c)
 
     def _coerce(self, other):
         if isinstance(other, TaylorJet):
             return other
-        return TaylorJet.constant(float(other), self.order)
+        return TaylorJet.constant(other, self.order)
+
+    def _operands(self, other):
+        o = self._coerce(other)
+        n = min(self.c.shape[-1], o.c.shape[-1])
+        a, b = np.broadcast_arrays(self.c[..., :n], o.c[..., :n])
+        return a, b, n
 
     def __add__(self, other):
-        o = self._coerce(other)
-        n = min(len(self.c), len(o.c))
-        return TaylorJet(self.c[:n] + o.c[:n])
+        a, b, _ = self._operands(other)
+        return TaylorJet(a + b)
 
     __radd__ = __add__
 
@@ -328,21 +329,25 @@ class TaylorJet:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        n = min(len(self.c), len(o.c))
-        return TaylorJet(np.convolve(self.c[:n], o.c[:n])[:n])
+        a, b, n = self._operands(other)
+        out = np.empty(a.shape)
+        for k in range(n):
+            acc = a[..., 0] * b[..., k]
+            for j in range(1, k + 1):
+                acc = acc + a[..., j] * b[..., k - j]
+            out[..., k] = acc
+        return TaylorJet(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        n = min(len(self.c), len(o.c))
-        out = np.empty(n)
+        a, b, n = self._operands(other)
+        out = np.empty(a.shape)
         for k in range(n):
-            acc = self.c[k]
+            acc = a[..., k]
             for j in range(1, k + 1):
-                acc -= o.c[j] * out[k - j]
-            out[k] = acc / o.c[0]
+                acc = acc - b[..., j] * out[..., k - j]
+            out[..., k] = acc / b[..., 0]
         return TaylorJet(out)
 
     def __rtruediv__(self, other):
@@ -350,46 +355,49 @@ class TaylorJet:
 
     def power(self, a: float) -> "TaylorJet":
         f = self.c
-        n = len(f)
-        if f[0] <= 0:
+        n = f.shape[-1]
+        if np.any(f[..., 0] <= 0):
             raise ValueError("power() needs a positive jet value")
-        out = np.empty(n)
-        out[0] = f[0] ** a
+        out = np.empty(f.shape)
+        out[..., 0] = f[..., 0] ** a
         for k in range(1, n):
             acc = 0.0
             for j in range(1, k + 1):
-                acc += (a * j - (k - j)) * f[j] * out[k - j]
-            out[k] = acc / (k * f[0])
+                acc = acc + (a * j - (k - j)) * f[..., j] * out[..., k - j]
+            out[..., k] = acc / (k * f[..., 0])
         return TaylorJet(out)
 
     def sqrt(self) -> "TaylorJet":
         return self.power(0.5)
 
 
-def density_jet(rho0: float, order: int) -> TaylorJet:
-    """Jet of nu -> rho(nu) at the point with density rho0.
+def density_jet(rho0, order: int) -> TaylorJet:
+    """Jet of nu -> rho(nu) at the point(s) with density rho0.
 
-    Built from the inverse-function ODE d(rho)/d(nu) = (1-rho^2)/rho^2.
+    Built from the inverse-function ODE d(rho)/d(nu) = (1-rho^2)/rho^2;
+    an array rho0 gives one jet per entry (leading axes of ``c``).
     """
-    c = np.zeros(order + 1)
-    c[0] = rho0
+    rho0 = np.asarray(rho0, dtype=float)
+    c = np.zeros(rho0.shape + (order + 1,))
+    c[..., 0] = rho0
     for m in range(order):
-        jet = TaylorJet(c[: m + 1])
+        jet = TaylorJet(c[..., : m + 1])
         d = (1.0 - jet * jet) / (jet * jet)
-        c[m + 1] = d.c[m] / (m + 1)
+        c[..., m + 1] = d.c[..., m] / (m + 1)
     return TaylorJet(c)
 
 
-def speed_coefficient_jets(nu0: float, rho0: float, k0: float, order: int):
-    """Jets of k and k' at nu0, given rho(nu0) and k(nu0).
+def speed_coefficient_jets(rho0, k0, order: int):
+    """Jets of k and k' at the point(s) with density rho0 and speed k0.
 
-    k'(nu) = sqrt(1-2 rho^2)/rho^2 with rho the density jet; k integrates it.
+    k'(nu) = sqrt(1-2 rho^2)/rho^2 with rho the density jet; k integrates
+    it.  Arrays rho0, k0 of one shape give jets over that shape.
     """
     rj = density_jet(rho0, order)
     kp = (1.0 - 2.0 * rj * rj).sqrt() / (rj * rj)
-    kc = np.empty(order + 2)
-    kc[0] = k0
-    kc[1:] = kp.c / np.arange(1, order + 2)
+    kc = np.empty(kp.c.shape[:-1] + (order + 2,))
+    kc[..., 0] = k0
+    kc[..., 1:] = kp.c / np.arange(1, order + 2)
     return TaylorJet(kc), kp, rj
 
 

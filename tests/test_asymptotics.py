@@ -118,7 +118,7 @@ def test_speed_jets_match_highprec_derivatives():
     rho0 = 0.45
     nu0 = float(np.arctanh(rho0) - rho0)
     k0 = gc.k_of_nu(nu0)
-    kjet, kpjet, _ = vacuum.speed_coefficient_jets(nu0, rho0, k0, 7)
+    kjet, kpjet, _ = vacuum.speed_coefficient_jets(rho0, k0, 7)
 
     def k_of_nu_mp(nu):
         r = mp.mpf("0.45")
@@ -133,3 +133,37 @@ def test_speed_jets_match_highprec_derivatives():
         for j in range(1, 7):
             fd = float(mp.diff(k_of_nu_mp, mp.mpf(repr(nu0)), j))
             assert kjet.derivative(j) == pytest.approx(fd, rel=1e-11)
+
+
+BATCH_NUS = np.geomspace(2.0 * vacuum.NU_SERIES_SWITCH, gc.NU_CR / 2.0, 6)
+
+
+def test_batched_speed_jets_match_highprec():
+    # value, c[1] and 2 c[2] of the k jet are k, k' and k'' at each node
+    rho = gc.rho_of_nu(BATCH_NUS)
+    kjet, _, _ = vacuum.speed_coefficient_jets(rho, gc.k_of_nu(BATCH_NUS),
+                                               10)
+    assert kjet.c.shape == (len(BATCH_NUS), 12)
+    with mp.workdps(50):
+        for i, nu in enumerate(BATCH_NUS):
+            _, k, kp, kpp = vacuum._chart_highprec(nu)
+            for got, want in ((kjet.c[i, 0], k), (kjet.c[i, 1], kp),
+                              (2.0 * kjet.c[i, 2], kpp)):
+                assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_batched_jets_equal_single_points():
+    # one jet over an array of base points is the same arithmetic as one
+    # jet per point: identical coefficients, element for element
+    rho = gc.rho_of_nu(BATCH_NUS)
+    k = gc.k_of_nu(BATCH_NUS)
+    batch = vacuum.speed_coefficient_jets(rho, k, 10)
+    derived = (batch[0] * batch[0]).power(-1.0) * batch[1].sqrt() / batch[2]
+    for i in range(len(BATCH_NUS)):
+        single = vacuum.speed_coefficient_jets(float(rho[i]), float(k[i]), 10)
+        for got, want in zip(batch, single):
+            assert want.c.ndim == 1
+            assert np.array_equal(got.c[i], want.c)
+        want = (single[0] * single[0]).power(-1.0) * single[1].sqrt() \
+            / single[2]
+        assert np.array_equal(derived.c[i], want.c)

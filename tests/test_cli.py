@@ -74,3 +74,16 @@ def test_check_on_small_config(tmp_path):
     with open(run_dir / "report.json") as fh:
         report = json.load(fh)
     assert [r["epsilon"] for r in report["records"]] == [0.2, 0.1, 0.05]
+
+
+def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
+    # a truncated table is a usage error with a one-line message, not an
+    # internal error with a traceback
+    path = tmp_path / "table.cavk"
+    regular.save(str(path))
+    path.write_bytes(path.read_bytes()[:-8])
+    assert cli.main(["kernel", "verify", str(path)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("bad kernel table: ") and "table.cavk" in err

@@ -25,6 +25,75 @@ def model(chart):
     return ke.CoefficientModel(chart)
 
 
+# Every coefficient column as the former per-node (scalar jet) build gave
+# it on the default 241-node grid at nu_star = nu_cr/2, at the rows
+# PINNED_ROWS: two series rows, the last series and the first jet row
+# around the switch (row 182), and two jet rows up to nu_star.
+PINNED_ROWS = (120, 181, 182, 211, 240)
+PINNED = {
+    "alpha0": (
+        6.534430113990312e-06, 0.0007042524792338248, 0.0007603577848773475,
+        0.006997902027776731, 0.06558714262481057),
+    "alpha0p": (
+        0.7498900328779226, 0.7475740335868126, 0.7474507645933061,
+        0.7402355979894966, 0.8106237745385795),
+    "alpha0pp": (
+        -8.40364052899034, -1.6666170221856094, -1.6188840929114865,
+        -0.5312392787530363, 3.2092779102274975),
+    "alpha1": (
+        7.188793492007298e-10, 1.7262474500936385e-06, 1.959616390726384e-06,
+        7.284203239419554e-05, -0.0018017814706710498),
+    "alpha1p": (
+        0.00013745847243236493, 0.003031888644011314, 0.003185888583151722,
+        0.012134593229070675, -0.17203866681733354),
+    "alpha1pp": (
+        10.504482822675405, 2.0821629507436823, 2.0224135864563744,
+        0.6457823747956286, -9.815680011638582),
+    "ell": (
+        6.783856252324632e-05, 0.001108326988329911, 0.0011915296829836386,
+        0.018266723645666838, 5.80408262385421),
+    "ellp": (
+        3.0599514248218496, 1.101839082257386, 1.1153120031714252,
+        3.061910653838055, 349.39781633257746),
+    "beta0": (
+        2.0008816018180036, 2.020400639850592, 2.0214959252900933,
+        2.1027819546705016, 2.7512728185692583),
+    "beta0p": (
+        67.51471275034888, 14.766090430803512, 14.425675910061909,
+        8.081573224741058, 11.133998642864618),
+    "beta0pp": (
+        -2573245.0159270037, -4781.288241502537, -4303.983811864854,
+        -159.6307528370697, 134.6239328057504),
+    "beta1": (
+        -0.5000139657765017, -0.4999442477050242, -0.49991847877920137,
+        -0.49097875251997436, 0.45624385898733244),
+    "beta1p": (
+        -1.013765821645531, 0.3315042254472221, 0.3549412515992233,
+        1.6232532384185927, 37.24233764218036),
+    "beta1pp": (
+        47184.8700585677, 320.98625394574634, 303.97158819812125,
+        123.12359901826248, 1469.6993488351993),
+    "beta2": (
+        -0.35606069296561915, -0.40015371336022443, -0.4027540923717155,
+        -0.6390087823843589, -12.266476970366927),
+    "beta2p": (
+        -145.36186459483693, -34.964144134522705, -34.33967560324846,
+        -28.24457244971694, -542.1336454312079),
+    "beta2pp": (
+        5492176.864650119, 8821.388797520633, 7848.277670744895,
+        -496.02809488323845, -28616.544122938223),
+    "ell1": (
+        3245.280575614204, 172.83152204318012, 165.90231359142854,
+        74.78498537834713, 681.9157531994206),
+    "ell2": (
+        19.4621135285439, 23.05212241710026, 23.27012927361866,
+        45.73977201460546, 4040.168898685158),
+    "ell2p": (
+        11497.258308513741, 2926.644850280652, 2883.4626426393147,
+        2980.279823954715, 276127.842760945),
+}
+
+
 def series_coeff(ser, wpow):
     idx = wpow - ser.lead
     return ser.c[idx] if 0 <= idx < len(ser.c) else 0.0
@@ -106,6 +175,38 @@ class TestCoefficientAsymptotics:
         for name in ("alpha0", "alpha0p", "alpha1", "ell"):
             ser = model.series[name](grid)
             assert np.allclose(cols[name], ser, rtol=1e-7), name
+
+
+class TestCoefficientRows:
+    """The batched row build: cost per array, values as before."""
+
+    @pytest.mark.parametrize("kind", ["regular", "singular"])
+    def test_chart_solved_once_per_array(self, model, chart, kind,
+                                         monkeypatch):
+        calls = []
+        rho_of_nu = gc.rho_of_nu
+
+        def counting(nu):
+            calls.append(np.size(nu))
+            return rho_of_nu(nu)
+        monkeypatch.setattr(gc, "rho_of_nu", counting)
+        counts = []
+        for n_nu in (61, 241):
+            calls.clear()
+            nus = ke.GridSpec(n_nu=n_nu).nu_grid(chart.nu_star)
+            getattr(model, f"{kind}_rows")(nus)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 12, counts
+
+    @pytest.mark.parametrize("kind", ["regular", "singular"])
+    def test_rows_match_pinned_values(self, model, chart, kind):
+        nus = ke.GridSpec().nu_grid(chart.nu_star)
+        cols = getattr(model, f"{kind}_rows")(nus)
+        assert set(cols) <= set(PINNED)
+        for name, col in cols.items():
+            got = col[list(PINNED_ROWS)]
+            tol = 1e-10 * np.max(np.abs(col))
+            assert np.max(np.abs(got - PINNED[name])) <= tol, name
 
 
 class TestRemainderODE:
@@ -288,6 +389,38 @@ class TestAssembledKernels:
             bad = tmp_path / "bad.bin"
             bad.write_bytes(b"NOPE!")
             ke.KernelTransform.load(str(bad))
+
+    @pytest.mark.parametrize("cut,section", [
+        (6, "version/kind"), (30, "normalization"), (70, "column names"),
+        (-8, "remainder ghat_nuxi")])
+    def test_load_rejects_truncated_table(self, regular, tmp_path, cut,
+                                          section):
+        path = tmp_path / "table.bin"
+        regular.save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut])
+        with pytest.raises(ke.KernelTableError,
+                           match=f"table.bin: truncated in section {section}"):
+            ke.KernelTransform.load(str(path))
+
+    @pytest.mark.parametrize("offset,byte,message", [
+        (5, 7, "unknown table version 7"), (6, 2, "unknown kind byte 2")])
+    def test_load_rejects_bad_header_byte(self, regular, tmp_path, offset,
+                                          byte, message):
+        path = tmp_path / "table.bin"
+        regular.save(str(path))
+        data = bytearray(path.read_bytes())
+        data[offset] = byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(ke.KernelTableError, match=message):
+            ke.KernelTransform.load(str(path))
+
+    def test_load_rejects_trailing_bytes(self, regular, tmp_path):
+        path = tmp_path / "table.bin"
+        regular.save(str(path))
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(ke.KernelTableError, match="3 trailing bytes"):
+            ke.KernelTransform.load(str(path))
 
     def test_verify_report(self, regular):
         rep = ke.verify_kernel(regular)
