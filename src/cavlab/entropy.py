@@ -94,18 +94,6 @@ class Generator:
     def H_thetatheta(self):
         return self.d(0, 2)
 
-    @property
-    def H_nutheta(self):
-        return self.d(1, 1)
-
-    @property
-    def H_thetathetatheta(self):
-        return self.d(0, 3)
-
-    @property
-    def H_nuthetatheta(self):
-        return self.d(1, 2)
-
     @staticmethod
     def combination(terms, provenance: str | None = None) -> "Generator":
         """Linear combination sum_i c_i * G_i (generators are a vector space)."""

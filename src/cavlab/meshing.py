@@ -194,6 +194,35 @@ class Mesh:
         return sgn * float(np.sum(np.sum(mid * nrm, axis=1)
                                   * self.edge_lengths[mask]))
 
+    @cached_property
+    def _obstacle(self):
+        """Vertex pairs, inward unit normals and lengths of the OBSTACLE
+        edges."""
+        mask = self.boundary_tags == OBSTACLE
+        return (self.boundary_edges[mask], self.edge_normals_in[mask],
+                self.edge_lengths[mask])
+
+    def obstacle_normal_flux(self, vector_nodal: np.ndarray) -> np.ndarray:
+        """Edge-mean normal component F.n of a nodal field on each
+        OBSTACLE edge (n into the fluid), one entry per column of
+        `obstacle_scatter`."""
+        e, nrm, _ = self._obstacle
+        F = vector_nodal
+        return np.sum(0.5 * (F[e[:, 0]] + F[e[:, 1]]) * nrm, axis=1)
+
+    @cached_property
+    def obstacle_scatter(self) -> sp.csr_matrix:
+        """(n, n_obstacle_edges) trapezoid scatter of per-edge values g
+        onto both edge endpoints, |e| g_e / 2 each: psi . (S g) is the
+        trapezoid rule for int psi_h g dH over the obstacle."""
+        e, _, lengths = self._obstacle
+        half = 0.5 * lengths
+        edge = np.arange(len(half))
+        return sp.csr_matrix(
+            (np.concatenate([half, half]),
+             (e.T.ravel(), np.concatenate([edge, edge]))),
+            shape=(self.n_vertices, len(half)))
+
     def weak_divergence(self, vector_nodal: np.ndarray, test_nodal) -> float:
         """int psi div F := boundary term - int F . grad psi (P1 weak form)."""
         vec = np.asarray(vector_nodal, dtype=float)

@@ -40,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import gaschart as gc
-from .meshing import FARFIELD, OBSTACLE, Mesh
+from .meshing import FARFIELD, Mesh
 
 RHO_GUARD = gc.RHO_CR - 1e-6
 # number of (iterate, residual) differences Anderson mixing keeps
@@ -217,36 +216,25 @@ class PicardSolver:
         sigma_d = np.full(len(self.dirichlet), self.sigma_inf)
         self.lift = np.column_stack([K_free[:, self.dirichlet] @ sigma_d,
                                      np.zeros(len(self.free))])
-        mask = mesh.boundary_tags == OBSTACLE
-        self.obs_edges = mesh.boundary_edges[mask]
-        self.obs_normals = mesh.edge_normals_in[mask]
-        # trapezoid scatter of per-edge fluxes onto both edge endpoints
-        half = 0.5 * mesh.edge_lengths[mask]
-        edge = np.arange(len(half))
-        self.obs_scatter = sp.csr_matrix(
-            (np.concatenate([half, half]),
-             (self.obs_edges.T.ravel(), np.concatenate([edge, edge]))),
-            shape=(mesh.n_vertices, len(half)))
 
     def rhs(self, sigma, theta, eps, source_sigma=None, source_theta=None):
         """Load vectors of both Poisson problems for the current iterate."""
+        mesh = self.mesh
         rho = np.asarray(gc.rho_of_sigma(np.clip(sigma, 0.0, gc.SIGMA_CR)))
         F = mass_flux(rho, theta)
         G = circulation_flux(rho, theta)
-        b_sig = self.mesh.divergence_rhs(F)
-        b_the = self.mesh.divergence_rhs(G)
-        e = self.obs_edges
-        Fn = np.sum(0.5 * (F[e[:, 0]] + F[e[:, 1]]) * self.obs_normals, axis=1)
-        Gn = np.sum(0.5 * (G[e[:, 0]] + G[e[:, 1]]) * self.obs_normals, axis=1)
+        b_sig = mesh.divergence_rhs(F)
+        b_the = mesh.divergence_rhs(G)
+        Fn = mesh.obstacle_normal_flux(F)
         sink = np.abs(Fn) - Fn  # inflow defect, vanishes where F.n >= 0
-        b_sig -= self.obs_scatter @ sink
-        b_the += self.obs_scatter @ Gn
+        b_sig -= mesh.obstacle_scatter @ sink
+        b_the += mesh.obstacle_scatter @ mesh.obstacle_normal_flux(G)
         b_sig /= eps
         b_the /= eps
         if source_sigma is not None:
-            b_sig -= self.mesh.mass_matrix() @ np.asarray(source_sigma)
+            b_sig -= mesh.mass_matrix() @ np.asarray(source_sigma)
         if source_theta is not None:
-            b_the -= self.mesh.mass_matrix() @ np.asarray(source_theta)
+            b_the -= mesh.mass_matrix() @ np.asarray(source_theta)
         return b_sig, b_the
 
     def _solve_pair(self, b_sig, b_the):

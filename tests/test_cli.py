@@ -87,3 +87,23 @@ def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert err.startswith("bad kernel table: ") and "table.cavk" in err
+
+
+def test_sweep_then_report(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("geometry.h_mesh = 0.0625\n"
+                   "solver.epsilons = 0.2, 0.1\n"
+                   f"output.dir = {run_dir}\n")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    with open(run_dir / "report.json") as fh:
+        trace_min = json.load(fh)["sweep"]["trace_min"]
+    capsys.readouterr()
+    assert cli.main(["report", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "epsilons: [0.2, 0.1]" in out
+    assert "eps=0.2:" in out and "eps=0.1:" in out
+    assert f"obstacle trace min: {trace_min:.3g}" in out
+    with open(run_dir / "plotdata" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["epsilon"]) for r in rows] == [0.2, 0.1]

@@ -82,6 +82,23 @@ def test_divergence_theorem(mesh):
     assert flux == pytest.approx(proj, rel=1e-12)
 
 
+def test_obstacle_wall_quadrature(mesh):
+    # the scatter puts half of each edge length on either end, and the
+    # per-edge flux is the edge-mean F.n of the midpoint rule
+    mask = mesh.boundary_tags == mh.OBSTACLE
+    S = mesh.obstacle_scatter
+    assert S.shape == (mesh.n_vertices, int(mask.sum()))
+    assert np.allclose(np.asarray(S.sum(axis=0)).ravel(),
+                       mesh.edge_lengths[mask], rtol=1e-15)
+    assert np.all(S.getnnz(axis=0) == 2)
+    assert S.sum() == pytest.approx(mesh.spec.arc_length, rel=1e-3)
+    F = np.stack([np.sin(mesh.vertices[:, 0]), mesh.vertices[:, 1] ** 2],
+                 axis=1)
+    Fn = mesh.obstacle_normal_flux(F)
+    assert float(np.sum(Fn * mesh.edge_lengths[mask])) == pytest.approx(
+        mesh.boundary_flux(F, mh.OBSTACLE), rel=1e-12)
+
+
 def test_normals_point_inward(mesh):
     spec = mesh.spec
     mids = mesh.edge_midpoints
