@@ -76,19 +76,15 @@ class ArtifactStore:
             fh.write(dump_config(cfg))
 
     def save_fields(self, mesh, sol) -> None:
-        rho = sol.rho
-        q = sol.q
-        # a generator: rows are formatted as they are written
-        rows = (
-            (_fmt(x), _fmt(y), _fmt(s), _fmt(t), _fmt(r), _fmt(qq),
-             _fmt(wm), _fmt(wp))
-            for (x, y), s, t, r, qq, wm, wp in zip(
-                mesh.vertices, sol.sigma, sol.theta, rho, q,
-                sol.W_minus, sol.W_plus)
-        )
-        _write_csv(self.path(f"fields_eps_{sol.epsilon:g}.csv"),
-                   ["x", "y", "sigma", "theta", "rho", "q", "Wminus",
-                    "Wplus"], rows)
+        from .meshing import write_rows
+        header = ["x", "y", "sigma", "theta", "rho", "q", "Wminus", "Wplus"]
+        cols = np.column_stack([mesh.vertices, sol.sigma, sol.theta,
+                                sol.rho, sol.q, sol.W_minus, sol.W_plus])
+        path = self.path(f"fields_eps_{sol.epsilon:g}.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(header)
+            # the rows csv.writer would give: no field needs quoting
+            write_rows(fh, ",".join(["%.17g"] * len(header)) + "\r\n", cols)
 
     def save_mesh(self, mesh, fields=None) -> None:
         from .meshing import write_vtk

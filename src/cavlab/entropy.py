@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import gaschart as gc
-from .kernelengine import GaussianSmoother, KernelTransform, SmoothedKernel
+
+if TYPE_CHECKING:
+    from .kernelengine import KernelTransform
 
 
 class GeneratorDomainError(ValueError):
@@ -264,6 +267,9 @@ def kernel_generator(regular: KernelTransform | None = None,
     third-order angle derivatives are as accurate as the tables (never
     differenced).
     """
+    # the kernel stack (scipy.integrate, scipy.interpolate) is loaded
+    # only by the processes that read kernel tables
+    from .kernelengine import GaussianSmoother, SmoothedKernel
     pieces = []
     nu_star = None
     for w, tr in ((weight_regular, regular), (weight_singular, singular)):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .vacuum import NU_SERIES_SWITCH, characteristic_series
 
@@ -173,6 +172,9 @@ def kprime_of_q(q):
 
 def q_of_k(k):
     """Invert k(q) on [q_cr, q_cav]; endpoints resolved exactly."""
+    # imported here so that modules using the chart do not load
+    # scipy.optimize
+    from scipy.optimize import brentq
     karr = np.atleast_1d(np.asarray(k, dtype=float))
     _check(bool(np.all((karr >= -1e-14) & (karr <= K_AT_QCR * (1 + 1e-12)))),
            "characteristic value outside [0, k(q_cr)]")

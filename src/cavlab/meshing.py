@@ -357,25 +357,43 @@ def build_mesh(spec: DomainSpec) -> Mesh:
                 np.asarray(tags, dtype=np.int64), spec)
 
 
+# rows formatted per string operation by `write_rows`
+ROW_BLOCK = 4096
+
+
+def write_rows(fh, row_format: str, rows) -> None:
+    """Write the rows of an array through the %-format `row_format` (one
+    conversion per column; a 1-D array is one value per row).
+
+    Each block of ROW_BLOCK rows is formatted by one string operation, so
+    memory is bounded by the block, not by the file.  "%.17g" gives the
+    same text as f"{float(x):.17g}", and "%d" the same as f"{i}".
+    """
+    rows = np.asarray(rows)
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_vtk(path: str, mesh: Mesh, point_fields: dict | None = None,
               cell_fields: dict | None = None) -> None:
     """Legacy ASCII VTK polydata export (POINTS/POLYGONS + data sections).
 
-    Lines are written as they are formatted, so no copy of the file is
-    held in memory.
+    Rows are written by `write_rows`, so no copy of the file is held in
+    memory.
     """
     v, t = mesh.vertices, mesh.triangles
 
     def scalars(fh, name, vals):
         fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        fh.writelines(f"{float(x):.17g}\n" for x in vals)
+        write_rows(fh, "%.17g\n", np.asarray(vals, dtype=float))
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ncavlab mesh\nASCII\n"
                  f"DATASET POLYDATA\nPOINTS {len(v)} double\n")
-        fh.writelines(f"{x:.17g} {y:.17g} 0.0\n" for x, y in v)
+        write_rows(fh, "%.17g %.17g 0.0\n", v)
         fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
-        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in t)
+        write_rows(fh, "3 %d %d %d\n", t)
         if point_fields:
             fh.write(f"POINT_DATA {len(v)}\n")
             for name, vals in point_fields.items():

@@ -24,15 +24,18 @@ prefactored stiffness matrix.  Its contraction factor degrades roughly
 like 1/eps, so the iterates are mixed by type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
 ANDERSON_DEPTH differences of the scaled iterates and residuals
-g(x) - x, with mixing parameter beta.  Two safeguards act inside the
-one loop: an attempt whose residual envelope grows is restarted from the
-warm start with an empty history and halved beta, and a candidate that
-leaves the invertible sigma range is replaced by a damped Picard step
-(halved until it fits, projected as a last resort, projections counted
-and zero at convergence) and the history is cleared.  The nonlinear
-right-hand side is evaluated once per iteration: the load vectors
-`residual_norms` computes for the new iterate are passed on as the next
-step's right-hand side.
+g(x) - x, with mixing parameter beta; the mixing coefficients come from
+the kept Gram matrix of the residual differences.  Two safeguards act
+inside the one loop.  An attempt whose residual envelope grows, or whose
+last 30 iterations set no new least residual, is aborted and restarted
+from the least-residual iterate so far, with an empty history and halved
+beta.  A candidate that leaves the invertible sigma range is replaced by
+a damped Picard step (halved until it fits, projected as a last resort,
+projections counted and zero at convergence) and the history is
+cleared.  The nonlinear right-hand side is evaluated once per iteration:
+the load vectors `residual_norms` computes for the new iterate are
+passed on as the next step's right-hand side, and the least-residual
+iterate keeps its loads for a restart.
 """
 
 from __future__ import annotations
@@ -154,11 +157,13 @@ def circulation_flux(rho, theta):
 
 class AndersonHistory:
     """The last ANDERSON_DEPTH differences of iterates and of residuals,
-    kept in preallocated ring buffers (one column per difference)."""
+    kept in preallocated ring buffers (one column per difference), and
+    the Gram matrix dF^T dF of the residual differences."""
 
     def __init__(self, size: int):
         self.dx = np.empty((size, ANDERSON_DEPTH), order="F")
         self.df = np.empty((size, ANDERSON_DEPTH), order="F")
+        self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
         self.x_prev = np.empty(size)
         self.f_prev = np.empty(size)
         self.clear()
@@ -171,20 +176,30 @@ class AndersonHistory:
     def mix(self, x, f, beta):
         """Type-II Anderson candidate x + beta f - (dX + beta dF) gamma,
         gamma minimising |f - dF gamma|_2, for the residual f = g(x) - x;
-        records the differences to the previous (x, f) first."""
+        records the differences to the previous (x, f) first.
+
+        gamma solves the normal equations dF^T dF gamma = dF^T f on the
+        kept Gram matrix, whose one new row and column cost O(n m) per
+        call; no factorisation of the n x m block is made.
+        """
         if self.has_prev:
             col = self.next
             np.subtract(x, self.x_prev, out=self.dx[:, col])
             np.subtract(f, self.f_prev, out=self.df[:, col])
             self.next = (col + 1) % ANDERSON_DEPTH
             self.count = min(self.count + 1, ANDERSON_DEPTH)
+            row = self.df[:, :self.count].T @ self.df[:, col]
+            self.gram[col, :self.count] = row
+            self.gram[:self.count, col] = row
         self.x_prev[:] = x
         self.f_prev[:] = f
         self.has_prev = True
         cand = x + beta * f
         if self.count:
-            dx, df = self.dx[:, :self.count], self.df[:, :self.count]
-            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            c = self.count
+            dx, df = self.dx[:, :c], self.df[:, :c]
+            gamma = np.linalg.lstsq(self.gram[:c, :c], df.T @ f,
+                                    rcond=None)[0]
             cand -= dx @ gamma + beta * (df @ gamma)
         return cand
 
@@ -307,34 +322,43 @@ class PicardSolver:
         Each iteration is one `picard_step`: Anderson mixing of the
         undamped Picard map with mixing parameter beta, starting at
         `config.omega` for every viscosity.  The map loses contractivity
-        as eps shrinks; an attempt whose residual envelope grows is
-        aborted, the state reset to the warm start, the history cleared
-        and beta halved (applied at attempt granularity so one bad step
-        cannot destroy a good warm start).  Nothing carries over from one
-        call to the next.  Converged means the scaled full-step update
-        |g(x) - x|_inf is below `picard_tol` and the relative residual of
-        the new iterate below `residual_tol`.
+        as eps shrinks, so an attempt is checked from its 30th iteration
+        on, every 10: it is aborted when its residual envelope grows
+        (the least of the last 10 residuals exceeds twice the attempt's
+        least) or when the last 30 iterations set no new least residual
+        of the solve (stagnation, which the envelope test cannot see
+        once the relative residual saturates near 1).  An aborted attempt
+        restarts from the iterate with the least residual so far (the
+        warm start until an iterate beats it), with a cleared history and
+        beta halved, so the progress of the attempt is kept.  Nothing
+        carries over from one call to the next.  Converged means the
+        scaled full-step update |g(x) - x|_inf is below `picard_tol` and
+        the relative residual of the new iterate below `residual_tol`.
         """
         cfg = self.config
         n = self.mesh.n_vertices
         if warm_start is None:
-            start_s = np.full(n, self.sigma_inf)
-            start_t = np.zeros(n)
+            sigma = np.full(n, self.sigma_inf)
+            theta = np.zeros(n)
         else:
-            start_s = warm_start[0].copy()
-            start_t = warm_start[1].copy()
-        start_s[self.dirichlet] = self.sigma_inf
-        start_t[self.dirichlet] = 0.0
+            sigma = warm_start[0].copy()
+            theta = warm_start[1].copy()
+        sigma[self.dirichlet] = self.sigma_inf
+        theta[self.dirichlet] = 0.0
+        res, loads = self.residual_norms(sigma, theta, eps, source_sigma,
+                                         source_theta)
+        # (residual, sigma, theta, loads) of the least-residual iterate
+        best = (max(res), sigma, theta, loads)
         beta = cfg.omega
         beta_min = cfg.omega / 1024.0
         history = AndersonHistory(2 * len(self.free))
-        all_updates, all_residuals = [], []
+        updates, residuals = [], []
         total_iters = 0
         while True:
-            sigma, theta = start_s.copy(), start_t.copy()
-            loads = self.rhs(sigma, theta, eps, source_sigma, source_theta)
+            _, sigma, theta, loads = best
             history.clear()
-            updates, residuals = [], []
+            attempt = []      # residuals of this attempt
+            since_best = 0    # iterations since the least residual fell
             projections = 0
             aborted = False
             while total_iters < cfg.max_iters:
@@ -344,29 +368,33 @@ class PicardSolver:
                 projections += proj
                 res, loads = self.residual_norms(sigma, theta, eps,
                                                  source_sigma, source_theta)
+                r = max(res)
                 updates.append(upd)
-                residuals.append(max(res))
-                if upd < cfg.picard_tol and max(res) < cfg.residual_tol:
-                    all_updates += updates
-                    all_residuals += residuals
+                residuals.append(r)
+                attempt.append(r)
+                if upd < cfg.picard_tol and r < cfg.residual_tol:
                     return Solution(eps, sigma, theta, total_iters,
-                                    all_updates, all_residuals, w_used,
+                                    updates, residuals, w_used,
                                     projections, cfg)
-                if len(residuals) >= 30 and len(residuals) % 10 == 0:
-                    envelope = min(residuals[-10:])
+                if r < best[0]:
+                    best = (r, sigma, theta, loads)
+                    since_best = 0
+                else:
+                    since_best += 1
+                if len(attempt) >= 30 and len(attempt) % 10 == 0:
+                    envelope = min(attempt[-10:])
                     if not np.isfinite(envelope) \
-                            or envelope > 2.0 * min(residuals):
-                        aborted = True  # diverging: reject the attempt
+                            or envelope > 2.0 * min(attempt) \
+                            or since_best >= 30:
+                        aborted = True  # diverging or stalled: reject
                         break
-            all_updates += updates
-            all_residuals += residuals
             if not aborted or total_iters >= cfg.max_iters \
                     or beta <= beta_min:
                 raise ConvergenceError(
                     f"no fixed point after {total_iters} iterations at "
-                    f"eps={eps} (last update {all_updates[-1]:.3e}, "
-                    f"residual {all_residuals[-1]:.3e}, beta {beta:.2e})",
-                    {"updates": all_updates, "residuals": all_residuals})
+                    f"eps={eps} (last update {updates[-1]:.3e}, "
+                    f"residual {residuals[-1]:.3e}, beta {beta:.2e})",
+                    {"updates": updates, "residuals": residuals})
             beta = max(beta * 0.5, beta_min)
 
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
+import cavlab
 import cavlab.gaschart as gc
 from cavlab import cli
 from cavlab import entropy as en
+from cavlab import meshing as mh
 from cavlab import solver as sv
 from cavlab.config import RunConfig
 
@@ -107,3 +112,33 @@ def test_sweep_then_report(tmp_path, capsys):
     with open(run_dir / "plotdata" / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["epsilon"]) for r in rows] == [0.2, 0.1]
+
+
+def test_save_fields_matches_csv_writer_text(tmp_path):
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 8))
+    sol = sv.PicardSolver(mesh, sv.SolverConfig()).solve_epsilon(0.2)
+    store = cli.ArtifactStore(str(tmp_path / "run"))
+    store.save_fields(mesh, sol)
+    ref = tmp_path / "ref.csv"
+    rows = [[cli._fmt(x) for x in row] for row in zip(
+        mesh.vertices[:, 0], mesh.vertices[:, 1], sol.sigma, sol.theta,
+        sol.rho, sol.q, sol.W_minus, sol.W_plus)]
+    cli._write_csv(str(ref), ["x", "y", "sigma", "theta", "rho", "q",
+                              "Wminus", "Wplus"], rows)
+    got = tmp_path / "run" / "fields_eps_0.2.csv"
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def test_sweep_process_does_not_load_kernel_stack():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cavlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "import cavlab.cli, cavlab.solver, cavlab.diagnostics, "
+            "cavlab.meshing\n"
+            "print(' '.join(m for m in ('scipy.integrate', "
+            "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -213,3 +213,14 @@ def test_chart_table_columns():
     assert np.all(tab["M"] > 1.0)
     with pytest.raises(gc.ChartDomainError):
         gc.GasChart(nu_star=1.0)
+
+
+def test_q_of_k_matches_brentq_inversion():
+    from scipy.optimize import brentq
+    ks = np.linspace(0.0, gc.K_AT_QCR, 200)
+    got = gc.q_of_k(ks)
+    ref = np.array([gc.Q_CAV if k <= 1e-15 else gc.Q_CR
+                    if k >= gc.K_AT_QCR * (1 - 1e-15) else
+                    brentq(lambda q: gc.k_of_q(q) - k, gc.Q_CR, gc.Q_CAV,
+                           xtol=1e-15, rtol=8.9e-16) for k in ks])
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))

@@ -1,5 +1,6 @@
 """Mesh construction and P1 discrete calculus."""
 
+import io
 import math
 
 import numpy as np
@@ -254,3 +255,56 @@ def test_spec_validation():
         mh.DomainSpec(chord=5.0, half_length=2.0)
     with pytest.raises(ValueError):
         mh.DomainSpec(h_mesh=-1.0)
+
+
+@pytest.mark.parametrize("n_rows", [0, 7, 2 * mh.ROW_BLOCK + 5])
+def test_write_rows_matches_per_number_text(n_rows):
+    rng = np.random.default_rng(n_rows)
+    vals = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(
+        -300, 300, (n_rows, 2))
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0, 1e16, 0.1]
+    flat = vals.ravel()
+    flat[:len(special)] = special[:len(flat)]
+    ints = rng.integers(0, 2 ** 40, (n_rows, 3))
+    for fmt, rows, line in (
+            ("%.17g %.17g\n", vals,
+             lambda r: f"{float(r[0]):.17g} {float(r[1]):.17g}\n"),
+            ("%.17g\n", vals[:, 0], lambda x: f"{float(x):.17g}\n"),
+            ("3 %d %d %d\n", ints, lambda r: f"3 {r[0]} {r[1]} {r[2]}\n")):
+        fh = io.StringIO()
+        mh.write_rows(fh, fmt, rows)
+        assert fh.getvalue() == "".join(line(r) for r in rows)
+
+
+def _per_number_vtk(path, mesh, point_fields, cell_fields):
+    """The VTK writer as one f-string per number, for byte comparison."""
+    v, t = mesh.vertices, mesh.triangles
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\ncavlab mesh\nASCII\n"
+                 f"DATASET POLYDATA\nPOINTS {len(v)} double\n")
+        fh.writelines(f"{x:.17g} {y:.17g} 0.0\n" for x, y in v)
+        fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in t)
+        fh.write(f"POINT_DATA {len(v)}\n")
+        for name, vals in point_fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.writelines(f"{float(x):.17g}\n" for x in vals)
+        fh.write(f"CELL_DATA {len(t)}\n")
+        for name, vals in [("area", mesh.areas), *cell_fields.items()]:
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.writelines(f"{float(x):.17g}\n" for x in vals)
+
+
+def test_vtk_export_matches_per_number_writer(monkeypatch, tmp_path):
+    # blocks of 11 rows split every section and leave a partial last
+    # block (test_vtk_export_text covers a mesh within one block)
+    monkeypatch.setattr(mh, "ROW_BLOCK", 11)
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 8))
+    assert mesh.n_vertices % 11 and len(mesh.triangles) % 11
+    x = mesh.vertices[:, 0]
+    point = {"rho": np.exp(x) / 3.0, "theta": np.sin(7.0 * x)}
+    cell = {"c": np.arange(len(mesh.triangles)) / 7.0}
+    got, ref = tmp_path / "got.vtk", tmp_path / "ref.vtk"
+    mh.write_vtk(str(got), mesh, point_fields=point, cell_fields=cell)
+    _per_number_vtk(str(ref), mesh, point, cell)
+    assert got.read_bytes() == ref.read_bytes()

@@ -273,3 +273,107 @@ def test_out_of_range_candidate_falls_back_to_damped_step():
     assert np.allclose(new_t[free], w * the_f, rtol=0, atol=1e-14)
     assert np.array_equal(new_s[solver.dirichlet],
                           sigma[solver.dirichlet])
+
+
+def test_blind_spot_converges():
+    # at eps = 0.00625 the residual stalls near 1, where the envelope
+    # test cannot fire; the stagnation abort must catch it
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 32))
+    cfg = sv.SolverConfig(epsilons=(0.025, 0.0125, 0.00625))
+    solutions = sv.sweep(cfg, mesh)
+    for sol in solutions:
+        assert sol.update_history[-1] < cfg.picard_tol
+        assert sol.residual_history[-1] < cfg.residual_tol
+        assert sol.projection_count == 0
+    assert sum(sol.iterations for sol in solutions) <= 2000
+
+
+def _mix_sequence(history, rng, n, steps, beta=0.5):
+    """Feed random (x, f) pairs to `history`; yield after each mix."""
+    for _ in range(steps):
+        x, f = rng.standard_normal((2, n))
+        yield x, f, history.mix(x, f, beta)
+
+
+def test_anderson_gram_matrix_tracks_ring():
+    n = 300
+    history = sv.AndersonHistory(n)
+    rng = np.random.default_rng(11)
+    for _ in _mix_sequence(history, rng, n, 2 * sv.ANDERSON_DEPTH + 3):
+        c = history.count
+        if not c:
+            continue  # the first mix has no difference to record
+        df = history.df[:, :c]
+        ref = df.T @ df
+        assert np.abs(history.gram[:c, :c] - ref).max() \
+            <= 1e-12 * np.abs(ref).max()
+    assert history.count == sv.ANDERSON_DEPTH  # the ring has wrapped
+
+
+def test_anderson_candidate_matches_block_lstsq():
+    n, beta = 300, 0.5
+    history = sv.AndersonHistory(n)
+    rng = np.random.default_rng(5)
+    mixes = _mix_sequence(history, rng, n, 2 * sv.ANDERSON_DEPTH + 3, beta)
+    for x, f, cand in mixes:
+        c = history.count
+        ref = x + beta * f
+        if c:
+            dx, df = history.dx[:, :c], history.df[:, :c]
+            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            ref -= dx @ gamma + beta * (df @ gamma)
+        assert np.abs(cand - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+class _ScriptedSolver:
+    """Stub steps and residuals for `solve_epsilon`: iterate k carries k
+    in sigma[free[0]], its loads carry k too, and its residual is
+    script(k) (k = 0 is the warm start)."""
+
+    def __init__(self, solver, script, converge_at):
+        self.script, self.converge_at = script, converge_at
+        self.steps = []   # (iterate id, loads id, beta) per step
+        self.slot = solver.free[0]
+
+    def picard_step(self, sigma, theta, b_sig, b_the, beta, history):
+        k = len(self.steps) + 1
+        self.steps.append((int(sigma[self.slot]), int(b_sig[0]), beta))
+        new_s = sigma.copy()
+        new_s[self.slot] = k
+        update = 0.0 if k == self.converge_at else 1.0
+        return new_s, theta.copy(), update, beta, 0
+
+    def residual_norms(self, sigma, theta, eps, *sources):
+        k = int(sigma[self.slot])
+        r = 0.0 if k == self.converge_at else self.script(k)
+        loads = np.full(len(sigma), float(k))
+        return (r, 0.0), (loads, loads)
+
+
+@pytest.mark.parametrize("script, abort_at, best", [
+    # envelope abort: least residual at step 5, then growth
+    (lambda k: 1.0 if k == 0 else (0.5 ** k if k <= 5 else 0.9), 30, 5),
+    # stagnation abort: least residual 0.5 at step 8, then saturated near
+    # 1 so the envelope (0.98 < 2 x 0.5) never fires
+    (lambda k: 1.0 if k == 0 else (0.9 - 0.05 * k if k < 8 else
+                                   0.5 if k == 8 else 0.98), 40, 8),
+], ids=["envelope", "stagnation"])
+def test_aborted_attempt_restarts_from_least_residual_iterate(
+        monkeypatch, script, abort_at, best):
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 8))
+    cfg = sv.SolverConfig(epsilons=(0.1,))
+    solver = sv.PicardSolver(mesh, cfg)
+    stub = _ScriptedSolver(solver, script, converge_at=abort_at + 1)
+    monkeypatch.setattr(solver, "picard_step", stub.picard_step)
+    monkeypatch.setattr(solver, "residual_norms", stub.residual_norms)
+    warm = (np.full(mesh.n_vertices, cfg.sigma_inf),
+            np.zeros(mesh.n_vertices))
+    warm[0][stub.slot] = 0.0  # the warm start is iterate 0
+    sol = solver.solve_epsilon(0.1, warm_start=warm)
+    assert sol.iterations == abort_at + 1
+    # the first attempt runs at omega from the warm start ...
+    assert stub.steps[0] == (0, 0, cfg.omega)
+    assert all(beta == cfg.omega for _, _, beta in stub.steps[:abort_at])
+    # ... the restart takes the least-residual iterate with its loads
+    assert stub.steps[abort_at] == (best, best, cfg.omega / 2)
+    assert sol.omega_final == cfg.omega / 2
