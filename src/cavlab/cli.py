@@ -3,14 +3,14 @@
 Subcommands: tables, basis-check, kernel build|verify, entropy check,
 solve, sweep, check, report.  `sweep` and `check` share one loop over
 the configured viscosities, `solver.sweep`; a configuration file with an
-unknown or repeated key is a usage error.  Exit codes: 0 success, 1
-check failure (including a solve that finds no fixed point), 2
-usage/configuration error (including a malformed kernel table), 3
-internal error (the traceback goes to stderr).  Reports are JSON with
-stable key order; tabular output is RFC-4180 CSV with a header row;
-field and mesh exports are legacy ASCII VTK.  All pipelines are
-deterministic, so identical configurations reproduce byte-identical
-reports.
+unknown or repeated key, or an argument outside its range, is a usage
+error.  Exit codes: 0 success, 1 check failure (including a solve that
+finds no fixed point), 2 usage/configuration error (including a
+malformed kernel table), 3 internal error (the traceback goes to
+stderr).  Reports are JSON with stable key order; tabular output is
+RFC-4180 CSV with a header row; field and mesh exports are legacy ASCII
+VTK.  All pipelines are deterministic, so identical configurations
+reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -59,13 +60,29 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _between(kind, lo, hi=math.inf):
+    """argparse type: a `kind` value strictly between lo and hi."""
+    def convert(text):
+        value = kind(text)
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(
+                f"{text} is outside ({lo:g}, {hi:g})")
+        return value
+    convert.__name__ = kind.__name__  # names the type in argparse errors
+    return convert
+
+
+POSITIVE_INT = _between(int, 0)
+POSITIVE = _between(float, 0.0)
+NU_RANGE = _between(float, 0.0, gc.NU_CR)
+
+
 class ArtifactStore:
     """Run directory layout; every run reproducible from config.cfg."""
 
     def __init__(self, run_dir: str):
         self.root = run_dir
         os.makedirs(run_dir, exist_ok=True)
-        os.makedirs(os.path.join(run_dir, "kernels"), exist_ok=True)
         os.makedirs(os.path.join(run_dir, "plotdata"), exist_ok=True)
 
     def path(self, *parts) -> str:
@@ -118,7 +135,7 @@ class ArtifactStore:
 # ----------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
-    chart = gc.GasChart(nu_star=args.nu_star) if args.nu_star else gc.GasChart()
+    chart = gc.GasChart(nu_star=args.nu_star)
     nus = np.geomspace(args.nu_min, chart.nu_star, args.points)
     tab = chart.table(nus)
     cols = ["nu", "rho", "q", "sigma", "k", "kprime", "kdoubleprime", "M"]
@@ -135,10 +152,7 @@ def cmd_basis_check(args) -> int:
                "tolerance": rep["tolerance"],
                "pass": rep["pass"], "failed": rep["failed"],
                "relations": rep["relations"]}
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        _write_json(sys.stdout, payload)
+    _write_json(args.out or sys.stdout, payload)
     return 0 if rep["pass"] else CHECK_FAILED
 
 
@@ -160,10 +174,7 @@ def cmd_kernel_verify(args) -> int:
     rep = verify_kernel(tr)
     rep["huygens_leakage"] = huygens_leakage(smooth_kernel(tr))
     rep["pass"] = bool(rep["pass"] and rep["huygens_leakage"] < 1e-6)
-    if args.out:
-        _write_json(args.out, rep)
-    else:
-        _write_json(sys.stdout, rep)
+    _write_json(args.out or sys.stdout, rep)
     return 0 if rep["pass"] else CHECK_FAILED
 
 
@@ -176,21 +187,17 @@ def cmd_entropy_check(args) -> int:
     pair = en.special_pair(chart, nu_bar)
     nus = np.geomspace(1e-4, chart.nu_star * 0.99, args.points)
     ths = np.linspace(-1.0, 1.0, args.points)
-    rows = []
-    ok = True
-    for nu in nus:
-        for th in ths:
-            rho = gc.rho_of_nu(nu)
-            margins = en.convexity_check(gen, [nu], [th])
-            c1 = margins["margin_convexity"]  # H*_tt - rho H*_ntt
-            c2 = margins["margin_cross"]  # rho c1 - |rho H*_nt + H*_ttt|
-            s = gc.StatePolar(rho=float(rho), theta=float(th))
-            q1, q2 = en.loewner_morawetz(gen, s)
-            p1, p2 = float(pair.Q1(rho, th)), float(pair.Q2(rho, th))
-            defect = max(abs(q1 - p1), abs(q2 - p2))
-            ok &= defect < 1e-9 and margins["admissible"]
-            rows.append([_fmt(nu), _fmt(th), _fmt(c1), _fmt(c2),
-                         _fmt(defect)])
+    # one row per (nu, theta) state, theta varying fastest
+    c1, c2 = en.admissibility_margins(gen, nus, ths)
+    NU, TH = np.meshgrid(nus, ths, indexing="ij")
+    rho = np.asarray(gc.rho_of_nu(nus))[:, None]
+    q1, q2 = en.loewner_morawetz(gen, rho, TH)
+    p1, p2 = pair(rho, TH)
+    defect = np.maximum(np.abs(q1 - p1), np.abs(q2 - p2))
+    ok = bool(defect.max() < 1e-9 and c1.min() >= -en.MARGIN_TOL
+              and c2.min() >= -en.MARGIN_TOL)
+    rows = [[_fmt(x) for x in row] for row in zip(
+        NU.ravel(), TH.ravel(), c1.ravel(), c2.ravel(), defect.ravel())]
     _write_csv(args.out, ["nu", "theta", "margin_convexity", "margin_cross",
                           "pair_assembly_defect"], rows)
     print(f"wrote entropy margins to {args.out}")
@@ -198,18 +205,25 @@ def cmd_entropy_check(args) -> int:
 
 
 def _run_sweep(cfg: RunConfig):
-    """Mesh and warm-started solutions of the configured sweep."""
+    """Warm-started solutions of the configured sweep and their report:
+    (mesh, solutions, report, store), config.cfg and report.json saved."""
+    from .diagnostics import run_report
     from .meshing import build_mesh
     from .solver import sweep
     mesh = build_mesh(cfg.geometry)
-    return mesh, sweep(cfg.solver, mesh)
+    solutions = sweep(cfg.solver, mesh)
+    report = run_report(mesh, cfg.solver, solutions)
+    store = ArtifactStore(cfg.output_dir)
+    store.save_config(cfg)
+    store.save_report(report.to_dict())
+    return mesh, solutions, report, store
 
 
 def cmd_solve(args) -> int:
     from .meshing import build_mesh
     from .solver import PicardSolver
     cfg = _load_config(args.config)
-    eps = args.epsilon if args.epsilon else cfg.solver.epsilons[0]
+    eps = cfg.solver.epsilons[0] if args.epsilon is None else args.epsilon
     mesh = build_mesh(cfg.geometry)
     sol = PicardSolver(mesh, cfg.solver).solve_epsilon(eps)
     store = ArtifactStore(cfg.output_dir)
@@ -222,30 +236,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .diagnostics import run_report
-    cfg = _load_config(args.config)
-    mesh, solutions = _run_sweep(cfg)
-    report = run_report(mesh, cfg.solver, solutions)
-    store = ArtifactStore(cfg.output_dir)
-    store.save_config(cfg)
+    mesh, solutions, report, store = _run_sweep(_load_config(args.config))
     store.save_mesh(mesh, fields={"rho": solutions[-1].rho,
                                   "theta": solutions[-1].theta})
     for sol in solutions:
         store.save_fields(mesh, sol)
-    store.save_report(report.to_dict())
     store.save_plotdata(report)
-    print(f"sweep complete: {len(solutions)} solutions -> {cfg.output_dir}")
+    print(f"sweep complete: {len(solutions)} solutions -> {store.root}")
     return 0
 
 
 def cmd_check(args) -> int:
-    from .diagnostics import run_report
-    cfg = _load_config(args.config)
-    mesh, solutions = _run_sweep(cfg)
-    report = run_report(mesh, cfg.solver, solutions)
-    store = ArtifactStore(cfg.output_dir)
-    store.save_config(cfg)
-    store.save_report(report.to_dict())
+    _, _, report, _ = _run_sweep(_load_config(args.config))
     ok = report.ok
     print(f"check: {'PASS' if ok else 'FAIL'} "
           f"(dissipation ratio {report.sweep['dissipation_ratio']:.3g}, "
@@ -287,9 +289,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tables", help="dump the coordinate chart as CSV")
     t.add_argument("--out", default="chart.csv")
-    t.add_argument("--points", type=int, default=200)
-    t.add_argument("--nu-min", type=float, default=1e-8)
-    t.add_argument("--nu-star", type=float, default=None)
+    t.add_argument("--points", type=POSITIVE_INT, default=200)
+    t.add_argument("--nu-min", type=NU_RANGE, default=1e-8)
+    t.add_argument("--nu-star", type=NU_RANGE, default=gc.NU_CR / 2.0)
     t.set_defaults(fn=cmd_tables)
 
     b = sub.add_parser("basis-check",
@@ -301,8 +303,8 @@ def make_parser() -> argparse.ArgumentParser:
     ksub = k.add_subparsers(dest="kernel_command", required=True)
     kb = ksub.add_parser("build")
     kb.add_argument("--kind", choices=("regular", "singular"), required=True)
-    kb.add_argument("--nu-star", type=float, default=gc.NU_CR / 2.0)
-    kb.add_argument("--xi-max", type=float, default=200.0)
+    kb.add_argument("--nu-star", type=NU_RANGE, default=gc.NU_CR / 2.0)
+    kb.add_argument("--xi-max", type=POSITIVE, default=200.0)
     kb.add_argument("--out", required=True)
     kb.set_defaults(fn=cmd_kernel_build)
     kv = ksub.add_parser("verify")
@@ -315,12 +317,12 @@ def make_parser() -> argparse.ArgumentParser:
     ec = esub.add_parser("check")
     ec.add_argument("--config", default=None)
     ec.add_argument("--out", default="entropy_margins.csv")
-    ec.add_argument("--points", type=int, default=12)
+    ec.add_argument("--points", type=POSITIVE_INT, default=12)
     ec.set_defaults(fn=cmd_entropy_check)
 
     sv_ = sub.add_parser("solve", help="solve at one viscosity")
     sv_.add_argument("--config", default=None)
-    sv_.add_argument("--epsilon", type=float, default=None)
+    sv_.add_argument("--epsilon", type=POSITIVE, default=None)
     sv_.set_defaults(fn=cmd_solve)
 
     sw = sub.add_parser("sweep", help="viscosity sweep with diagnostics")

@@ -23,6 +23,9 @@ class ConfigError(ValueError):
 class KernelConfig:
     nu_star: float = gc.NU_CR / 2.0
 
+    def __post_init__(self):
+        gc.GasChart(nu_star=self.nu_star)  # a ValueError outside (0, nu_cr)
+
 
 @dataclass(frozen=True)
 class RunConfig:

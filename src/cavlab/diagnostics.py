@@ -14,6 +14,12 @@ column per bump (`nodal_test_functions`).  Every functional is Psi.T
 applied to a load vector from the mesh operators the solver's equations
 use, so the discrete weak identities hold to solver tolerance, not to a
 second quadrature's error.
+
+Each solution's state is derived once: rho is inverted from sigma once
+per `Solution`, and the per-triangle states, their gradients and the
+dissipation density |grad theta|^2 + f q^-2 |grad rho|^2 are one
+`CellStates` that the dissipation integral, the D1 + D2 splitting and
+the special identity all read.
 """
 
 from __future__ import annotations
@@ -99,31 +105,39 @@ def nodal_test_functions(mesh: Mesh, bumps) -> sp.csc_matrix:
 # per-solution quantities
 # ----------------------------------------------------------------------
 
-def _cell_states(mesh: Mesh, sol: Solution):
-    """Per-triangle mean state and P1 gradients of (rho, theta)."""
-    rho = sol.rho
-    theta = sol.theta
-    rho_c = rho[mesh.triangles].mean(axis=1)
-    th_c = theta[mesh.triangles].mean(axis=1)
-    grad_rho = mesh.gradient(rho)
-    grad_th = mesh.gradient(theta)
-    return rho_c, th_c, grad_rho, grad_th
+@dataclass(frozen=True)
+class CellStates:
+    """One solution's per-triangle mean (rho, theta), P1 gradients,
+    degeneracy f = 1 - c^2/q^2 and dissipation density
+    |grad theta|^2 + f q^-2 |grad rho|^2, at viscosity eps."""
+
+    epsilon: float
+    rho: np.ndarray
+    theta: np.ndarray
+    grad_rho: np.ndarray
+    grad_theta: np.ndarray
+    f: np.ndarray
+    density: np.ndarray
 
 
-def _degeneracy(rho):
-    """1 - c^2/q^2 = (1 - 2 rho^2)/(1 - rho^2), floored against transients."""
-    rho = np.asarray(rho)
-    return np.clip((1.0 - 2.0 * rho * rho) / (1.0 - rho * rho),
-                   DEGENERACY_FLOOR, None)
+def cell_states(mesh: Mesh, sol: Solution) -> CellStates:
+    """CellStates of a solution, f = (1 - 2 rho^2)/(1 - rho^2) floored
+    against transients."""
+    rho = sol.rho[mesh.triangles].mean(axis=1)
+    theta = sol.theta[mesh.triangles].mean(axis=1)
+    grad_rho = mesh.gradient(sol.rho)
+    grad_th = mesh.gradient(sol.theta)
+    q2 = 1.0 - rho * rho
+    f = np.clip((1.0 - 2.0 * rho * rho) / q2, DEGENERACY_FLOOR, None)
+    density = np.sum(grad_th ** 2, axis=1) \
+        + f / q2 * np.sum(grad_rho ** 2, axis=1)
+    return CellStates(sol.epsilon, rho, theta, grad_rho, grad_th, f,
+                      density)
 
 
-def dissipation_integral(mesh: Mesh, sol: Solution) -> float:
+def dissipation_integral(mesh: Mesh, cells: CellStates) -> float:
     """eps * int |grad theta|^2 + (1 - c^2/q^2) q^-2 |grad rho|^2 dx."""
-    rho_c, _, grad_rho, grad_th = _cell_states(mesh, sol)
-    q2 = 1.0 - rho_c * rho_c
-    dens = np.sum(grad_th ** 2, axis=1) \
-        + _degeneracy(rho_c) / q2 * np.sum(grad_rho ** 2, axis=1)
-    return sol.epsilon * mesh.integrate(dens)
+    return cells.epsilon * mesh.integrate(cells.density)
 
 
 def weak_form_residuals(mesh: Mesh, sol: Solution, psi) -> dict:
@@ -160,7 +174,7 @@ def entropy_dissipation(mesh: Mesh, sol: Solution, pair: en.EntropyPair,
     return psi.T @ mesh.divergence_rhs(Q)
 
 
-def compactness_decomposition(mesh: Mesh, sol: Solution,
+def compactness_decomposition(mesh: Mesh, cells: CellStates,
                               gen: en.Generator) -> dict:
     """The D1 + D2 splitting of the entropy dissipation measure.
 
@@ -169,24 +183,22 @@ def compactness_decomposition(mesh: Mesh, sol: Solution,
     D1 = eps div( grad th (rho H_nt - H_t)
                   + f grad rho (H_n + H_tt / rho) ),
 
-    reported as the L1 norm of D2 and eps times the L2 norm of the D1
-    flux (whose analytic bound is C sqrt(eps)).
+    with the first bracket's density `CellStates.density`, reported as
+    the L1 norm of D2 and eps times the L2 norm of the D1 flux (whose
+    analytic bound is C sqrt(eps)).
     """
-    eps = sol.epsilon
-    rho_c, th_c, grad_rho, grad_th = _cell_states(mesh, sol)
+    eps = cells.epsilon
+    rho_c, th_c, f = cells.rho, cells.theta, cells.f
+    grad_rho, grad_th = cells.grad_rho, cells.grad_theta
     nu_c = np.asarray(gc.nu_of_rho(rho_c))
-    q2 = 1.0 - rho_c * rho_c
-    f = _degeneracy(rho_c)
     H_nt = gen.d(1, 1)(nu_c, th_c)
     H_t = gen.d(0, 1)(nu_c, th_c)
     H_n = gen.d(1, 0)(nu_c, th_c)
     H_tt = gen.d(0, 2)(nu_c, th_c)
     H_ntt = gen.d(1, 2)(nu_c, th_c)
     H_ttt = gen.d(0, 3)(nu_c, th_c)
-    quad = np.sum(grad_th ** 2, axis=1) + f / q2 * np.sum(grad_rho ** 2,
-                                                          axis=1)
     cross = np.sum(grad_th * grad_rho, axis=1)
-    D2 = -eps * ((rho_c * H_ntt - H_tt) * quad
+    D2 = -eps * ((rho_c * H_ntt - H_tt) * cells.density
                  + (H_ttt + rho_c * H_nt) * (2.0 / rho_c) * f * cross)
     D2_L1 = mesh.integrate(np.abs(D2))
     flux = grad_th * (rho_c * H_nt - H_t)[:, None] \
@@ -239,34 +251,30 @@ def obstacle_trace(mesh: Mesh, sol: Solution, psi) -> np.ndarray:
     return psi.T @ load
 
 
-def special_identity_defect(mesh: Mesh, sol: Solution, nu_bar: float,
-                            psi) -> float:
+def special_identity_defect(mesh: Mesh, cells: CellStates, d_star,
+                            nu_bar: float, psi) -> float:
     """Weak-form defect of the exact dissipation identity for the
     distinguished pair:
 
     int Q* . grad(psi) = eps int (-theta grad theta + f N grad rho) . grad(psi)
                          - eps int psi (|grad th|^2 + f q^-2 |grad rho|^2)
 
-    on the P1 psi_h of Psi, with grad(psi_h) per cell (`Mesh.gradient`)
-    and psi in the last term its cell mean, both applied through their
-    transpose as one nodal load.  This couples solver, chart, and
-    entropy machinery in one number.
+    on the P1 psi_h of Psi.  The left side is the pair's defect vector
+    d_star (`entropy_dissipation`); on the right, grad(psi_h) is taken per
+    cell (`Mesh.gradient`) and psi in the last term is its cell mean, both
+    applied through their transpose as one nodal load.  This couples
+    solver, chart, and entropy machinery in one number.
     """
-    pair = en.special_pair(gc.GasChart(), nu_bar)
     rho_bar = gc.rho_of_nu(nu_bar)
-    rho_c, th_c, grad_rho, grad_th = _cell_states(mesh, sol)
-    q2 = 1.0 - rho_c * rho_c
-    f = _degeneracy(rho_c)
-    lhs = entropy_dissipation(mesh, sol, pair, psi)
-    nvals = np.asarray(en.N_of_rho(rho_c, rho_bar))
-    V = -th_c[:, None] * grad_th + (f * nvals)[:, None] * grad_rho
-    dens = np.sum(grad_th ** 2, axis=1) + f / q2 * np.sum(grad_rho ** 2,
-                                                          axis=1)
-    per_node = np.einsum("md,mid->mi", V, mesh.grads) - dens[:, None] / 3.0
+    nvals = np.asarray(en.N_of_rho(cells.rho, rho_bar))
+    V = -cells.theta[:, None] * cells.grad_theta \
+        + (cells.f * nvals)[:, None] * cells.grad_rho
+    per_node = np.einsum("md,mid->mi", V, mesh.grads) \
+        - cells.density[:, None] / 3.0
     load = np.bincount(mesh.triangles.ravel(),
                        weights=(mesh.areas[:, None] * per_node).ravel(),
                        minlength=mesh.n_vertices)
-    return float(np.abs(lhs - sol.epsilon * (psi.T @ load)).max())
+    return float(np.abs(d_star - cells.epsilon * (psi.T @ load)).max())
 
 
 def cauchy_convergence(mesh: Mesh, solutions) -> dict:
@@ -323,9 +331,14 @@ class RunReport:
         return bool(all(checks))
 
 
-def run_report(mesh: Mesh, config: SolverConfig, solutions,
-               kernel_generator: en.Generator | None = None) -> RunReport:
-    """Assemble every diagnostic for a completed sweep."""
+def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
+    """Assemble every diagnostic for a completed sweep.
+
+    Per solution, rho comes from its one inversion of sigma
+    (`Solution.rho`) and every cell-based diagnostic reads one
+    `cell_states`; the distinguished pair's defect vector is computed
+    once and serves both the entropy defect and the special identity.
+    """
     nu_bar = gc.nu_of_rho(config.rho_inf)
     chart = gc.GasChart()
     gen_star = en.special_generator(chart, nu_bar)
@@ -333,41 +346,27 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions,
     interior = interior_lattice(mesh)
     psi = nodal_test_functions(mesh, interior + obstacle_lattice(mesh))
     psi_in, psi_obs = psi[:, :len(interior)], psi[:, len(interior):]
-    gen_mix = pair_mix = None
-    mix_c = 0.0
-    if kernel_generator is not None:
-        nus = np.geomspace(
-            max(kernel_generator.nu_range[0] * 1.01, 1e-4),
-            kernel_generator.nu_range[1] * 0.99, 10)
-        ths = np.linspace(-1.1 * config.k_inf, 1.1 * config.k_inf, 9)
-        gen_mix, mix_c = en.admissible_kernel_mix(gen_star, kernel_generator,
-                                                  nus, ths)
-        pair_mix = en.pair_from_generator(gen_mix)
 
     records = []
     for sol in solutions:
-        rec = {"epsilon": sol.epsilon,
-               "iterations": sol.iterations,
-               "final_residual": sol.residual_history[-1],
-               "projection_count": sol.projection_count,
-               "invariant_region": invariant_region_report(sol),
-               "dissipation_integral": dissipation_integral(mesh, sol),
-               "weak_residuals": weak_form_residuals(mesh, sol, psi_in)}
+        cells = cell_states(mesh, sol)
         d_star = entropy_dissipation(mesh, sol, pair_star, psi_in)
-        rec["entropy_defect_star"] = float(np.max(d_star))
-        rec["entropy_defect_star_all"] = [float(x) for x in d_star]
-        rec["compactness_star"] = compactness_decomposition(mesh, sol,
-                                                            gen_star)
-        if gen_mix is not None:
-            d_mix = entropy_dissipation(mesh, sol, pair_mix, psi_in)
-            rec["entropy_defect_kernel"] = float(np.max(d_mix))
-            rec["compactness_kernel"] = compactness_decomposition(mesh, sol,
-                                                                  gen_mix)
         trace = obstacle_trace(mesh, sol, psi_obs)
-        rec["obstacle_trace_min"] = float(trace.min())
-        rec["special_identity_defect"] = special_identity_defect(
-            mesh, sol, nu_bar, psi_in)
-        records.append(rec)
+        records.append({
+            "epsilon": sol.epsilon,
+            "iterations": sol.iterations,
+            "final_residual": sol.residual_history[-1],
+            "projection_count": sol.projection_count,
+            "invariant_region": invariant_region_report(sol),
+            "dissipation_integral": dissipation_integral(mesh, cells),
+            "weak_residuals": weak_form_residuals(mesh, sol, psi_in),
+            "entropy_defect_star": float(np.max(d_star)),
+            "entropy_defect_star_all": [float(x) for x in d_star],
+            "compactness_star": compactness_decomposition(mesh, cells,
+                                                          gen_star),
+            "obstacle_trace_min": float(trace.min()),
+            "special_identity_defect": special_identity_defect(
+                mesh, cells, d_star, nu_bar, psi_in)})
 
     eps = [r["epsilon"] for r in records]
     diss = [r["dissipation_integral"] for r in records]
@@ -387,11 +386,7 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions,
             eps, [max(r["entropy_defect_star"], 0.0) for r in records]),
         "trace_min": float(min(r["obstacle_trace_min"] for r in records)),
         "cauchy": cauchy_convergence(mesh, solutions),
-        "kernel_mix_coefficient": mix_c,
     }
-    if gen_mix is not None:
-        sweep_rec["defect_kernel_fit"] = sqrt_eps_fit(
-            eps, [max(r["entropy_defect_kernel"], 0.0) for r in records])
     cfg_rec = {
         "epsilons": list(config.epsilons), "q_inf": config.q_inf,
         "omega": config.omega, "picard_tol": config.picard_tol,

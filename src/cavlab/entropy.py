@@ -4,16 +4,21 @@ A generator is a scalar function H(nu, theta) solving the degenerate wave
 equation H_nunu - k'(nu)^2 H_thetatheta = 0; every generator produces an
 entropy pair through the Loewner-Morawetz matrix relation
 
-    (Q1, Q2) = [[rho q cos t, -q sin t], [rho q sin t, q cos t]] (H_nu, H_t).
+    (Q1, Q2) = [[rho q cos t, -q sin t], [rho q sin t, q cos t]] (H_nu, H_t),
 
-Two families are provided: the closed-form distinguished generator
+which `loewner_morawetz` applies to arrays of states, evaluating H_nu and
+H_t once per state.  Two families are provided: the closed-form
+distinguished generator
 
     H*(nu, t) = t^2/2 - nu/rho_bar + int int k'^2,
     H*_nu = -1/rho + N(rho),    N(rho) = atanh(rho_bar) - atanh(rho),
 
 anchored at a reference state rho_bar (normally the far-field density, so
-N vanishes there), and smoothed-kernel generators H = Hr*phi1 + Hs*phi2
-evaluated by Fourier quadrature of the kernel tables.
+N vanishes there), whose pair `special_pair` gives in closed form as the
+reference for the assembly, and smoothed-kernel generators
+H = Hr*phi1 + Hs*phi2 evaluated by Fourier quadrature of the kernel
+tables.  `admissibility_margins` gives the two admissibility margins at
+every state of a grid; `convexity_check` reports their minima.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from . import gaschart as gc
 
 if TYPE_CHECKING:
     from .kernelengine import KernelTransform
+
+
+MARGIN_TOL = 1e-12  # rounding allowance of the admissibility margins
 
 
 class GeneratorDomainError(ValueError):
@@ -52,20 +60,13 @@ class Generator:
     table: dict
     provenance: str
     nu_range: tuple
-    theta_range: tuple = (-math.inf, math.inf)
 
-    def _check(self, nu, theta):
+    def _check(self, nu):
         nu = np.asarray(nu, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         if np.any(nu < self.nu_range[0] * (1 - 1e-12)) or np.any(
                 nu > self.nu_range[1] * (1 + 1e-12)):
             raise GeneratorDomainError(
                 f"nu outside generator range {self.nu_range}")
-        if np.any(theta < self.theta_range[0]) or np.any(
-                theta > self.theta_range[1]):
-            raise GeneratorDomainError(
-                f"theta outside generator range {self.theta_range}")
-        return nu, theta
 
     def d(self, i: int, j: int):
         """Derivative callable d^i/dnu^i d^j/dtheta^j H."""
@@ -76,7 +77,7 @@ class Generator:
                 f"generator lacks derivative ({i},{j})") from None
 
         def wrapped(nu, theta):
-            self._check(nu, theta)
+            self._check(nu)
             return fn(nu, theta)
         return wrapped
 
@@ -104,16 +105,13 @@ class Generator:
         keys = set.intersection(*(set(g.table) for _, g in terms))
         lo = max(g.nu_range[0] for _, g in terms)
         hi = min(g.nu_range[1] for _, g in terms)
-        tlo = max(g.theta_range[0] for _, g in terms)
-        thi = min(g.theta_range[1] for _, g in terms)
 
         def make(key):
             fns = [(c, g.table[key]) for c, g in terms]
             return lambda nu, theta: sum(
                 c * fn(nu, theta) for c, fn in fns)
         table = {key: make(key) for key in keys}
-        return Generator(table, provenance or "combination", (lo, hi),
-                         (tlo, thi))
+        return Generator(table, provenance or "combination", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,6 @@ class EntropyPair:
 
     Q1: object
     Q2: object
-    provenance: str = ""
 
     def __call__(self, rho, theta):
         return self.Q1(rho, theta), self.Q2(rho, theta)
@@ -190,62 +187,44 @@ def special_pair(chart: gc.GasChart, nu_bar: float) -> EntropyPair:
     """
     rho_bar = gc.rho_of_nu(nu_bar)
 
-    def Q1(rho, theta):
+    def parts(rho, theta):
         rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         q = np.sqrt(1.0 - rho * rho)
-        n = N_of_rho(rho, rho_bar)
+        return q, N_of_rho(rho, rho_bar) * rho * q, np.asarray(theta, float)
+
+    def Q1(rho, theta):
+        q, nrq, theta = parts(rho, theta)
         return -q * (theta * np.sin(theta) + np.cos(theta)) \
-            + n * rho * q * np.cos(theta)
+            + nrq * np.cos(theta)
 
     def Q2(rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        q = np.sqrt(1.0 - rho * rho)
-        n = N_of_rho(rho, rho_bar)
+        q, nrq, theta = parts(rho, theta)
         return q * (theta * np.cos(theta) - np.sin(theta)) \
-            + n * rho * q * np.sin(theta)
+            + nrq * np.sin(theta)
 
-    return EntropyPair(Q1, Q2, provenance="special")
+    return EntropyPair(Q1, Q2)
 
 
 # ----------------------------------------------------------------------
 # Loewner-Morawetz assembly
 # ----------------------------------------------------------------------
 
-def loewner_morawetz(gen: Generator, state: gc.StatePolar):
-    """Apply the matrix relation to (H_nu, H_theta) at one state."""
-    nu = state.nu
-    hn = float(np.asarray(gen.H_nu(nu, state.theta)))
-    ht = float(np.asarray(gen.H_theta(nu, state.theta)))
-    q = state.q
-    ct, st = math.cos(state.theta), math.sin(state.theta)
-    return (state.rho * q * ct * hn - q * st * ht,
-            state.rho * q * st * hn + q * ct * ht)
+def loewner_morawetz(gen: Generator, rho, theta):
+    """Entropy pair (Q1, Q2) of a generator at the states (rho, theta).
 
-
-def pair_from_generator(gen: Generator) -> EntropyPair:
-    """Vectorized entropy pair from a generator via the matrix relation."""
-
-    def Q1(rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        nu = np.asarray(gc.nu_of_rho(rho))
-        q = np.sqrt(1.0 - rho * rho)
-        hn = gen.H_nu(nu, theta)
-        ht = gen.H_theta(nu, theta)
-        return rho * q * np.cos(theta) * hn - q * np.sin(theta) * ht
-
-    def Q2(rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        nu = np.asarray(gc.nu_of_rho(rho))
-        q = np.sqrt(1.0 - rho * rho)
-        hn = gen.H_nu(nu, theta)
-        ht = gen.H_theta(nu, theta)
-        return rho * q * np.sin(theta) * hn + q * np.cos(theta) * ht
-
-    return EntropyPair(Q1, Q2, provenance=gen.provenance)
+    rho and theta are broadcast against each other; H_nu and H_theta are
+    each evaluated once on the states, and the matrix relation is applied
+    to them elementwise.
+    """
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    nu = gc.nu_of_rho(rho)
+    hn = gen.H_nu(nu, theta)
+    ht = gen.H_theta(nu, theta)
+    q = np.sqrt(1.0 - rho * rho)
+    ct, st = np.cos(theta), np.sin(theta)
+    return (rho * q * ct * hn - q * st * ht,
+            rho * q * st * hn + q * ct * ht)
 
 
 # ----------------------------------------------------------------------
@@ -307,11 +286,12 @@ def kernel_generator(regular: KernelTransform | None = None,
 # Admissibility and compactness checks
 # ----------------------------------------------------------------------
 
-def convexity_check(gen: Generator, nu_grid, theta_grid) -> dict:
-    """Margins of the entropy-admissibility conditions on a state grid.
+def admissibility_margins(gen: Generator, nu_grid, theta_grid):
+    """Margins of the entropy-admissibility conditions c1 >= 0, c2 >= 0,
 
-    condition 1:  H_tt - rho H_ntt >= 0
-    condition 2:  |rho H_nt + H_ttt| <= rho (H_tt - rho H_ntt)
+    c1 = H_tt - rho H_ntt,    c2 = rho c1 - |rho H_nt + H_ttt|,
+
+    at every state of nu_grid x theta_grid (arrays indexed [nu, theta]).
     """
     nu = np.asarray(nu_grid, dtype=float)
     th = np.asarray(theta_grid, dtype=float)
@@ -323,9 +303,16 @@ def convexity_check(gen: Generator, nu_grid, theta_grid) -> dict:
     Httt = gen.d(0, 3)(NU, TH)
     c1 = Htt - rho * Hntt
     c2 = rho * c1 - np.abs(rho * Hnt + Httt)
+    return c1, c2
+
+
+def convexity_check(gen: Generator, nu_grid, theta_grid) -> dict:
+    """Least `admissibility_margins` on a state grid, and whether both
+    conditions hold there to MARGIN_TOL."""
+    c1, c2 = admissibility_margins(gen, nu_grid, theta_grid)
     m1, m2 = float(c1.min()), float(c2.min())
     return {"margin_convexity": m1, "margin_cross": m2,
-            "admissible": bool(m1 >= -1e-12 and m2 >= -1e-12)}
+            "admissible": bool(m1 >= -MARGIN_TOL and m2 >= -MARGIN_TOL)}
 
 
 def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
@@ -341,10 +328,7 @@ def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
         nu_grid = np.geomspace(gen.nu_range[0] * 1.001,
                                gen.nu_range[1] * 0.999, 24)
     if theta_grid is None:
-        gen_th = gen.theta_range
-        lo = gen_th[0] if np.isfinite(gen_th[0]) else -1.0
-        hi = gen_th[1] if np.isfinite(gen_th[1]) else 1.0
-        theta_grid = np.linspace(lo, hi, 17)
+        theta_grid = np.linspace(-1.0, 1.0, 17)
 
     def fit(nu, th):
         NU, TH = np.meshgrid(nu, th, indexing="ij")

@@ -804,12 +804,15 @@ def verify_remainder_envelope(transform: KernelTransform,
 
 def verify_energy_inequality(transform: KernelTransform,
                              xis=(0.5, 3.0, 40.0)) -> dict:
-    """E(nu) = y'^2 + k'^2 xi^2 y^2 <= nu * int of forcing^2 along columns."""
+    """E(nu) = y'^2 + k'^2 xi^2 y^2 <= nu * int of forcing^2 along columns.
+
+    atol resolves |y| ~ 1e-17 at the regular grid's small nu, where the
+    ratio peaks, so the ratio is measured, not integrator error."""
     coeffs = transform.coeffs
     name = "ell" if transform.kind == "regular" else "ell2"
     lam = 2 if transform.kind == "regular" else 0
     xis = np.asarray(xis, dtype=float)
-    nu, y, yp = integrate_remainder(transform.kind, coeffs, xis)
+    nu, y, yp = integrate_remainder(transform.kind, coeffs, xis, atol=1e-22)
     kp = np.asarray(gc.kprime_of_nu(nu))[:, None]
     kv = np.asarray(gc.k_of_nu(nu))[:, None]
     E = yp ** 2 + (kp * xis) ** 2 * y ** 2

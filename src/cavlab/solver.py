@@ -41,6 +41,7 @@ iterate keeps its loads for a restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -81,6 +82,8 @@ class SolverConfig:
         eps = tuple(self.epsilons)
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon list must be strictly decreasing")
+        if not all(e > 0.0 for e in eps):
+            raise ValueError("viscosities must be positive")
 
     @property
     def rho_inf(self) -> float:
@@ -101,7 +104,8 @@ class SolverConfig:
 
 @dataclass
 class Solution:
-    """Converged nodal fields for one viscosity, plus derived states."""
+    """Converged nodal fields for one viscosity, plus derived states;
+    rho is inverted from sigma once, on first use."""
 
     epsilon: float
     sigma: np.ndarray
@@ -113,10 +117,12 @@ class Solution:
     projection_count: int
     config: SolverConfig
 
-    @property
+    @cached_property
     def rho(self) -> np.ndarray:
-        return np.asarray(gc.rho_of_sigma(np.clip(self.sigma, 0.0,
-                                                  gc.SIGMA_CR)))
+        rho = np.asarray(gc.rho_of_sigma(np.clip(self.sigma, 0.0,
+                                                 gc.SIGMA_CR)))
+        rho.flags.writeable = False  # one array serves every caller
+        return rho
 
     @property
     def q(self) -> np.ndarray:
@@ -130,10 +136,6 @@ class Solution:
     @property
     def W_plus(self) -> np.ndarray:
         return self.theta + np.asarray(gc.k_of_q(self.q))
-
-    @property
-    def nu(self) -> np.ndarray:
-        return np.asarray(gc.nu_of_rho(self.rho))
 
 
 def clipped_speed(rho):

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 import cavlab
 import cavlab.gaschart as gc
@@ -58,6 +62,76 @@ def test_entropy_check_writes_computed_margins(tmp_path):
         assert float(row["margin_cross"]) == ref["margin_cross"]
 
 
+def _entropy_rows_per_state(points):
+    """The rows `entropy check` wrote when it looped over the states,
+    each state a 1 x 1 grid and one scalar Loewner-Morawetz assembly."""
+    cfg = RunConfig()
+    chart = gc.GasChart(nu_star=cfg.kernel.nu_star)
+    nu_bar = gc.nu_of_rho(gc.rho_of_q(cfg.solver.q_inf))
+    gen = en.special_generator(chart, nu_bar)
+    pair = en.special_pair(chart, nu_bar)
+    rows = []
+    for nu in np.geomspace(1e-4, chart.nu_star * 0.99, points):
+        for th in np.linspace(-1.0, 1.0, points):
+            rho = gc.rho_of_nu(nu)
+            margins = en.convexity_check(gen, [nu], [th])
+            s = gc.StatePolar(rho=float(rho), theta=float(th))
+            hn = float(np.asarray(gen.H_nu(s.nu, s.theta)))
+            ht = float(np.asarray(gen.H_theta(s.nu, s.theta)))
+            q, ct, st = s.q, math.cos(s.theta), math.sin(s.theta)
+            q1 = s.rho * q * ct * hn - q * st * ht
+            q2 = s.rho * q * st * hn + q * ct * ht
+            p1, p2 = float(pair.Q1(rho, th)), float(pair.Q2(rho, th))
+            defect = max(abs(q1 - p1), abs(q2 - p2))
+            rows.append([cli._fmt(nu), cli._fmt(th),
+                         cli._fmt(margins["margin_convexity"]),
+                         cli._fmt(margins["margin_cross"]), defect])
+    return rows
+
+
+@pytest.mark.parametrize("points", [12, 40])
+def test_entropy_check_matches_per_state_loop(tmp_path, points):
+    out = tmp_path / "margins.csv"
+    assert cli.main(["entropy", "check", "--points", str(points),
+                     "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ref = _entropy_rows_per_state(points)
+    assert len(rows) == len(ref) == points * points
+    for row, want in zip(rows, ref):
+        assert row[:4] == want[:4]  # nu, theta and both margins, as text
+        assert float(row[4]) < 1e-9
+        assert abs(float(row[4]) - want[4]) <= 1e-14
+
+
+# (arguments, configuration text or None when the command reads none)
+OUT_OF_RANGE = {
+    "tables-nu-star-negative": (["tables", "--nu-star", "-1"], None),
+    "tables-nu-star-zero": (["tables", "--nu-star", "0"], None),
+    "kernel-build-nu-star": (["kernel", "build", "--kind", "regular",
+                              "--nu-star", "0.5"], None),
+    "config-nu-star": (["entropy", "check"], "kernel.nu_star = 0.5\n"),
+    "solve-epsilon-zero": (["solve", "--epsilon", "0"], ""),
+    "solve-epsilon-negative": (["solve", "--epsilon", "-0.1"], ""),
+    "config-epsilons": (["solve"], "solver.epsilons = 0.1, -0.1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, case):
+    argv, cfg_text = OUT_OF_RANGE[case]
+    if argv[0] != "solve":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    if cfg_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text + f"output.dir = {tmp_path / 'run'}\n")
+        argv = argv + ["--config", str(cfg)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "run").exists()
+
+
 def test_workers_option_is_gone(tmp_path):
     # kernel tables come from one vectorised integration; no pool to size
     cfg = tmp_path / "run.cfg"
@@ -94,24 +168,57 @@ def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
     assert err.startswith("bad kernel table: ") and "table.cavk" in err
 
 
-def test_sweep_then_report(tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    cfg = tmp_path / "small.cfg"
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """Run directory of `cavlab sweep` at h = 1/16, eps = 0.2, 0.1."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    run_dir = tmp / "run"
+    cfg = tmp / "small.cfg"
     cfg.write_text("geometry.h_mesh = 0.0625\n"
                    "solver.epsilons = 0.2, 0.1\n"
                    f"output.dir = {run_dir}\n")
     assert cli.main(["sweep", "--config", str(cfg)]) == 0
-    with open(run_dir / "report.json") as fh:
+    return run_dir
+
+
+def test_sweep_then_report(swept, capsys):
+    with open(swept / "report.json") as fh:
         trace_min = json.load(fh)["sweep"]["trace_min"]
     capsys.readouterr()
-    assert cli.main(["report", str(run_dir)]) == 0
+    assert cli.main(["report", str(swept)]) == 0
     out = capsys.readouterr().out
     assert "epsilons: [0.2, 0.1]" in out
     assert "eps=0.2:" in out and "eps=0.1:" in out
     assert f"obstacle trace min: {trace_min:.3g}" in out
-    with open(run_dir / "plotdata" / "sweep.csv", newline="") as fh:
+    with open(swept / "plotdata" / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["epsilon"]) for r in rows] == [0.2, 0.1]
+
+
+RECORD_KEYS = {"epsilon", "iterations", "final_residual", "projection_count",
+               "invariant_region", "dissipation_integral", "weak_residuals",
+               "entropy_defect_star", "entropy_defect_star_all",
+               "compactness_star", "obstacle_trace_min",
+               "special_identity_defect"}
+SWEEP_KEYS = {"dissipation_ratio", "D2_ratio", "D1_over_sqrt_eps", "D1_ratio",
+              "mass_fit", "curl_fit", "defect_star_fit", "trace_min",
+              "cauchy"}
+
+
+def test_report_keys(swept):
+    with open(swept / "report.json") as fh:
+        report = json.load(fh)
+    assert set(report) == {"config", "records", "sweep"}
+    for rec in report["records"]:
+        assert set(rec) == RECORD_KEYS
+    assert set(report["sweep"]) == SWEEP_KEYS
+
+
+def test_run_directory_layout(swept):
+    # no kernels/ directory: no command reads or writes kernel tables there
+    assert sorted(os.listdir(swept)) == [
+        "config.cfg", "fields_eps_0.1.csv", "fields_eps_0.2.csv",
+        "mesh.vtk", "plotdata", "report.json"]
 
 
 def test_save_fields_matches_csv_writer_text(tmp_path):

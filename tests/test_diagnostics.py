@@ -4,6 +4,7 @@ sqrt(eps) fits and the gates of RunReport.ok."""
 import numpy as np
 import pytest
 
+import cavlab.gaschart as gc
 from cavlab import diagnostics as dg
 from cavlab import meshing as mh
 from cavlab import solver as sv
@@ -112,3 +113,28 @@ def test_report_fails_with_any_one_gate(gate):
     report = _passing_report()
     GATE_FAILURES[gate](report)
     assert not report.ok
+
+
+def test_run_report_derives_each_state_once(mesh, monkeypatch):
+    # rho is inverted from sigma at most once per solution, and every
+    # cell-based diagnostic reads one set of cell states
+    cfg = sv.SolverConfig(epsilons=(0.2, 0.1))
+    solutions = sv.sweep(cfg, mesh)
+    calls = {"rho_of_sigma": 0, "cell_states": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(gc, "rho_of_sigma",
+                        counted("rho_of_sigma", gc.rho_of_sigma))
+    monkeypatch.setattr(dg, "cell_states",
+                        counted("cell_states", dg.cell_states))
+    report = dg.run_report(mesh, cfg, solutions)
+    assert len(report.records) == 2
+    assert calls == {"rho_of_sigma": 2, "cell_states": 2}
+    # the cached rho is the inversion of sigma, shared read-only
+    sol = solutions[-1]
+    assert np.array_equal(sol.rho, gc.rho_of_sigma(sol.sigma))
+    assert not sol.rho.flags.writeable

@@ -64,18 +64,41 @@ class TestSpecialGenerator:
             en.special_generator(gc.GasChart(), 1.0)
 
 
+def _counting(gen, calls):
+    """gen with every table entry counting its calls in calls[(i, j)]."""
+    def counted(key, fn):
+        def wrapped(nu, theta):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(nu, theta)
+        return wrapped
+    table = {key: counted(key, fn) for key, fn in gen.table.items()}
+    return en.Generator(table, gen.provenance, gen.nu_range)
+
+
 class TestLoewnerMorawetz:
     def test_special_pair_consistency(self, gen_star, pair_star):
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            q = rng.uniform(gc.Q_CR + 1e-3, 1 - 1e-3)
-            th = rng.uniform(-0.6, 0.6)
-            s = gc.StatePolar.from_speed(q, th)
-            q1, q2 = en.loewner_morawetz(gen_star, s)
-            assert q1 == pytest.approx(float(pair_star.Q1(s.rho, th)),
-                                       abs=1e-9)
-            assert q2 == pytest.approx(float(pair_star.Q2(s.rho, th)),
-                                       abs=1e-9)
+        q = rng.uniform(gc.Q_CR + 1e-3, 1 - 1e-3, 50)
+        th = rng.uniform(-0.6, 0.6, 50)
+        rho = np.asarray(gc.rho_of_q(q))
+        q1, q2 = en.loewner_morawetz(gen_star, rho, th)
+        assert np.abs(q1 - pair_star.Q1(rho, th)).max() <= 1e-9
+        assert np.abs(q2 - pair_star.Q2(rho, th)).max() <= 1e-9
+
+    def test_grid_against_special_pair_one_evaluation(self, gen_star,
+                                                      pair_star):
+        # a (nu x theta) grid by broadcasting; H_nu and H_theta are each
+        # evaluated once, on every state at once
+        calls = {}
+        gen = _counting(gen_star, calls)
+        rho = np.asarray(gc.rho_of_nu(np.geomspace(1e-6, 0.17, 9)))[:, None]
+        th = np.linspace(-0.8, 0.8, 7)
+        q1, q2 = en.loewner_morawetz(gen, rho, th)
+        assert q1.shape == q2.shape == (9, 7)
+        p1, p2 = pair_star(rho, th)
+        assert np.abs(q1 - p1).max() <= 1e-12
+        assert np.abs(q2 - p2).max() <= 1e-12
+        assert calls == {(1, 0): 1, (0, 1): 1}
 
     def test_special_pair_values(self, pair_star):
         q1, q2 = pair_star(RHO_INF, 0.0)
@@ -91,8 +114,8 @@ class TestLoewnerMorawetz:
         table[(0, 0)] = lambda nu, th: np.ones(
             np.broadcast_shapes(np.shape(nu), np.shape(th)))
         g = en.Generator(table, "const", (0.0, gc.NU_CR))
-        s = gc.StatePolar.from_speed(0.85, 0.4)
-        assert en.loewner_morawetz(g, s) == (0.0, 0.0)
+        q1, q2 = en.loewner_morawetz(g, gc.rho_of_q(0.85), 0.4)
+        assert q1 == 0.0 and q2 == 0.0
 
     def test_angle_generator(self, chart):
         # H = theta: Q = q e(theta + pi/2)
@@ -105,21 +128,36 @@ class TestLoewnerMorawetz:
             th, np.broadcast_shapes(np.shape(nu), np.shape(th))).copy()
         table[(0, 1)] = one
         g = en.Generator(table, "angle", (0.0, gc.NU_CR))
-        s = gc.StatePolar.from_speed(0.85, 0.4)
-        q1, q2 = en.loewner_morawetz(g, s)
+        q1, q2 = en.loewner_morawetz(g, gc.rho_of_q(0.85), 0.4)
         assert q1 == pytest.approx(-0.85 * math.sin(0.4), abs=1e-14)
         assert q2 == pytest.approx(0.85 * math.cos(0.4), abs=1e-14)
 
     def test_linearity(self, gen_star, chart):
         combo = en.Generator.combination([(2.0, gen_star), (-0.5, gen_star)])
-        s = gc.StatePolar.from_speed(0.88, -0.2)
-        q1a, q2a = en.loewner_morawetz(gen_star, s)
-        q1b, q2b = en.loewner_morawetz(combo, s)
+        rho = gc.rho_of_q(0.88)
+        q1a, q2a = en.loewner_morawetz(gen_star, rho, -0.2)
+        q1b, q2b = en.loewner_morawetz(combo, rho, -0.2)
         assert q1b == pytest.approx(1.5 * q1a, rel=1e-12)
         assert q2b == pytest.approx(1.5 * q2a, rel=1e-12)
 
 
 class TestConvexity:
+    def test_check_is_the_least_margin(self, gen_kernel):
+        nus = np.geomspace(1e-4, gen_kernel.nu_range[1] * 0.98, 5)
+        ths = np.linspace(-0.5, 0.5, 4)
+        c1, c2 = en.admissibility_margins(gen_kernel, nus, ths)
+        assert c1.shape == c2.shape == (5, 4)
+        rep = en.convexity_check(gen_kernel, nus, ths)
+        assert rep["margin_convexity"] == c1.min()
+        assert rep["margin_cross"] == c2.min()
+        # each state's margins are those of its own 1 x 1 grid
+        for i in (0, 4):
+            for j in (0, 3):
+                one = en.admissibility_margins(gen_kernel, nus[i:i + 1],
+                                               ths[j:j + 1])
+                assert one[0][0, 0] == pytest.approx(c1[i, j], rel=1e-12)
+                assert one[1][0, 0] == pytest.approx(c2[i, j], rel=1e-12)
+
     def test_special_margins(self, gen_star, chart):
         rep = en.convexity_check(gen_star,
                                  np.geomspace(1e-4, 0.08, 10),

@@ -226,6 +226,21 @@ class TestRemainderODE:
             rep = ke.verify_energy_inequality(tr)
             assert rep["pass"], rep
 
+    def test_energy_ratio_is_resolved(self, regular, singular, monkeypatch):
+        # the reported ratio is a measured value: it does not move when
+        # the remainder is integrated 100 times more tightly
+        loose = [ke.verify_energy_inequality(tr)["max_ratio"]
+                 for tr in (regular, singular)]
+        integrate = ke.integrate_remainder
+        monkeypatch.setattr(ke, "integrate_remainder",
+                            lambda *args, **kw: integrate(
+                                *args, **{**kw, "rtol": 1e-12}))
+        tight = [ke.verify_energy_inequality(tr)["max_ratio"]
+                 for tr in (regular, singular)]
+        assert tight == pytest.approx(loose, rel=1e-8, abs=0.0)
+        # the regular maximum sits where the remainder is ~1e-17
+        assert loose[0] == pytest.approx(0.93600945, abs=1e-8)
+
     def test_linearity(self, chart):
         # doubling the forcing doubles the remainder (integrator-level)
         coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
