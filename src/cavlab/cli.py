@@ -3,14 +3,15 @@
 Subcommands: tables, basis-check, kernel build|verify, entropy check,
 solve, sweep, check, report.  `sweep` and `check` share one loop over
 the configured viscosities, `solver.sweep`; a configuration file with an
-unknown or repeated key, or an argument outside its range, is a usage
-error.  Exit codes: 0 success, 1 check failure (including a solve that
-finds no fixed point), 2 usage/configuration error (including a
-malformed kernel table), 3 internal error (the traceback goes to
-stderr).  Reports are JSON with stable key order; tabular output is
-RFC-4180 CSV with a header row; field and mesh exports are legacy ASCII
-VTK.  All pipelines are deterministic, so identical configurations
-reproduce byte-identical reports.
+unknown or repeated key, an argument outside its range, or a sweep whose
+smallest viscosity is below h_mesh/2.5 is a usage error.  Exit codes:
+0 success, 1 check failure (including a solve that finds no fixed
+point), 2 usage/configuration error (including a malformed kernel
+table), 3 internal error (the traceback goes to stderr).  Reports are
+JSON with stable key order; tabular output is RFC-4180 CSV with a header
+row; field and mesh exports are legacy ASCII VTK.  All pipelines are
+deterministic, so identical configurations reproduce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -204,9 +205,27 @@ def cmd_entropy_check(args) -> int:
     return 0 if ok else CHECK_FAILED
 
 
+# the invariant-region verdict holds only at h/eps <= 2.5 (at h/eps = 5
+# it fails on every mesh tried), so sweeps go no finer in eps than this
+MAX_H_OVER_EPS = 2.5
+
+
+def _check_resolution(cfg: RunConfig) -> None:
+    """ConfigError unless the smallest viscosity is resolved by the mesh."""
+    h = cfg.geometry.h_mesh
+    eps_min = min(cfg.solver.epsilons)
+    if eps_min < h / MAX_H_OVER_EPS:
+        raise ConfigError(
+            f"smallest epsilon {eps_min:g} is below h_mesh/{MAX_H_OVER_EPS:g}"
+            f" = {h / MAX_H_OVER_EPS:g} (h_mesh = {h:g}); refine the mesh "
+            "or drop that epsilon")
+
+
 def _run_sweep(cfg: RunConfig):
     """Warm-started solutions of the configured sweep and their report:
-    (mesh, solutions, report, store), config.cfg and report.json saved."""
+    (mesh, solutions, report, store), config.cfg and report.json saved.
+    A sweep the mesh does not resolve is a configuration error."""
+    _check_resolution(cfg)
     from .diagnostics import run_report
     from .meshing import build_mesh
     from .solver import sweep

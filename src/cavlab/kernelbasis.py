@@ -14,6 +14,12 @@ catastrophically near x = 0 for the nonnegative orders, so evaluation
 switches to exact-rational Taylor series below |x| = 1/2.  First and
 second derivatives are hand-differentiated closed forms (never finite
 differences), with the same series switch.
+
+Every fhat is even in x, so fhat and fhat'' are series in x^2 and fhat'
+is x times one.  Only those nonzero coefficients are stored, and a
+series is evaluated from one table of the powers of x^2 per block of
+points: a few array operations per call, whatever the number of terms,
+and temporaries that stay O(number of points).
 """
 
 from __future__ import annotations
@@ -26,11 +32,20 @@ import numpy as np
 ORDERS = (-3, -2, -1, 0, 1, 2)
 
 _SERIES_CUT = 0.5
-_SERIES_TERMS = 18  # powers x^0..x^34; truncation < 1e-20 at the cut
+# each series keeps its 18 nonzero coefficients, of (x^2)^0..(x^2)^17:
+# powers x^0..x^34 (fhat, fhat'') or x^1..x^35 (fhat'); truncation
+# < 1e-20 at the cut
+_SERIES_TERMS = 18
+# points per power table: 4096 x 18 floats (576 KB)
+_SERIES_BLOCK = 4096
 
 
 def _trig_series(terms: int):
-    """Exact Taylor coefficient tables for all six fhat and derivatives."""
+    """Exact Taylor coefficients in x^2 of all six fhat and derivatives.
+
+    Returns {lam: (c0, c1, c2)}, lists of Fractions: fhat = sum c0[i]
+    x^(2i), fhat' = x sum c1[i] x^(2i) and fhat'' = sum c2[i] x^(2i).
+    """
     n = 2 * terms + 8
     sin = [Fraction(0)] * n
     cos = [Fraction(0)] * n
@@ -67,34 +82,48 @@ def _trig_series(terms: int):
 
     table = {}
     for lam, poly in f.items():
-        c0 = np.array([float(c) for c in poly[:2 * terms:1]])
-        c1 = np.array([float(poly[j + 1] * (j + 1))
-                       for j in range(2 * terms)])
-        c2 = np.array([float(poly[j + 2] * (j + 1) * (j + 2))
-                       for j in range(2 * terms)])
-        table[lam] = (c0, c1, c2)
+        # an even series: every odd power vanishes
+        assert all(c == 0 for c in poly[1::2])
+        table[lam] = ([poly[2 * i] for i in range(terms)],
+                      [poly[2 * i + 2] * (2 * i + 2) for i in range(terms)],
+                      [poly[2 * i + 2] * (2 * i + 1) * (2 * i + 2)
+                       for i in range(terms)])
     return table
 
 
-_SERIES = _trig_series(_SERIES_TERMS)
+_SERIES = {lam: tuple(np.array([float(c) for c in cs]) for cs in exact)
+           for lam, exact in _trig_series(_SERIES_TERMS).items()}
+_POWERS = np.arange(_SERIES_TERMS, dtype=float)
 
 
-def _polyval(coeffs, x):
-    acc = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
+def _series(coeffs, x, odd: bool):
+    """sum_i coeffs[i] x^(2i), times x if odd, on a 1-D array x.
+
+    Each block of points builds one table of the powers of x^2 and sums
+    each row of coeffs * powers; every value depends on its own point
+    only, whatever the block it falls in.
+    """
+    out = np.empty_like(x)
+    for start in range(0, x.size, _SERIES_BLOCK):
+        xb = x[start:start + _SERIES_BLOCK]
+        powers = np.power((xb * xb)[:, None], _POWERS)
+        powers *= coeffs
+        powers.sum(axis=1, out=out[start:start + xb.size])
+    if odd:
+        out *= x
+    return out
 
 
-def _eval_switch(xi, closed, series_coeffs):
+def _eval_switch(xi, closed, series_coeffs, odd=False):
     xi = np.asarray(xi, dtype=float)
     small = np.abs(xi) < _SERIES_CUT
+    n_small = np.count_nonzero(small)
     out = np.empty_like(xi)
-    if np.any(~small):
-        x = xi[~small]
-        out[~small] = closed(x)
-    if np.any(small):
-        out[small] = _polyval(series_coeffs, xi[small])
+    if n_small < small.size:
+        big = ~small
+        out[big] = closed(xi[big])
+    if n_small:
+        out[small] = _series(series_coeffs, xi[small], odd)
     return out if out.shape else float(out)
 
 
@@ -151,7 +180,7 @@ def fhat(lam: int, xi):
 def fhat_d1(lam: int, xi):
     """d/dxi of fhat, closed trig forms."""
     _check_order(lam)
-    return _eval_switch(xi, _CLOSED_D1[lam], _SERIES[lam][1])
+    return _eval_switch(xi, _CLOSED_D1[lam], _SERIES[lam][1], odd=True)
 
 
 def fhat_d2(lam: int, xi):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -353,14 +353,15 @@ def build_singular_coeffs(chart: gc.GasChart, nu_star: float | None = None,
 # ----------------------------------------------------------------------
 
 class _ChartSplines:
-    """Fast smooth interpolants of k, k'^2 and a forcing column in w = nu^(1/3)."""
+    """Fast smooth interpolants in w = nu^(1/3): k and k' as the two
+    columns of one spline on shared knots, and a forcing column."""
 
     def __init__(self, nu_star: float, forcing_nu, forcing_vals):
         w_hi = nu_star ** (1 / 3)
         w = np.linspace((1e-10 * nu_star) ** (1 / 3), w_hi, 1200)
         nu = w ** 3
-        self.k = CubicSpline(w, gc.k_of_nu(nu))
-        self.kp = CubicSpline(w, gc.kprime_of_nu(nu))
+        self.k_kp = CubicSpline(w, np.column_stack([gc.k_of_nu(nu),
+                                                    gc.kprime_of_nu(nu)]))
         self.forcing = CubicSpline(np.asarray(forcing_nu) ** (1 / 3),
                                    np.asarray(forcing_vals))
 
@@ -373,9 +374,9 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     forcing = ell(nu) fhat_2(xi k) (regular) or ell2(nu) fhat_0(xi k)
     (singular).  The columns share k, k' and the forcing profile, so they
     are integrated together as one stacked DOP853 state: each right-hand
-    side evaluates the splines once and the basis function once on the
-    whole vector xi k.  rtol and atol hold for each column, as in a solve
-    of its own.  Returns (nu_grid, y, y'), each solution of shape
+    side makes one spline evaluation for k and k', one for the forcing,
+    and evaluates the basis function once on the whole vector xi k.
+    rtol and atol hold for each column, as in a solve of its own.  Returns (nu_grid, y, y'), each solution of shape
     (n_nu,) + shape(xi).  Truncating the launch at nu_grid[0] is
     admissible because |y| = O(nu^(7/3)) there.
 
@@ -394,8 +395,7 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
 
     def rhs(nu, Y):
         w = nu ** (1 / 3)
-        k = splines.k(w)
-        kp = splines.kp(w)
+        k, kp = splines.k_kp(w)
         ell = splines.forcing(w)
         om2 = (kp * x) ** 2
         y = Y[:n]
@@ -489,33 +489,34 @@ class KernelTransform:
 
         Stored xi-derivative columns make the interpolation fourth order
         in the inter-column phase step; plain linear lookup leaks visible
-        mass outside the light cone after smoothing.
+        mass outside the light cone after smoothing.  The spline rows
+        come from the distinct nu, the column bracket and Hermite weights
+        from xi in its own shape; only the gathered values and their sum
+        take the broadcast shape.
         """
         val_spl, slope_spl = (self._rem_spl[1], self._rem_spl[3]) if deriv \
             else (self._rem_spl[0], self._rem_spl[2])
-        nu_b, xi_b = np.broadcast_arrays(np.asarray(nu, dtype=float),
-                                         np.asarray(xi, dtype=float))
-        shape = nu_b.shape
-        nu_flat = nu_b.ravel()
-        uniq, inv = np.unique(nu_flat, return_inverse=True)
+        nu = np.asarray(nu, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        uniq, inv = np.unique(nu, return_inverse=True)
+        inv = inv.reshape(nu.shape)
         loguniq = np.log(uniq)
         rows = val_spl(loguniq)   # (n_unique_nu, n_xi)
         drows = slope_spl(loguniq)
-        ax = np.abs(xi_b.ravel())
-        axc = np.clip(ax, self.xi_grid[0], self.xi_grid[-1])
-        j = np.clip(np.searchsorted(self.xi_grid, axc) - 1, 0,
-                    len(self.xi_grid) - 2)
-        x0, x1 = self.xi_grid[j], self.xi_grid[j + 1]
+        grid = self.xi_grid
+        ax = np.abs(xi)
+        axc = np.clip(ax, grid[0], grid[-1])
+        j = np.clip(np.searchsorted(grid, axc) - 1, 0, len(grid) - 2)
+        x0, x1 = grid[j], grid[j + 1]
         h = x1 - x0
         t = (axc - x0) / h
-        v0, v1 = rows[inv, j], rows[inv, j + 1]
-        d0, d1 = drows[inv, j] * h, drows[inv, j + 1] * h
         t2, t3 = t * t, t * t * t
-        vals = (2 * t3 - 3 * t2 + 1) * v0 + (t3 - 2 * t2 + t) * d0 \
-            + (-2 * t3 + 3 * t2) * v1 + (t3 - t2) * d1
+        vals = (2 * t3 - 3 * t2 + 1) * rows[inv, j]
+        vals += (t3 - 2 * t2 + t) * (drows[inv, j] * h)
+        vals += (-2 * t3 + 3 * t2) * rows[inv, j + 1]
+        vals += (t3 - t2) * (drows[inv, j + 1] * h)
         # beyond the stored band the remainder is negligible by its decay
-        vals = np.where(ax <= self.xi_grid[-1], vals, 0.0)
-        return vals.reshape(shape)
+        return np.where(ax <= grid[-1], vals, 0.0)
 
     def _check_domain(self, nu):
         nu = np.asarray(nu, dtype=float)
@@ -952,10 +953,23 @@ class GaussianSmoother:
 
 
 # Fourier quadrature of the smoothed kernels: composite Simpson on an odd
-# number of points, summed over xi for blocks of (nu, s) pairs so that
-# memory stays O(_PAIR_BLOCK * _N_XI) whatever the number of pairs.
+# number of points.  Pairs are taken in blocks of at most _VALUE_BLOCK
+# distinct nu; within a block the trig factor is evaluated for at most
+# _VALUE_BLOCK distinct s at a time and pairs are summed _PAIR_BLOCK at a
+# time, so memory stays O((2 _VALUE_BLOCK + 2 _PAIR_BLOCK) * _N_XI)
+# whatever the number of pairs.
 _N_XI = 4097
-_PAIR_BLOCK = 256
+_VALUE_BLOCK = 32
+_PAIR_BLOCK = 64
+
+
+def _id_blocks(ids, n_ids: int, size: int):
+    """Group positions by blocks of `size` consecutive ids in range(n_ids):
+    yields (first id of the block, positions of its ids in id order)."""
+    order = np.argsort(ids, kind="stable")
+    cuts = np.searchsorted(ids[order], np.arange(0, n_ids + size, size))
+    for first, lo, hi in zip(range(0, n_ids, size), cuts[:-1], cuts[1:]):
+        yield first, order[lo:hi]
 
 
 @dataclass
@@ -967,6 +981,17 @@ class SmoothedKernel:
     test function, so derivatives up to any order are exact images of
     the transform.  values holds H*phi on the (nu_grid, s_grid) tensor
     grid.
+
+    Cost model of convolved_pairs: Hhat (or Hhat_nu) is evaluated once
+    per distinct nu on the _N_XI quadrature nodes, and the trig factor
+    once per distinct s among the pairs of each block of _VALUE_BLOCK
+    distinct nu; a tensor grid with at most _VALUE_BLOCK nu values and
+    n_s s values costs n_nu transform rows, n_s trig rows and one
+    product-and-sum per pair.  The unweighted rows of the last block of
+    distinct nu are kept, one set for Hhat and one for Hhat_nu (at most
+    _VALUE_BLOCK rows each), for as long as this object lives: later calls
+    on the same nu, for any s-derivative order and any s, reuse them
+    until a call on other nu replaces them.
     """
 
     transform: KernelTransform
@@ -974,6 +999,21 @@ class SmoothedKernel:
     s_grid: np.ndarray
     nu_grid: np.ndarray
     values: np.ndarray        # H*phi on (nu, s)
+    # nu_deriv -> (quadrature nodes, distinct nu, unweighted rows)
+    _rows_kept: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def _rows(self, nu, xi, nu_deriv: int) -> np.ndarray:
+        """Hhat or Hhat_nu at the distinct nu (sorted) on the nodes xi."""
+        kept = self._rows_kept.get(nu_deriv)
+        if kept is not None and np.array_equal(kept[0], xi) \
+                and np.array_equal(kept[1], nu):
+            return kept[2]
+        tr = self.transform
+        transform = tr.Hhat_nu if nu_deriv else tr.Hhat
+        rows = transform(nu[:, None], xi[None, :])
+        self._rows_kept[nu_deriv] = (xi, nu, rows)
+        return rows
 
     def convolved_pairs(self, nu_flat, s_flat, s_deriv: int = 0,
                         nu_deriv: int = 0):
@@ -985,9 +1025,10 @@ class SmoothedKernel:
                 = (1/pi) int_0^inf Hhat(nu, xi) phi_hat(xi) xi^j
                   cos(s xi + j pi/2) dxi,
 
-        where cos(x + j pi/2) is one of cos, -sin, -cos, sin.  Pairs are
-        taken in blocks sorted by nu; each block evaluates Hhat once per
-        distinct nu it holds.
+        where cos(x + j pi/2) is one of cos, -sin, -cos, sin.  Each pair's
+        value is the sum over the xi nodes of trig(s xi) times the
+        weighted row of its nu; rows and trig factors are each evaluated
+        once per distinct nu and s (see the class docstring).
         """
         tr = self.transform
         xi_top = min(self.phi.xi_cutoff(), 2.0 * tr.xi_grid[-1])
@@ -999,19 +1040,22 @@ class SmoothedKernel:
         trig = np.sin if s_deriv % 2 else np.cos
         weight = simpson * self.phi.phi_hat(xi) * xi ** s_deriv \
             * (sign * (xi[1] - xi[0]) / (3.0 * np.pi))
-        transform = tr.Hhat_nu if nu_deriv else tr.Hhat
         nu_flat = np.asarray(nu_flat, dtype=float).ravel()
         s_flat = np.asarray(s_flat, dtype=float).ravel()
         out = np.empty(nu_flat.size)
-        order = np.argsort(nu_flat, kind="stable")
-        for start in range(0, nu_flat.size, _PAIR_BLOCK):
-            idx = order[start:start + _PAIR_BLOCK]
-            uniq, inv = np.unique(nu_flat[idx], return_inverse=True)
-            rows = transform(uniq[:, None], xi[None, :]) * weight
-            osc = np.multiply.outer(s_flat[idx], xi)
-            trig(osc, out=osc)
-            osc *= rows[inv]
-            out[idx] = osc.sum(axis=1)
+        nu_u, nu_inv = np.unique(nu_flat, return_inverse=True)
+        for first, idx in _id_blocks(nu_inv, nu_u.size, _VALUE_BLOCK):
+            rows = self._rows(nu_u[first:first + _VALUE_BLOCK], xi,
+                              nu_deriv) * weight
+            s_u, s_inv = np.unique(s_flat[idx], return_inverse=True)
+            for s0, sel in _id_blocks(s_inv, s_u.size, _VALUE_BLOCK):
+                osc_s = np.multiply.outer(s_u[s0:s0 + _VALUE_BLOCK], xi)
+                trig(osc_s, out=osc_s)
+                for p in range(0, sel.size, _PAIR_BLOCK):
+                    chunk = sel[p:p + _PAIR_BLOCK]
+                    osc = osc_s[s_inv[chunk] - s0]
+                    osc *= rows[nu_inv[idx[chunk]] - first]
+                    out[idx[chunk]] = osc.sum(axis=1)
         return out
 
     def on_grid(self, s_deriv: int = 0, nu_deriv: int = 0) -> np.ndarray:

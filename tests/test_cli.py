@@ -155,6 +155,42 @@ def test_check_on_small_config(tmp_path):
     assert [r["epsilon"] for r in report["records"]] == [0.2, 0.1, 0.05]
 
 
+@pytest.mark.parametrize("command", ("sweep", "check"))
+def test_unresolved_epsilon_is_a_usage_error(tmp_path, capsys, command):
+    # at h/eps = 5 the invariant-region verdict is meaningless
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("geometry.h_mesh = 0.0625\n"
+                   "solver.epsilons = 0.2, 0.0125\n"
+                   f"output.dir = {run_dir}\n")
+    assert cli.main([command, "--config", str(cfg)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "smallest epsilon 0.0125" in err and "h_mesh/2.5 = 0.025" in err
+    assert not run_dir.exists()
+
+
+def test_epsilon_at_h_over_2_5_is_accepted(tmp_path):
+    # the default sits exactly on the bound (h = 1/32, eps down to 0.0125)
+    cfg = RunConfig()
+    assert min(cfg.solver.epsilons) == cfg.geometry.h_mesh / cli.MAX_H_OVER_EPS
+    cli._check_resolution(cfg)
+    # so are the benchmark's sweep-default and fine-mesh sweeps
+    for h, eps in ((1 / 32, (0.2, 0.1, 0.05, 0.025)), (1 / 96, (0.2,))):
+        cli._check_resolution(RunConfig(
+            geometry=mh.DomainSpec(h_mesh=h),
+            solver=sv.SolverConfig(epsilons=eps)))
+    run_dir = tmp_path / "run"
+    path = tmp_path / "edge.cfg"
+    path.write_text("geometry.h_mesh = 0.125\n"
+                    "solver.epsilons = 0.2, 0.05\n"
+                    f"output.dir = {run_dir}\n")
+    assert cli.main(["check", "--config", str(path)]) in (0, cli.CHECK_FAILED)
+    with open(run_dir / "report.json") as fh:
+        report = json.load(fh)
+    assert [r["epsilon"] for r in report["records"]] == [0.2, 0.05]
+
+
 def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
     # a truncated table is a usage error with a one-line message, not an
     # internal error with a traceback

@@ -1,6 +1,7 @@
 """Basis-function table: values, derivatives, recurrences, transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,75 @@ def test_dispatch_matches_highprec_across_cut():
             for x in [1e-5, 0.25, 0.4999, 0.5001, 1.0, 3.0, 25.0]:
                 assert kb.fhat(lam, x) == pytest.approx(
                     exact(lam, x), rel=1e-11, abs=1e-12), (lam, x)
+
+
+def _closed_mp(lam, x):
+    """fhat_lam at an mpmath number x, from its closed trig form."""
+    import mpmath as mp
+    s, c = mp.sin(x), mp.cos(x)
+    return {
+        0: 2 * s / x,
+        1: 4 * (s / x - c) / x ** 2,
+        2: 16 * (3 * s / x ** 2 - 3 * c / x - s) / x ** 3,
+        -1: c,
+        -2: (x * s + c) / 2,
+        -3: (3 * c + 3 * x * s - x * x * c) / 8,
+    }[lam]
+
+
+SERIES_POINTS = np.concatenate([
+    [0.0, 1e-300, 1e-8, 1e-3, 0.49999999999999994, -0.49999999999999994],
+    np.linspace(-0.4999, 0.4999, 61)])
+
+
+def test_series_match_exact_rational_series():
+    # below the cut fhat, fhat' and fhat'' are the exact rational series
+    # summed at 50 digits, to a few ulp of the sum of |terms|
+    import mpmath as mp
+    exact = kb._trig_series(kb._SERIES_TERMS)
+    eps = np.finfo(float).eps
+    with mp.workdps(50):
+        for lam in kb.ORDERS:
+            for d, fn in enumerate((kb.fhat, kb.fhat_d1, kb.fhat_d2)):
+                got = fn(lam, SERIES_POINTS)
+                for x, g in zip(SERIES_POINTS, got):
+                    X = mp.mpf(float(x))
+                    terms = [mp.mpf(c.numerator) / c.denominator
+                             * X ** (2 * i + (d == 1))
+                             for i, c in enumerate(exact[lam][d])]
+                    scale = mp.fsum(abs(t) for t in terms)
+                    err = abs(mp.mpf(float(g)) - mp.fsum(terms))
+                    assert err <= 4 * eps * scale, (lam, d, x)
+            # the truncated series is the function itself at the cut
+            for d in range(3):
+                x = mp.mpf(0.5)
+                terms = [mp.mpf(c.numerator) / c.denominator
+                         * x ** (2 * i + (d == 1))
+                         for i, c in enumerate(exact[lam][d])]
+                ref = mp.diff(lambda t: _closed_mp(lam, t), x, d)
+                assert abs(mp.fsum(terms) - ref) < 1e-20, (lam, d)
+
+
+def test_series_values_depend_on_own_point_only():
+    # the power tables come in blocks; no value depends on the others
+    x = np.linspace(-0.49, 0.49, 9001)
+    for lam in kb.ORDERS:
+        for fn in (kb.fhat, kb.fhat_d1, kb.fhat_d2):
+            whole = fn(lam, x)
+            assert np.array_equal(whole[4090:4100], fn(lam, x[4090:4100]))
+            assert whole[4096] == fn(lam, x[4096])
+
+
+def test_series_memory_is_per_block():
+    # one power table for every point would hold 10^6 x 18 floats (144 MB)
+    x = np.linspace(-0.49, 0.49, 10 ** 6)
+    tracemalloc.start()
+    try:
+        kb.fhat(0, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes * kb._SERIES_TERMS / 4
 
 
 def test_evenness():

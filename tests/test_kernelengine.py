@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import cavlab.gaschart as gc
+from cavlab import entropy as en
 from cavlab import kernelbasis as kb
 from cavlab import kernelengine as ke
 from cavlab._frozen import C_FLAT, C_L
@@ -387,6 +388,23 @@ class TestAssembledKernels:
             tracemalloc.stop()
         assert peak < row_per_pair / 4
 
+    @pytest.mark.parametrize("name", ("Hhat", "Hhat_nu"))
+    def test_hhat_temporaries_scale_with_output(self, regular, singular,
+                                                name):
+        # the remainder lookup works on nu's and xi's own shapes, so a
+        # row-shaped call holds a few arrays of the output's size at once
+        nus = np.geomspace(regular.nu_min * 2, regular.nu_star, 23)
+        xis = np.linspace(0.0, 300.0, 4097)
+        for tr in (regular, singular):
+            fn = getattr(tr, name)
+            tracemalloc.start()
+            try:
+                out = fn(nus[:, None], xis[None, :])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * out.nbytes
+
     def test_domain_error(self, regular):
         with pytest.raises(ValueError):
             regular.Hhat(regular.nu_star * 2.0, 1.0)
@@ -501,3 +519,85 @@ class TestSmoothing:
         for key, val in rep.items():
             assert np.isfinite(val), key
         assert rep["huygens_leakage"] < 1e-6
+
+
+def _per_pair_reference(sk, nu_flat, s_flat, s_deriv=0, nu_deriv=0):
+    """The quadrature as a per-pair block loop: blocks of 256 pairs sorted
+    by nu, Hhat rows for the distinct nu of each block, and cos/sin of
+    every (pair, xi) product."""
+    tr = sk.transform
+    xi_top = min(sk.phi.xi_cutoff(), 2.0 * tr.xi_grid[-1])
+    xi = np.linspace(0.0, xi_top, ke._N_XI)
+    simpson = np.full(ke._N_XI, 2.0)
+    simpson[1::2] = 4.0
+    simpson[0] = simpson[-1] = 1.0
+    sign = (1.0, -1.0, -1.0, 1.0)[s_deriv % 4]
+    trig = np.sin if s_deriv % 2 else np.cos
+    weight = simpson * sk.phi.phi_hat(xi) * xi ** s_deriv \
+        * (sign * (xi[1] - xi[0]) / (3.0 * np.pi))
+    transform = tr.Hhat_nu if nu_deriv else tr.Hhat
+    nu_flat = np.asarray(nu_flat, dtype=float).ravel()
+    s_flat = np.asarray(s_flat, dtype=float).ravel()
+    out = np.empty(nu_flat.size)
+    order = np.argsort(nu_flat, kind="stable")
+    for start in range(0, nu_flat.size, 256):
+        idx = order[start:start + 256]
+        uniq, inv = np.unique(nu_flat[idx], return_inverse=True)
+        rows = transform(uniq[:, None], xi[None, :]) * weight
+        osc = np.multiply.outer(s_flat[idx], xi)
+        trig(osc, out=osc)
+        osc *= rows[inv]
+        out[idx] = osc.sum(axis=1)
+    return out
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("kind", ("regular", "singular"))
+    def test_equals_per_pair_loop(self, request, kind):
+        # rows once per distinct nu and trig once per distinct s leave each
+        # pair's arithmetic as it was: trig(s xi) times the weighted row,
+        # summed over xi; the values are equal bit for bit
+        tr = request.getfixturevalue(kind)
+        k_star = gc.k_of_nu(tr.nu_star)
+        sk = ke.smooth_kernel(tr, s_grid=np.linspace(-1.5, 1.5, 13) * k_star,
+                              nu_grid=np.geomspace(tr.nu_min * 10,
+                                                   tr.nu_star, 4))
+        NU, S = np.meshgrid(sk.nu_grid, sk.s_grid, indexing="ij")
+        rng = np.random.default_rng(5)
+        # more distinct nu and s than _VALUE_BLOCK, with repeats, one
+        # pair given twice, and unsorted
+        nu_set = np.geomspace(tr.nu_min * 2, tr.nu_star, 40)
+        s_set = np.linspace(-2.0, 2.0, 45) * k_star
+        nu_sc = rng.choice(nu_set, 150)
+        s_sc = rng.choice(s_set, 150)
+        nu_sc[7], s_sc[7] = nu_sc[3], s_sc[3]
+        cases = [(NU, S), (nu_sc, s_sc), (NU[1:2, 5:6], S[1:2, 5:6])]
+        for nu_deriv in (0, 1):
+            for j in range(5):
+                assert np.array_equal(
+                    sk.on_grid(j, nu_deriv),
+                    _per_pair_reference(sk, NU, S, j,
+                                        nu_deriv).reshape(NU.shape))
+                for nu, s in cases:
+                    got = sk.convolved_pairs(nu, s, j, nu_deriv)
+                    ref = _per_pair_reference(sk, nu, s, j, nu_deriv)
+                    assert np.array_equal(got, ref), (j, nu_deriv, nu.size)
+
+    def test_rows_once_per_nu_set(self, regular, singular, monkeypatch):
+        # compactness_bounds_check fits on a grid and on its refinement;
+        # every derivative grid of one fit reuses the kernel's rows
+        calls = []
+        for name in ("Hhat", "Hhat_nu"):
+            def counted(self, nu, xi, _fn=getattr(ke.KernelTransform, name),
+                        _name=name):
+                calls.append((_name, self.kind, np.size(nu)))
+                return _fn(self, nu, xi)
+            monkeypatch.setattr(ke.KernelTransform, name, counted)
+        gen = en.kernel_generator(regular, singular, 0.5, 0.5)
+        lo, hi = gen.nu_range
+        en.compactness_bounds_check(gen, gc.GasChart(),
+                                    np.geomspace(lo * 1.001, hi * 0.999, 6),
+                                    np.linspace(-1.0, 1.0, 5))
+        assert sorted(calls) == sorted(
+            (name, kind, n) for name in ("Hhat", "Hhat_nu")
+            for kind in ("regular", "singular") for n in (6, 11))
