@@ -234,10 +234,10 @@ def loewner_morawetz(gen: Generator, rho, theta):
 def kernel_generator(regular: KernelTransform | None = None,
                      singular: KernelTransform | None = None,
                      weight_regular: float = 1.0,
-                     weight_singular: float = 1.0,
-                     smoothing_width: float | None = None,
-                     nu_min: float | None = None) -> Generator:
-    """Generator H = w1 Hr*phi + w2 Hs*phi for a Gaussian test function.
+                     weight_singular: float = 1.0) -> Generator:
+    """Generator H = w1 Hr*phi + w2 Hs*phi for a Gaussian test function
+    of width k(nu_star)/6, nu_star that of the first kernel of nonzero
+    weight.
 
     Every derivative d^i/dnu^i d^j/dtheta^j (i <= 1, j <= 4) is one call
     of SmoothedKernel.convolved_pairs per kernel on the flattened
@@ -250,7 +250,7 @@ def kernel_generator(regular: KernelTransform | None = None,
     # only by the processes that read kernel tables
     from .kernelengine import GaussianSmoother, SmoothedKernel
     pieces = []
-    nu_star = None
+    nu_star = smoothing_width = None
     for w, tr in ((weight_regular, regular), (weight_singular, singular)):
         if tr is not None and w != 0.0:
             if smoothing_width is None:
@@ -263,8 +263,6 @@ def kernel_generator(regular: KernelTransform | None = None,
     if not pieces:
         raise ValueError("at least one kernel transform is required")
     lo = max(p[1].transform.nu_min for p in pieces)
-    if nu_min is not None:
-        lo = max(lo, nu_min)
 
     def make(i, j):
         def fn(nu, theta):

@@ -21,10 +21,13 @@ data at the vacuum, forcing ell(nu) fhat_2(xi k) (regular) or
 ell2(nu) fhat_0(xi k) (singular).
 
 Evaluating the coefficient combinations near nu = 0 in closed form loses
-all digits (they are small residues of nu^(-1)-size terms), so every
-coefficient function is computed from cube-root series below the switch
-point and from Taylor-jet arithmetic on the closed forms above it; the
-two branches agree to ~1e-11 in the overlap.
+all digits (they are small residues of nu^(-1)-size terms).  So each
+kind's chain of formulas (regular_chain, singular_chain) is written once
+and evaluated in two truncated-series arithmetics: as cube-root series
+below the switch point and as Taylor jets of the closed forms above it.
+Just above the switch the two agree to <= 2e-12 for alpha0, alpha1 and
+beta0.  The beta2 chain departs by up to 7.7e-8 (beta2'' at nu = 2.2e-3),
+because the jets read J between grid nodes through a cubic spline.
 
 The jet branch is evaluated on whole node arrays at once: a TaylorJet
 keeps its Taylor coefficients on the last axis of ``c`` and one base
@@ -38,6 +41,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -45,8 +49,8 @@ from scipy.interpolate import CubicSpline
 
 from . import gaschart as gc
 from . import kernelbasis as kb
-from .vacuum import (NU_SERIES_SWITCH, CubeRootSeries, TaylorJet,
-                     characteristic_series, speed_coefficient_jets)
+from .vacuum import (NU_SERIES_SWITCH, characteristic_series,
+                     speed_coefficient_jets)
 
 C0_PAPER = 3.0 ** 0.5 / 4.0 * 3.0 ** (-0.5)  # sqrt(3)/4 * c_sharp^(-3/2)
 D0_PAPER = 3.0 ** (-0.5) * 3.0 ** 0.5        # 3^(-1/2) * c_sharp^(3/2)
@@ -55,6 +59,9 @@ D0_PAPER = 3.0 ** (-0.5) * 3.0 ** 0.5        # 3^(-1/2) * c_sharp^(3/2)
 D0_CALIBRATED = 2.0 * D0_PAPER
 
 _JET_ORDER = 10
+# jet order of the pass on the Gauss nodes: the integrands' values need
+# at most three derivatives of k', and order 4 leaves every jet nonempty
+_NODE_ORDER = 4
 _GAUSS_NODES = 16
 
 
@@ -86,217 +93,159 @@ class GridSpec:
 
 
 # ----------------------------------------------------------------------
-# Coefficient evaluation: series branch + jet branch
+# Coefficient chains: one formula per function, in either arithmetic
 # ----------------------------------------------------------------------
+
+def _ell(b, k, kp, kpp):
+    """The ell operator  b'' k^2 + 6 b' k' k + 6 b k'^2 + 3 b k'' k."""
+    bp = b.dnu()
+    return (bp.dnu() * k * k + 6.0 * (bp * kp * k) + 6.0 * (b * kp * kp)
+            + 3.0 * (b * kpp * k))
+
+
+def regular_chain(c0, k, kp, integral) -> dict:
+    """alpha0, alpha0'', I, alpha1 and ell from k and k'.
+
+    k and k' are CubeRootSeries or TaylorJets, and so is every result;
+    integral(name, integrand) returns int_0^nu of the integrand in the
+    same arithmetic.
+    """
+    inv_sqrt_kp = kp.power(-0.5)
+    alpha0 = c0 * (k * k * inv_sqrt_kp)
+    alpha0pp = alpha0.dnu().dnu()
+    I = integral("I", k.power(-2.0) * inv_sqrt_kp * alpha0pp)
+    alpha1 = -0.125 * (k * k * k * inv_sqrt_kp) * I
+    ell = -1.0 * (alpha1.dnu().dnu() + 1.25 * alpha0pp)
+    return {"alpha0": alpha0, "alpha0pp": alpha0pp, "I": I,
+            "alpha1": alpha1, "ell": ell}
+
+
+def singular_chain(d0, k, kp, integral) -> dict:
+    """beta0, beta0'', J, beta1, ell1, K, beta2 and ell2 from k and k';
+    arithmetic and integral as in regular_chain."""
+    inv_sqrt_kp = kp.power(-0.5)
+    kpp = kp.dnu()
+    beta0 = d0 * (k.power(-1.0) * inv_sqrt_kp)
+    beta0pp = beta0.dnu().dnu()
+    J = integral("J", beta0pp * k * inv_sqrt_kp)
+    beta1 = 0.25 * (k.power(-2.0) * inv_sqrt_kp) * J
+    ell1 = _ell(beta1, k, kp, kpp)
+    K = integral("K", ell1 * inv_sqrt_kp)
+    beta2 = -0.25 * (k.power(-3.0) * inv_sqrt_kp) * K
+    ell2 = -1.0 * (k * k) * _ell(beta2, k, kp, kpp)
+    return {"beta0": beta0, "beta0pp": beta0pp, "J": J, "beta1": beta1,
+            "ell1": ell1, "K": K, "beta2": beta2, "ell2": ell2}
+
+
+class _Kind(NamedTuple):
+    chain: Callable
+    columns: tuple   # (name, n): the value and its first n-1 derivatives
+    forcing: tuple   # (column, fhat index) of the remainder ODE
+
+
+KINDS = {
+    "regular": _Kind(regular_chain, (("alpha0", 3), ("alpha1", 3), ("ell", 2)),
+                     ("ell", 2)),
+    "singular": _Kind(singular_chain, (("beta0", 3), ("beta1", 3),
+                                       ("beta2", 3), ("ell1", 1), ("ell2", 2)),
+                      ("ell2", 0)),
+}
+
+
+def _kind(kind: str) -> _Kind:
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"kind must be 'regular' or 'singular', not {kind!r}") from None
+
 
 class CoefficientModel:
     """Evaluates all kernel coefficient functions and their nu-derivatives.
 
-    Below the series switch everything comes from CubeRootSeries built on
-    the frozen k-series (cancellation-free); above it from Taylor jets of
-    the closed forms, with the quadrature coefficients integrated from the
-    switch point (the series supply the lower part exactly).  Every stage
-    acts on a whole array of nodes: one chart solve and one batch of jets
-    per array, never one per node.
+    Each kind's chain (regular_chain, singular_chain) is written once and
+    evaluated in two arithmetics.  Below the series switch the columns
+    come from cube-root series: the chain on the frozen k-series with
+    exact term-by-term integrals (cancellation-free).  Above it they come
+    from Taylor jets of the same chain at the grid nodes, whose integrals
+    start from the series' values at the switch and add Gauss panels.
+    Every stage acts on a whole array of nodes: one chart solve and one
+    batch of jets per array, never one per node.
     """
 
     def __init__(self, chart: gc.GasChart, c0: float = C0_PAPER,
                  d0: float = D0_CALIBRATED):
         self.chart = chart
-        self.c0 = c0
-        self.d0 = d0
+        self.normalization = {"regular": c0, "singular": d0}
         k, _rho = characteristic_series()
         kp = k.dnu()
-        kpp = kp.dnu()
-        inv_sqrt_kp = kp.power(-0.5)
-        s: dict[str, CubeRootSeries] = {"k": k, "kp": kp, "kpp": kpp}
-        s["alpha0"] = c0 * (k * k * inv_sqrt_kp)
-        a0pp = s["alpha0"].dnu().dnu()
-        s["alpha0pp"] = a0pp
-        s["I"] = (k.power(-2.0) * inv_sqrt_kp * a0pp).integrate0()
-        s["alpha1"] = -0.125 * (k * k * k * inv_sqrt_kp) * s["I"]
-        s["ell"] = -1.0 * (s["alpha1"].dnu().dnu() + 1.25 * a0pp)
-        s["beta0"] = d0 * (k.power(-1.0) * inv_sqrt_kp)
-        b0pp = s["beta0"].dnu().dnu()
-        s["beta0pp"] = b0pp
-        s["J"] = (b0pp * k * inv_sqrt_kp).integrate0()
-        s["beta1"] = 0.25 * (k.power(-2.0) * inv_sqrt_kp) * s["J"]
-        b1, b1p, b1pp = s["beta1"], s["beta1"].dnu(), s["beta1"].dnu().dnu()
-        s["ell1"] = (b1pp * k * k + 6.0 * (b1p * kp * k)
-                     + 6.0 * (b1 * kp * kp) + 3.0 * (b1 * kpp * k))
-        s["K"] = (s["ell1"] * inv_sqrt_kp).integrate0()
-        s["beta2"] = -0.25 * (k.power(-3.0) * inv_sqrt_kp) * s["K"]
-        b2, b2p, b2pp = s["beta2"], s["beta2"].dnu(), s["beta2"].dnu().dnu()
-        s["ell2"] = -1.0 * (k * k) * (b2pp * k * k + 6.0 * (b2p * kp * k)
-                                      + 6.0 * (b2 * kp * kp)
-                                      + 3.0 * (b2 * kpp * k))
-        s["alpha0p"] = s["alpha0"].dnu()
-        s["alpha1p"] = s["alpha1"].dnu()
-        s["ellp"] = s["ell"].dnu()
-        s["beta0p"] = s["beta0"].dnu()
-        s["beta1p"] = b1p
-        s["beta2p"] = b2p
-        s["ell2p"] = s["ell2"].dnu()
+        s = {"k": k, "kp": kp, "kpp": kp.dnu()}
+        for kind, spec in KINDS.items():
+            s.update(spec.chain(self.normalization[kind], k, kp,
+                                lambda _name, f: f.integrate0()))
+            s.update({name + "p": s[name].dnu()
+                      for name, n in spec.columns if n > 1})
         self.series = {name: ser.compact() for name, ser in s.items()}
         self._nu_switch = min(NU_SERIES_SWITCH, 0.9 * chart.nu_star)
-        self._I0 = float(s["I"](self._nu_switch))
-        self._J0 = float(s["J"](self._nu_switch))
-        self._K0 = float(s["K"](self._nu_switch))
+        self._start = {name: float(s[name](self._nu_switch))
+                       for name in ("I", "J", "K")}
 
-    # ---- jet building blocks (arrays of nodes above the switch) --------
+    def _jets(self, kind: str, nu) -> dict:
+        """The chain's jets at the nodes nu (ascending, above the switch).
 
-    def _chart_jets(self, nu, order: int = _JET_ORDER):
-        rho0 = gc.rho_of_nu(nu)
-        k0 = gc.k_of_nu(nu)
-        kjet, kpjet, _ = speed_coefficient_jets(rho0, k0, order)
-        return kjet, kpjet
-
-    @staticmethod
-    def _integral_jet(value, integrand: TaylorJet) -> TaylorJet:
-        """Jet of int integrand, given its value at the base points."""
-        n = integrand.order + 1
-        c = np.empty(integrand.c.shape[:-1] + (n + 1,))
-        c[..., 0] = value
-        c[..., 1:] = integrand.c / np.arange(1, n + 1)
-        return TaylorJet(c)
-
-    def _alpha_jets(self, nu, I_val):
-        kj, kpj = self._chart_jets(nu)
-        isq = kpj.power(-0.5)
-        a0 = self.c0 * (kj * kj * isq)
-        a0pp = a0.shift(2)
-        I = self._integral_jet(I_val, (kj * kj).power(-1.0) * isq * a0pp)
-        a1 = -0.125 * (kj * kj * kj * isq) * I
-        return a0, a1, a0pp
-
-    def _beta_jets(self, nu, J_val, K_val):
-        kj, kpj = self._chart_jets(nu)
-        isq = kpj.power(-0.5)
-        b0 = self.d0 * (kj.power(-1.0) * isq)
-        b0pp = b0.shift(2)
-        J = self._integral_jet(J_val, b0pp * kj * isq)
-        b1 = 0.25 * (kj * kj).power(-1.0) * isq * J
-        b1p, b1pp = b1.shift(1), b1.shift(2)
-        kpj_full = kj.shift(1)
-        kppj = kj.shift(2)
-        ell1 = (b1pp * kj * kj + 6.0 * (b1p * kpj_full * kj)
-                + 6.0 * (b1 * kpj_full * kpj_full) + 3.0 * (b1 * kppj * kj))
-        K = self._integral_jet(K_val, ell1 * isq)
-        b2 = -0.25 * (kj * kj * kj).power(-1.0) * isq * K
-        return b0, b1, b2, ell1, kj
-
-    def _split(self, nu, series_name: str, upper_values):
-        """Series below the switch, upper_values(nu[upper]) above it."""
-        nu = np.asarray(nu, dtype=float)
-        out = np.empty_like(nu)
-        small = nu < self._nu_switch
-        out[small] = self.series[series_name](nu[small])
-        out[~small] = upper_values(nu[~small])
-        return out
-
-    # ---- quadrature integrands -----------------------------------------
-
-    def _alpha0pp_pointwise(self, nu):
-        def jets(x):
-            kj, kpj = self._chart_jets(x, order=4)
-            return (self.c0 * (kj * kj * kpj.power(-0.5))).derivative(2)
-        return self._split(nu, "alpha0pp", jets)
-
-    def _beta0pp_pointwise(self, nu):
-        def jets(x):
-            kj, kpj = self._chart_jets(x, order=4)
-            b0 = self.d0 * (kj.power(-1.0) * kpj.power(-0.5))
-            return b0.derivative(2)
-        return self._split(nu, "beta0pp", jets)
-
-    def _I_integrand(self, nu):
-        k = np.asarray(gc.k_of_nu(nu))
-        kp = np.asarray(gc.kprime_of_nu(nu))
-        return k ** -2.0 * kp ** -0.5 * self._alpha0pp_pointwise(nu)
-
-    def _cumulative(self, nu_grid, integrand, start_value):
-        """start_value at the switch + cumulative Gauss panels on the grid.
-
-        All panels [switch, nu_0], [nu_0, nu_1], ... of the grid nodes at
-        or above the switch are integrated by one integrand call on the
-        stacked Gauss nodes; zero below the switch.
+        A first pass at order _NODE_ORDER runs on the Gauss nodes of the
+        panels [switch, nu_0], [nu_0, nu_1], ...: each integral sums its
+        integrand's node values from the series value at the switch.
+        Between the nodes it is a cubic spline in w = nu^(1/3) through
+        those sums, which the chain's later integrands read (ell1 reads
+        J).  The second pass, at _JET_ORDER on nu, takes the sums as the
+        integrals' values.
         """
-        upper = nu_grid >= self._nu_switch
-        ends = nu_grid[upper]
-        starts = np.concatenate([[self._nu_switch], ends[:-1]])
-        mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
+        chain, norm = KINDS[kind].chain, self.normalization[kind]
+        starts = np.concatenate([[self._nu_switch], nu[:-1]])
+        mid, half = 0.5 * (starts + nu), 0.5 * (nu - starts)
         x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
         nodes = mid[:, None] + half[:, None] * x
-        f = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
-        panels = half * np.sum(w * f, axis=1)
-        vals = np.zeros_like(nu_grid)
-        vals[upper] = np.cumsum(np.concatenate([[start_value], panels]))[1:]
-        return vals
+        w_knots, keep = np.unique(
+            np.concatenate([[self._nu_switch], nu]) ** (1 / 3),
+            return_index=True)
+        sums = {}
 
-    def _rows(self, nu_grid, jets):
-        """Columns name, name+'p', name+'pp' (as many as each jet gives):
-        one evaluation of each series below the switch, the jets'
-        derivatives above it."""
+        def on_nodes(name, integrand):
+            panels = half * np.sum(w * integrand.c[..., 0], axis=1)
+            vals = np.cumsum(np.concatenate([[self._start[name]], panels]))
+            sums[name] = vals[1:]
+            spline = CubicSpline(w_knots, vals[keep])
+            return integrand.integral(spline(nodes ** (1 / 3)))
+
+        def chart_jets(at, order):
+            k, kp, _ = speed_coefficient_jets(gc.rho_of_nu(at),
+                                              gc.k_of_nu(at), order)
+            return k, kp
+
+        chain(norm, *chart_jets(nodes, _NODE_ORDER), on_nodes)
+        return chain(norm, *chart_jets(nu, _JET_ORDER),
+                     lambda name, f: f.integral(sums[name]))
+
+    def rows(self, kind: str, nu_grid: np.ndarray) -> dict:
+        """The columns of kind's table on an ascending nu grid: each
+        tabulated function and its first one or two derivatives, from the
+        series below the switch and from the jets above it."""
+        spec = _kind(kind)
+        nu_grid = np.asarray(nu_grid, dtype=float)
         upper = nu_grid >= self._nu_switch
+        jets = self._jets(kind, nu_grid[upper]) if upper.any() else {}
         cols = {}
-        for name, jet, n in jets:
+        for name, n in spec.columns:
             for j, suffix in enumerate(("", "p", "pp")[:n]):
                 ser = (self.series[name].dnu().dnu() if j == 2
                        else self.series[name + suffix])
                 col = np.empty_like(nu_grid)
                 col[~upper] = ser(nu_grid[~upper])
-                col[upper] = jet.derivative(j)
+                if jets:
+                    col[upper] = jets[name].derivative(j)
                 cols[name + suffix] = col
         return cols
-
-    # ---- public rows ----------------------------------------------------
-
-    def regular_rows(self, nu_grid: np.ndarray) -> dict:
-        """Coefficient table columns on an ascending nu grid."""
-        nu_grid = np.asarray(nu_grid, dtype=float)
-        upper = nu_grid >= self._nu_switch
-        Ivals = self._cumulative(nu_grid, self._I_integrand, self._I0)
-        a0, a1, a0pp = self._alpha_jets(nu_grid[upper], Ivals[upper])
-        ell = -(a1.shift(2) + 1.25 * a0pp)
-        return self._rows(nu_grid, (("alpha0", a0, 3), ("alpha1", a1, 3),
-                                    ("ell", ell, 2)))
-
-    def singular_rows(self, nu_grid: np.ndarray) -> dict:
-        nu_grid = np.asarray(nu_grid, dtype=float)
-        upper = nu_grid >= self._nu_switch
-
-        def J_integrand(nu):
-            k = np.asarray(gc.k_of_nu(nu))
-            kp = np.asarray(gc.kprime_of_nu(nu))
-            return self._beta0pp_pointwise(nu) * k * kp ** -0.5
-
-        Jvals = self._cumulative(nu_grid, J_integrand, self._J0)
-        # ell1 needs J at arbitrary quadrature nodes: spline the cumulative
-        # in w (between the nodes of the default grid it is good to ~4e-10
-        # relative against a direct integral)
-        w_knots = np.concatenate([[self._nu_switch ** (1 / 3)],
-                                  nu_grid[upper] ** (1 / 3)])
-        J_knots = np.concatenate([[self._J0], Jvals[upper]])
-        w_knots, keep = np.unique(w_knots, return_index=True)
-        J_spl = CubicSpline(w_knots, J_knots[keep])
-
-        def ell1_upper(x):
-            return self._beta_jets(x, J_spl(x ** (1 / 3)), 0.0)[3].c[..., 0]
-
-        def K_integrand(nu):
-            kp = np.asarray(gc.kprime_of_nu(nu))
-            return self._split(nu, "ell1", ell1_upper) * kp ** -0.5
-
-        Kvals = self._cumulative(nu_grid, K_integrand, self._K0)
-        b0, b1, b2, ell1, kj = self._beta_jets(nu_grid[upper], Jvals[upper],
-                                               Kvals[upper])
-        b2p, b2pp = b2.shift(1), b2.shift(2)
-        kpj, kppj = kj.shift(1), kj.shift(2)
-        ell2 = -(kj * kj) * (b2pp * kj * kj + 6.0 * (b2p * kpj * kj)
-                             + 6.0 * (b2 * kpj * kpj) + 3.0 * (b2 * kppj * kj))
-        return self._rows(nu_grid, (("beta0", b0, 3), ("beta1", b1, 3),
-                                    ("beta2", b2, 3), ("ell1", ell1, 1),
-                                    ("ell2", ell2, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +262,6 @@ class CoefficientTable:
     normalization: float
     calibration: float = 1.0
 
-    def spline(self, name: str) -> CubicSpline:
-        return CubicSpline(np.log(self.nu_grid), self.columns[name])
-
     def scaled(self, factor: float) -> "CoefficientTable":
         cols = {k: v * factor for k, v in self.columns.items()}
         return CoefficientTable(self.kind, self.nu_star, self.nu_grid, cols,
@@ -331,7 +277,7 @@ def build_regular_coeffs(chart: gc.GasChart, nu_star: float | None = None,
     nu_star = chart.nu_star if nu_star is None else nu_star
     model = CoefficientModel(gc.GasChart(nu_star=nu_star), c0=c0)
     nu_grid = grid.nu_grid(nu_star)
-    cols = model.regular_rows(nu_grid)
+    cols = model.rows("regular", nu_grid)
     return CoefficientTable("regular", nu_star, nu_grid, cols,
                             normalization_paper=C0_PAPER, normalization=c0)
 
@@ -343,7 +289,7 @@ def build_singular_coeffs(chart: gc.GasChart, nu_star: float | None = None,
     nu_star = chart.nu_star if nu_star is None else nu_star
     model = CoefficientModel(gc.GasChart(nu_star=nu_star), d0=d0)
     nu_grid = grid.nu_grid(nu_star)
-    cols = model.singular_rows(nu_grid)
+    cols = model.rows("singular", nu_grid)
     return CoefficientTable("singular", nu_star, nu_grid, cols,
                             normalization_paper=D0_PAPER, normalization=d0)
 
@@ -372,11 +318,12 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     """Solve y'' + k'^2 xi^2 y = forcing, y = y' = 0 at nu_grid[0], for all xi.
 
     forcing = ell(nu) fhat_2(xi k) (regular) or ell2(nu) fhat_0(xi k)
-    (singular).  The columns share k, k' and the forcing profile, so they
-    are integrated together as one stacked DOP853 state: each right-hand
-    side makes one spline evaluation for k and k', one for the forcing,
-    and evaluates the basis function once on the whole vector xi k.
-    rtol and atol hold for each column, as in a solve of its own.  Returns (nu_grid, y, y'), each solution of shape
+    (singular), as KINDS names it.  The columns share k, k' and the
+    forcing profile, so they are integrated together as one stacked
+    DOP853 state: each right-hand side makes one spline evaluation for k
+    and k', one for the forcing, and evaluates the basis function once on
+    the whole vector xi k.  rtol and atol hold for each column, as in a
+    solve of its own.  Returns (nu_grid, y, y'), each solution of shape
     (n_nu,) + shape(xi).  Truncating the launch at nu_grid[0] is
     admissible because |y| = O(nu^(7/3)) there.
 
@@ -384,13 +331,12 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     solves u'' + k'^2 xi^2 u = d(forcing)/dxi - 2 xi k'^2 y, and returns
     (nu_grid, y, y', u, u').
     """
+    name, lam = _kind(kind).forcing
     xi = np.asarray(xi, dtype=float)
     x = xi.ravel()
     n = x.size
-    name = "ell" if kind == "regular" else "ell2"
     splines = _ChartSplines(coeffs.nu_star, coeffs.nu_grid,
                             coeffs.columns[name])
-    lam = 2 if kind == "regular" else 0
     n_parts = 4 if with_xi_derivative else 2
 
     def rhs(nu, Y):
@@ -699,16 +645,11 @@ class KernelTransform:
 
 
 def assemble(kind: str, coeffs: CoefficientTable, xi_grid: np.ndarray,
-             ghat: np.ndarray, ghat_nu: np.ndarray,
-             ghat_xi: np.ndarray | None = None,
-             ghat_nuxi: np.ndarray | None = None) -> KernelTransform:
+             ghat: np.ndarray, ghat_nu: np.ndarray, ghat_xi: np.ndarray,
+             ghat_nuxi: np.ndarray) -> KernelTransform:
     """Bundle tables into the callable transform; grids must match."""
     if ghat.shape != (len(coeffs.nu_grid), len(xi_grid)):
         raise ValueError("remainder table shape does not match the grids")
-    if ghat_xi is None:
-        ghat_xi = np.zeros_like(ghat)
-    if ghat_nuxi is None:
-        ghat_nuxi = np.zeros_like(ghat)
     return KernelTransform(kind, coeffs, xi_grid, ghat, ghat_nu, ghat_xi,
                            ghat_nuxi)
 
@@ -810,8 +751,7 @@ def verify_energy_inequality(transform: KernelTransform,
     atol resolves |y| ~ 1e-17 at the regular grid's small nu, where the
     ratio peaks, so the ratio is measured, not integrator error."""
     coeffs = transform.coeffs
-    name = "ell" if transform.kind == "regular" else "ell2"
-    lam = 2 if transform.kind == "regular" else 0
+    name, lam = _kind(transform.kind).forcing
     xis = np.asarray(xis, dtype=float)
     nu, y, yp = integrate_remainder(transform.kind, coeffs, xis, atol=1e-22)
     kp = np.asarray(gc.kprime_of_nu(nu))[:, None]
@@ -843,6 +783,7 @@ def verify_pde_residual(transform: KernelTransform,
     k = np.asarray(gc.k_of_nu(nus))
     kp = np.asarray(gc.kprime_of_nu(nus))
     kpp = np.asarray(gc.kdoubleprime_of_nu(nus))
+    cols = model.rows(transform.kind, nus)
     worst = 0.0
 
     def second_derivative(A, Ap, App, lam, xi):
@@ -854,7 +795,6 @@ def verify_pde_residual(transform: KernelTransform,
         return val, dd
 
     if transform.kind == "regular":
-        cols = model.regular_rows(nus)
         for xi in xis:
             v0, d0_ = second_derivative(cols["alpha0"], cols["alpha0p"],
                                         cols["alpha0pp"], 1, xi)
@@ -865,7 +805,6 @@ def verify_pde_residual(transform: KernelTransform,
             scale = np.maximum(np.abs((kp * xi) ** 2 * (v0 + v1)), 1.0)
             worst = max(worst, float(np.max(np.abs(resid / scale))))
     else:
-        cols = model.singular_rows(nus)
         b0, b0p, b0pp = cols["beta0"], cols["beta0p"], cols["beta0pp"]
         b1, b1p, b1pp = cols["beta1"], cols["beta1p"], cols["beta1pp"]
         b2, b2p, b2pp = cols["beta2"], cols["beta2p"], cols["beta2pp"]
@@ -893,6 +832,7 @@ def verify_pde_residual(transform: KernelTransform,
                              / np.maximum(np.max(np.abs(y2), axis=0), 1e-300)))
     return {"max_relative_residual": worst,
             "remainder_refinement_drift": rem_drift}
+
 
 def verify_kernel(transform: KernelTransform) -> dict:
     """Full estimate report for a built kernel table."""

@@ -219,16 +219,13 @@ class CubeRootSeries:
         lead_out = self.lead * a
         if abs(lead_out - round(lead_out)) > 1e-12:
             raise ValueError("power() would leave the cube-root lattice")
+        # (c0 u)**a with u[0] = 1: TaylorJet.power's recurrence on u,
+        # zero-padded to the truncation order
         n = self.hi - self.lead
-        u = self.c / c0  # u[0] = 1
-        out = np.zeros(n)
-        out[0] = 1.0
-        for k in range(1, n):
-            acc = 0.0
-            for j in range(1, k + 1):
-                uj = u[j] if j < len(u) else 0.0
-                acc += (a * j - (k - j)) * uj * out[k - j]
-            out[k] = acc / k
+        u = np.zeros(n)
+        m = min(len(self.c), n)
+        u[:m] = self.c[:m] / c0
+        out = TaylorJet(u).power(a).c
         return CubeRootSeries(int(round(lead_out)), (c0 ** a) * out,
                               hi=int(round(lead_out)) + n)
 
@@ -295,11 +292,16 @@ class TaylorJet:
         from math import factorial
         return self.c[..., j] * factorial(j)
 
-    def shift(self, j: int = 1) -> "TaylorJet":
-        """Jet of the j-th derivative (loses j orders)."""
-        c = self.c
-        for _ in range(j):
-            c = c[..., 1:] * np.arange(1, c.shape[-1])
+    def dnu(self) -> "TaylorJet":
+        """Jet of the derivative (loses one order)."""
+        return TaylorJet(self.c[..., 1:] * np.arange(1, self.c.shape[-1]))
+
+    def integral(self, value) -> "TaylorJet":
+        """Jet of the antiderivative that takes ``value`` at the base
+        point(s) (gains one order)."""
+        c = np.empty(self.c.shape[:-1] + (self.c.shape[-1] + 1,))
+        c[..., 0] = value
+        c[..., 1:] = self.c / np.arange(1, self.c.shape[-1] + 1)
         return TaylorJet(c)
 
     def _coerce(self, other):

@@ -96,6 +96,21 @@ def test_taylor_jet_algebra():
     assert np.allclose(root.c, f.c, rtol=1e-13)
 
 
+def test_jet_and_series_share_the_derivative():
+    # both arithmetics take derivatives through dnu(); just above the
+    # switch the jets of the closed forms and the cube-root series agree
+    # on k, k' and k''
+    k_ser, _ = vacuum.characteristic_series()
+    nus = vacuum.NU_SERIES_SWITCH * np.array([1.05, 1.5, 2.2])
+    k0 = gc.k_of_nu(nus)
+    k_jet, kp_jet, _ = vacuum.speed_coefficient_jets(gc.rho_of_nu(nus), k0, 6)
+    jet, ser = k_jet, k_ser
+    for _ in range(3):
+        assert np.allclose(jet.c[:, 0], ser(nus), rtol=1e-13, atol=0)
+        jet, ser = jet.dnu(), ser.dnu()
+    assert np.array_equal(kp_jet.integral(k0).c, k_jet.c)
+
+
 def test_density_jet_matches_highprec_derivatives():
     rho0 = 0.35
     nu0 = float(np.arctanh(rho0) - rho0)

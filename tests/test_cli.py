@@ -204,6 +204,22 @@ def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
     assert err.startswith("bad kernel table: ") and "table.cavk" in err
 
 
+@pytest.mark.parametrize("kind", ["regular", "singular"])
+def test_kernel_build_then_verify(kind, tmp_path, capsys):
+    # the command line's default grid: the table it writes verifies, and
+    # the calibration the build prints is the one stored in the table
+    table, report = tmp_path / "table.cavk", tmp_path / "verify.json"
+    assert cli.main(["kernel", "build", "--kind", kind,
+                     "--out", str(table)]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["kernel", "verify", str(table),
+                     "--out", str(report)]) == 0
+    with open(report) as fh:
+        rep = json.load(fh)
+    assert rep["pass"] is True and rep["kind"] == kind
+    assert f"calibration={rep['calibration']!r})" in printed
+
+
 @pytest.fixture(scope="module")
 def swept(tmp_path_factory):
     """Run directory of `cavlab sweep` at h = 1/16, eps = 0.2, 0.1."""

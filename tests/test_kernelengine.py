@@ -172,7 +172,7 @@ class TestCoefficientAsymptotics:
     def test_series_jet_consistency(self, model):
         # both evaluation branches agree just above the switch point
         grid = np.array([1.05e-3, 2e-3, 4e-3])
-        cols = model.regular_rows(grid)
+        cols = model.rows("regular", grid)
         for name in ("alpha0", "alpha0p", "alpha1", "ell"):
             ser = model.series[name](grid)
             assert np.allclose(cols[name], ser, rtol=1e-7), name
@@ -195,19 +195,36 @@ class TestCoefficientRows:
         for n_nu in (61, 241):
             calls.clear()
             nus = ke.GridSpec(n_nu=n_nu).nu_grid(chart.nu_star)
-            getattr(model, f"{kind}_rows")(nus)
+            model.rows(kind, nus)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 12, counts
 
     @pytest.mark.parametrize("kind", ["regular", "singular"])
     def test_rows_match_pinned_values(self, model, chart, kind):
         nus = ke.GridSpec().nu_grid(chart.nu_star)
-        cols = getattr(model, f"{kind}_rows")(nus)
+        cols = model.rows(kind, nus)
         assert set(cols) <= set(PINNED)
         for name, col in cols.items():
             got = col[list(PINNED_ROWS)]
             tol = 1e-10 * np.max(np.abs(col))
             assert np.max(np.abs(got - PINNED[name])) <= tol, name
+
+    @pytest.mark.parametrize("kind", ["regular", "singular"])
+    def test_rows_below_switch_are_series(self, model, kind):
+        nus = np.geomspace(1e-8, 5e-4, 5)
+        for name, col in model.rows(kind, nus).items():
+            ser = (model.series[name[:-2]].dnu().dnu()
+                   if name.endswith("pp") else model.series[name])
+            assert np.array_equal(col, ser(nus)), name
+
+    def test_unknown_kind_is_rejected(self, model, chart):
+        nus = ke.GridSpec(n_nu=81).nu_grid(chart.nu_star)
+        with pytest.raises(ValueError, match="'foo'"):
+            model.rows("foo", nus)
+        # a table whose forcing column exists must not be read as "foo"
+        coeffs = ke.build_singular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
+        with pytest.raises(ValueError, match="'foo'"):
+            ke.integrate_remainder("foo", coeffs, [1.0])
 
 
 class TestRemainderODE:
