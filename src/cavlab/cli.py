@@ -159,9 +159,12 @@ def cmd_basis_check(args) -> int:
 
 def cmd_kernel_build(args) -> int:
     from .kernelengine import GridSpec, build_kernel
-    chart = gc.GasChart(nu_star=args.nu_star)
-    grid = GridSpec(xi_max_factor=args.xi_max)
-    tr = build_kernel(args.kind, chart, grid=grid)
+    try:
+        grid = GridSpec(xi_max_factor=args.xi_max)
+    except ValueError as exc:
+        print(f"bad --xi-max: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    tr = build_kernel(args.kind, gc.GasChart(nu_star=args.nu_star), grid=grid)
     tr.save(args.out)
     print(f"built {args.kind} kernel table -> {args.out} "
           f"(nu_star={tr.nu_star:g}, calibration={tr.coeffs.calibration!r})")

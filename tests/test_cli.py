@@ -204,6 +204,19 @@ def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
     assert err.startswith("bad kernel table: ") and "table.cavk" in err
 
 
+@pytest.mark.parametrize("xi_max", ("2", "4"))
+def test_kernel_build_rejects_folded_xi_grid(xi_max, tmp_path, capsys):
+    # an --xi-max at or below the end of the linear xi part would write a
+    # table whose xi grid is not increasing; it is a usage error instead
+    table = tmp_path / "table.cavk"
+    assert cli.main(["kernel", "build", "--kind", "regular", "--xi-max",
+                     xi_max, "--out", str(table)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "xi grid is not strictly increasing" in err
+    assert not table.exists()
+
+
 @pytest.mark.parametrize("kind", ["regular", "singular"])
 def test_kernel_build_then_verify(kind, tmp_path, capsys):
     # the command line's default grid: the table it writes verifies, and

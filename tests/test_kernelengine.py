@@ -1,5 +1,6 @@
 """Kernel construction: coefficients, remainder, assembly, estimates."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,17 @@ class TestCoefficientRows:
             ke.integrate_remainder("foo", coeffs, [1.0])
 
 
+class TestGrids:
+    @pytest.mark.parametrize("xi_max", (2.0, 4.0))
+    def test_xi_grid_must_increase(self, xi_max):
+        # the log part starts where the linear part ends (xi_linear_factor
+        # = 4); an xi_max_factor at or below it folds the grid back
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            ke.GridSpec(xi_max_factor=xi_max)
+        xi = ke.GridSpec(xi_max_factor=4.5).xi_grid(2.0)
+        assert np.all(np.diff(xi) > 0)
+
+
 class TestRemainderODE:
     def test_xi_zero_double_integral(self, chart):
         coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=121))
@@ -316,6 +328,103 @@ class TestRemainderODE:
         assert [t.shape for t in tables] == [(81, 4)] * 4
 
 
+def _hand_expanded(tr, nu, xi, deriv):
+    """Hhat (or Hhat_nu if deriv) of tr with each kind's expansion and its
+    nu-derivative written out term by term: the reference for the
+    evaluation that reads KINDS."""
+    nu = tr._check_domain(nu)
+    xi = np.asarray(xi, dtype=float)
+    k = np.asarray(gc.k_of_nu(nu))
+    kp = np.asarray(gc.kprime_of_nu(nu))
+    z = xi * k
+
+    def c(name):
+        return tr._coef(name, nu)
+    if tr.kind == "regular" and not deriv:
+        out = c("alpha0") * kb.fhat(1, z) + c("alpha1") * kb.fhat(2, z)
+    elif tr.kind == "regular":
+        a0, a1, r = c("alpha0"), c("alpha1"), kp / k
+        out = (2.0 * a0 * r * kb.fhat(0, z)
+               + (c("alpha0p") - 3.0 * a0 * r + 4.0 * a1 * r) * kb.fhat(1, z)
+               + (c("alpha1p") - 5.0 * a1 * r) * kb.fhat(2, z))
+    elif not deriv:
+        k2 = k * k
+        out = (c("beta0") * kb.fhat(-2, z) + c("beta1") * k2 * kb.fhat(-1, z)
+               + c("beta2") * k2 * k2 * kb.fhat(0, z))
+    else:
+        b0, b1, b2 = c("beta0"), c("beta1"), c("beta2")
+        k2, k3, k4 = k * k, k ** 3, k ** 4
+        xi2 = xi * xi
+        c_m1 = c("beta1p") * k2 + 2.0 * b1 * kp * k + 2.0 * b2 * k3 * kp
+        d_m1 = 0.5 * b0 * kp * k
+        c_0 = c("beta2p") * k4 + 3.0 * b2 * kp * k3
+        d_0 = -0.5 * b1 * kp * k3
+        out = (c("beta0p") * kb.fhat(-2, z)
+               + (c_m1 + xi2 * d_m1) * kb.fhat(-1, z)
+               + (c_0 + xi2 * d_0) * kb.fhat(0, z))
+    return out + tr._remainder(nu, xi, deriv=deriv)
+
+
+def test_z_dfhat_table_is_the_basis_derivative():
+    # every relation z fhat_lam' = sum c z^j fhat_mu the expansions use,
+    # on the grid of kernelbasis.check_recurrences
+    z = np.concatenate([np.geomspace(1e-3, 1.0, 300),
+                        np.linspace(1.0, 60.0, 700)])
+    orders = {lam for spec in ke.KINDS.values()
+              for _, _, lam in spec.expansion}
+    assert orders <= set(ke._Z_DFHAT)
+    for lam, terms in ke._Z_DFHAT.items():
+        got = sum(c * z ** j * kb.fhat(mu, z) for c, mu, j in terms)
+        want = z * kb.fhat_d1(lam, z)
+        # fhat_d1(2, z) loses ~1e-12 to cancellation just above z = 1/2
+        assert np.max(np.abs(got - want)) <= 1e-11, lam
+
+
+class TestExpansion:
+    """Hhat and Hhat_nu from the KINDS expansion table."""
+
+    @pytest.mark.parametrize("deriv", (False, True))
+    def test_matches_hand_expanded_formulas(self, regular, singular, deriv):
+        nus = np.geomspace(regular.nu_min * 2, regular.nu_star, 23)
+        xis = np.linspace(0.0, 300.0, 4097)
+        dense = np.geomspace(regular.nu_min, regular.nu_star, 1201)
+        for tr in (regular, singular):
+            fn = tr.Hhat_nu if deriv else tr.Hhat
+            got = fn(nus[:, None], xis[None, :])
+            want = _hand_expanded(tr, nus[:, None], xis[None, :], deriv)
+            err = np.max(np.abs(got - want), axis=1)
+            assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=1)), \
+                (tr.kind, err.max())
+            # xi = 0, where the singular Hhat_nu is a difference of ~124s
+            err0 = np.abs(fn(dense, 0.0) - _hand_expanded(tr, dense, 0.0,
+                                                          deriv))
+            assert err0.max() <= 1e-12, (tr.kind, err0.max())
+            # scalars in, a scalar out
+            nu, xi = float(nus[15]), 2.0
+            assert fn(nu, xi) == pytest.approx(
+                float(_hand_expanded(tr, nu, xi, deriv)), rel=1e-14)
+
+    def test_each_order_evaluated_once(self, regular, singular, monkeypatch):
+        # the nu-derivative reads z fhat' through fhat of the same orders
+        calls = []
+        fhat = kb.fhat
+
+        def counting(lam, z):
+            calls.append(lam)
+            return fhat(lam, z)
+        monkeypatch.setattr(kb, "fhat", counting)
+        monkeypatch.setattr(kb, "fhat_d1", None)
+        nus = np.geomspace(regular.nu_min * 2, regular.nu_star, 5)
+        xis = np.linspace(0.0, 30.0, 7)
+        for tr, name, orders in (
+                (regular, "Hhat", [1, 2]), (regular, "Hhat_nu", [0, 1, 2]),
+                (singular, "Hhat", [-2, -1, 0]),
+                (singular, "Hhat_nu", [-2, -1, 0])):
+            calls.clear()
+            getattr(tr, name)(nus[:, None], xis[None, :])
+            assert sorted(calls) == orders, (tr.kind, name)
+
+
 class TestAssembledKernels:
     def test_initial_data_regular(self, regular):
         for rec in regular.limit_estimates():
@@ -354,6 +463,19 @@ class TestAssembledKernels:
             rep = ke.verify_pde_residual(tr)
             assert rep["max_relative_residual"] < 1e-10
             assert rep["remainder_refinement_drift"] < 1e-6
+
+    @pytest.mark.parametrize("kind,column", (("regular", "alpha1"),
+                                             ("singular", "beta2")))
+    def test_pde_residual_reads_the_table(self, request, kind, column):
+        # the residual is evaluated from the table's own columns, so a
+        # column 1 % off shows at the 1e-3 level
+        tr = request.getfixturevalue(kind)
+        cols = dict(tr.coeffs.columns)
+        cols[column] = cols[column] * 1.01
+        bad = ke.assemble(kind, dataclasses.replace(tr.coeffs, columns=cols),
+                          tr.xi_grid, tr.ghat, tr.ghat_nu, tr.ghat_xi,
+                          tr.ghat_nuxi)
+        assert ke.verify_pde_residual(bad)["max_relative_residual"] > 1e-3
 
     def test_hhat_nu_consistency(self, regular, singular):
         # analytic nu-derivative against differencing of Hhat itself; at
