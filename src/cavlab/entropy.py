@@ -246,8 +246,8 @@ def kernel_generator(regular: KernelTransform | None = None,
     third-order angle derivatives are as accurate as the tables (never
     differenced).
     """
-    # the kernel stack (scipy.integrate, scipy.interpolate) is loaded
-    # only by the processes that read kernel tables
+    # the kernel stack is imported only by the processes that read
+    # kernel tables
     from .kernelengine import GaussianSmoother, SmoothedKernel
     pieces = []
     nu_star = smoothing_width = None

@@ -41,6 +41,13 @@ keeps its Taylor coefficients on the last axis of ``c`` and one base
 point per entry of the leading axes, so each stage (the Gauss nodes of
 all quadrature panels, the grid rows above the switch) is one chart solve
 and one batch of jet recurrences, looping over the jet order only.
+
+The stack needs numpy only.  The remainder ODE is integrated by
+cavlab._dop853, a port of the Dormand-Prince 8(5,3) stepper with its
+dense output (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10) that
+takes scipy's solve_ivp(method="DOP853") steps, and every interpolant
+(J between grid nodes, k, k' and the forcing in the remainder ODE, the
+table columns in log nu) is a not-a-knot cavlab._spline.CubicSpline.
 """
 
 from __future__ import annotations
@@ -52,11 +59,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
+from . import _dop853
 from . import gaschart as gc
 from . import kernelbasis as kb
+from ._spline import CubicSpline
 from .vacuum import (NU_SERIES_SWITCH, characteristic_series,
                      speed_coefficient_jets)
 
@@ -349,12 +356,14 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     forcing = ell(nu) fhat_2(xi k) (regular) or ell2(nu) fhat_0(xi k)
     (singular), as KINDS names it.  The columns share k, k' and the
     forcing profile, so they are integrated together as one stacked
-    DOP853 state: each right-hand side makes one spline evaluation for k
-    and k', one for the forcing, and evaluates the basis function once on
-    the whole vector xi k.  rtol and atol hold for each column, as in a
-    solve of its own.  Returns (nu_grid, y, y'), each solution of shape
-    (n_nu,) + shape(xi).  Truncating the launch at nu_grid[0] is
-    admissible because |y| = O(nu^(7/3)) there.
+    state by the DOP853 stepper of cavlab._dop853: each right-hand side
+    reads k, k' and the forcing from scalar spline evaluations and
+    evaluates the basis function once on the whole vector xi k.  rtol and
+    atol hold for each column, as in a solve of its own.  Returns
+    (nu_grid, y, y'), each solution of shape (n_nu,) + shape(xi).
+    Truncating the launch at nu_grid[0] is admissible because
+    |y| = O(nu^(7/3)) there.  A failed integration raises RuntimeError
+    naming every xi.
 
     with_xi_derivative=True augments the system with u = dy/dxi, which
     solves u'' + k'^2 xi^2 u = d(forcing)/dxi - 2 xi k'^2 y, and returns
@@ -364,19 +373,18 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     xi = np.asarray(xi, dtype=float)
     x = xi.ravel()
     n = x.size
-    # smooth interpolants in w = nu^(1/3): k and k' as the two columns of
-    # one spline on shared knots, and the forcing column
+    # smooth interpolants in w = nu^(1/3): k and k' on shared knots, and
+    # the forcing column
     w = np.linspace((1e-10 * coeffs.nu_star) ** (1 / 3),
                     coeffs.nu_star ** (1 / 3), 1200)
-    k_kp = CubicSpline(w, np.column_stack([gc.k_of_nu(w ** 3),
-                                           gc.kprime_of_nu(w ** 3)]))
+    k_of_w = CubicSpline(w, gc.k_of_nu(w ** 3))
+    kp_of_w = CubicSpline(w, gc.kprime_of_nu(w ** 3))
     forcing = CubicSpline(coeffs.nu_grid ** (1 / 3), coeffs.columns[name])
     n_parts = 4 if with_xi_derivative else 2
 
     def rhs(nu, Y):
         w = nu ** (1 / 3)
-        k, kp = k_kp(w)
-        ell = forcing(w)
+        k, kp, ell = k_of_w(w), kp_of_w(w), forcing(w)
         om2 = (kp * x) ** 2
         y = Y[:n]
         parts = [Y[n:2 * n], ell * kb.fhat(lam, x * k) - om2 * y]
@@ -386,21 +394,23 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
                       fx - om2 * Y[2 * n:3 * n] - 2.0 * x * kp * kp * y]
         return np.concatenate(parts)
 
-    # scipy bounds the RMS of the scaled error over the whole state, which
-    # lets one component reach sqrt(size) times the tolerance; shrinking
-    # both tolerances by that factor keeps every column within rtol/atol
+    # the stepper bounds the RMS of the scaled error over the whole state,
+    # which lets one component reach sqrt(size) times the tolerance;
+    # shrinking both tolerances by that factor keeps every column within
+    # rtol/atol
     shrink = np.sqrt(n_parts * n)
     nu_grid = coeffs.nu_grid
-    sol = solve_ivp(rhs, (nu_grid[0], coeffs.nu_star), np.zeros(n_parts * n),
-                    method="DOP853", t_eval=nu_grid, rtol=rtol / shrink,
-                    atol=atol / shrink)
-    if not sol.success:
+    try:
+        sol = _dop853.solve(rhs, nu_grid[0], coeffs.nu_star,
+                            np.zeros(n_parts * n), nu_grid, rtol / shrink,
+                            atol / shrink)
+    except _dop853.StepSizeError as exc:
         raise RuntimeError(
             "remainder integration failed at xi="
-            f"{', '.join(map(repr, x.tolist()))}: {sol.message}")
-    shape = (len(sol.t),) + xi.shape
-    return (sol.t, *(np.ascontiguousarray(sol.y[i * n:(i + 1) * n].T)
-                     .reshape(shape) for i in range(n_parts)))
+            f"{', '.join(map(repr, x.tolist()))}: {exc}") from exc
+    shape = (len(nu_grid),) + xi.shape
+    return (nu_grid.copy(), *(np.ascontiguousarray(sol[i * n:(i + 1) * n].T)
+                              .reshape(shape) for i in range(n_parts)))
 
 
 def build_remainder_table(kind: str, coeffs: CoefficientTable,
@@ -446,12 +456,18 @@ class KernelTransform:
     ghat_nuxi: np.ndarray
 
     def __post_init__(self):
+        # cubic splines in log nu, one per group of columns read together:
+        # the expansion's coefficients A and their derivatives A', and the
+        # remainder's values and slopes, each with its xi-derivative
         lognu = np.log(self.coeffs.nu_grid)
-        self._cs = {name: CubicSpline(lognu, col)
-                    for name, col in self.coeffs.columns.items()}
-        self._rem_spl = [CubicSpline(lognu, arr, axis=0) for arr in
-                         (self.ghat, self.ghat_nu, self.ghat_xi,
-                          self.ghat_nuxi)]
+        cols = self.coeffs.columns
+        names = [name for name, _, _ in KINDS[self.kind].expansion]
+        self._coef_spl = {suffix: CubicSpline(lognu, np.column_stack(
+            [cols[name + suffix] for name in names])) for suffix in ("", "p")}
+        self._rem_spl = {deriv: CubicSpline(lognu, np.stack(pair, axis=1))
+                         for deriv, pair in (
+                             (False, (self.ghat, self.ghat_xi)),
+                             (True, (self.ghat_nu, self.ghat_nuxi)))}
 
     @property
     def nu_star(self) -> float:
@@ -460,9 +476,6 @@ class KernelTransform:
     @property
     def nu_min(self) -> float:
         return float(self.coeffs.nu_grid[0])
-
-    def _coef(self, name, nu):
-        return self._cs[name](np.log(nu))
 
     def _remainder(self, nu, xi, deriv=False):
         """Cubic-Hermite interpolation in xi of the stored remainder.
@@ -474,15 +487,12 @@ class KernelTransform:
         from xi in its own shape; only the gathered values and their sum
         take the broadcast shape.
         """
-        val_spl, slope_spl = (self._rem_spl[1], self._rem_spl[3]) if deriv \
-            else (self._rem_spl[0], self._rem_spl[2])
         nu = np.asarray(nu, dtype=float)
         xi = np.asarray(xi, dtype=float)
         uniq, inv = np.unique(nu, return_inverse=True)
         inv = inv.reshape(nu.shape)
-        loguniq = np.log(uniq)
-        rows = val_spl(loguniq)   # (n_unique_nu, n_xi)
-        drows = slope_spl(loguniq)
+        both = self._rem_spl[deriv](np.log(uniq))  # (n_unique_nu, 2, n_xi)
+        rows, drows = both[:, 0], both[:, 1]
         grid = self.xi_grid
         ax = np.abs(xi)
         axc = np.clip(ax, grid[0], grid[-1])
@@ -514,11 +524,14 @@ class KernelTransform:
         first, so each order's fhat is evaluated and multiplied once."""
         k = np.asarray(gc.k_of_nu(nu))
         r = np.asarray(gc.kprime_of_nu(nu)) / k if deriv else None
+        lognu = np.log(nu)
+        A = self._coef_spl[""](lognu)
+        Ap = self._coef_spl["p"](lognu) if deriv else None
         coef = defaultdict(float)   # (order mu, power j of z) -> coefficient
-        for name, p, lam in KINDS[self.kind].expansion:
-            a = self._coef(name, nu) * k ** p
+        for i, (_, p, lam) in enumerate(KINDS[self.kind].expansion):
+            a = A[..., i] * k ** p
             if deriv:
-                coef[lam, 0] += self._coef(name + "p", nu) * k ** p + p * r * a
+                coef[lam, 0] += Ap[..., i] * k ** p + p * r * a
                 for c, mu, j in _Z_DFHAT[lam]:
                     coef[mu, j] += c * r * a
             else:

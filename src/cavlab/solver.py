@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import gaschart as gc
 from .meshing import FARFIELD, Mesh
@@ -218,9 +217,12 @@ class PicardSolver:
         K = mesh.stiffness_matrix()
         self.K = K
         K_free = K[self.free]
+        # imported here, so that importing the solver (as the config does)
+        # does not load scipy.sparse.linalg and with it scipy.linalg
+        from scipy.sparse.linalg import splu
         # K is symmetric: order on the pattern of K + K^T, which keeps the
         # factor about a third smaller than the default COLAMD ordering
-        self.lu = spla.splu(K_free[:, self.free].tocsc(),
+        self.lu = splu(K_free[:, self.free].tocsc(),
                             permc_spec="MMD_AT_PLUS_A")
         # per-step constants: far-field sigma, its lift into the free
         # rows (theta is 0 on the far field), the sigma guard, and the

@@ -301,16 +301,49 @@ def test_save_fields_matches_csv_writer_text(tmp_path):
     assert got.read_bytes() == ref.read_bytes()
 
 
-def test_sweep_process_does_not_load_kernel_stack():
+def _fresh_interpreter(code):
+    """stdout of code run in a new interpreter that imports this cavlab."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cavlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_sweep_process_does_not_load_kernel_stack():
     code = ("import sys\n"
             "import cavlab.cli, cavlab.solver, cavlab.diagnostics, "
             "cavlab.meshing\n"
             "print(' '.join(m for m in ('scipy.integrate', "
             "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    assert _fresh_interpreter(code).strip() == ""
+
+
+def test_kernel_processes_load_numpy_and_sparse_only(tmp_path):
+    # build, verify (as `cavlab kernel verify`), reload and evaluate both
+    # kinds on a small grid: the kernel stack is numpy code of its own and
+    # needs none of scipy's integrators, splines, root finders, special
+    # functions or dense linear algebra
+    code = f"""
+import os, sys
+import numpy as np
+from cavlab import cli
+from cavlab import kernelengine as ke
+grid = ke.GridSpec(n_nu=41, n_xi_linear=5, n_xi_log=12)
+for kind in ("regular", "singular"):
+    path = os.path.join({str(tmp_path)!r}, kind + ".cavk")
+    ke.build_kernel(kind, grid=grid).save(path)
+    assert cli.main(["kernel", "verify", path, "--out", os.devnull]) in (
+        0, cli.CHECK_FAILED)
+    tr = ke.KernelTransform.load(path)
+    assert np.isfinite(tr.Hhat(np.geomspace(tr.nu_min, tr.nu_star, 5), 1.0)
+                       ).all()
+    assert np.isfinite(tr.Hhat_nu(tr.nu_star, np.linspace(0.0, 3.0, 4))
+                       ).all()
+print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',
+                           'scipy.optimize', 'scipy.special', 'scipy.linalg')
+               if m in sys.modules))
+"""
+    assert _fresh_interpreter(code).strip() == ""

@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 import cavlab.gaschart as gc
 from cavlab import entropy as en
 from cavlab import kernelbasis as kb
 from cavlab import kernelengine as ke
 from cavlab._frozen import C_FLAT, C_L
+from cavlab._spline import CubicSpline
 
 C_SHARP = 3.0 ** (1.0 / 3.0)
 
@@ -282,15 +282,26 @@ class TestRemainderODE:
             assert np.allclose(y2, 2.0 * y1, rtol=1e-6,
                                atol=1e-6 * np.abs(y1).max())
 
-    def test_failure_reporting(self, chart, monkeypatch):
-        # a failed integration must raise, naming the xi values it carried
-        coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
+    # A failed integration must raise, naming the xi values it carried.
+    # The stepper fails in one way: the step that meets the tolerance falls
+    # below the spacing of floats at nu.  It gets there through steps
+    # rejected for a NaN error, or with finite values at a large jump.
+    _FAILED = ("xi=5.0, 7.5: required step size is less than spacing "
+               "between numbers at t=")
 
-        class Failed:
-            success = False
-            message = "step size underflow"
-        monkeypatch.setattr(ke, "solve_ivp", lambda *a, **k: Failed())
-        with pytest.raises(RuntimeError, match="xi=5.0, 7.5"):
+    def test_failure_reporting(self, chart):
+        # a NaN forcing column
+        coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
+        coeffs.columns["ell"] = np.full_like(coeffs.columns["ell"], np.nan)
+        with pytest.raises(RuntimeError, match=self._FAILED):
+            ke.integrate_remainder("regular", coeffs, [5.0, 7.5])
+
+    def test_failure_reporting_at_a_jump(self, chart, monkeypatch):
+        # finite values: the forcing jumps by 1e9 where xi k = 1
+        coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
+        monkeypatch.setattr(kb, "fhat", lambda lam, z: np.where(
+            z < 1.0, 0.0, 1e9))
+        with pytest.raises(RuntimeError, match=self._FAILED):
             ke.integrate_remainder("regular", coeffs, [5.0, 7.5])
 
     @pytest.mark.parametrize("kind", ["regular", "singular"])
@@ -338,8 +349,9 @@ def _hand_expanded(tr, nu, xi, deriv):
     kp = np.asarray(gc.kprime_of_nu(nu))
     z = xi * k
 
-    def c(name):
-        return tr._coef(name, nu)
+    def c(name):   # the column's own spline in log nu
+        return CubicSpline(np.log(tr.coeffs.nu_grid),
+                           tr.coeffs.columns[name])(np.log(nu))
     if tr.kind == "regular" and not deriv:
         out = c("alpha0") * kb.fhat(1, z) + c("alpha1") * kb.fhat(2, z)
     elif tr.kind == "regular":
