@@ -11,9 +11,10 @@ rescaling f_lam = k^(-2 lam) G_lam(nu, k*.) their transforms are nu-free:
 
 and Ghat_n(nu, xi) = k^(1+2n) fhat_n(xi k).  The trig forms cancel
 catastrophically near x = 0 for the nonnegative orders, so evaluation
-switches to exact-rational Taylor series below |x| = 1/2.  First and
-second derivatives are hand-differentiated closed forms (never finite
-differences), with the same series switch.
+switches to exact-rational Taylor series below |x| = 1/2, and below
+|x| = 2 for orders 1 and 2, whose closed forms lose digits further out
+(_SERIES_CUT).  First and second derivatives are hand-differentiated
+closed forms (never finite differences), with the same series switch.
 
 Every fhat is even in x, so fhat and fhat'' are series in x^2 and fhat'
 is x times one.  Only those nonzero coefficients are stored, and a
@@ -31,10 +32,14 @@ import numpy as np
 
 ORDERS = (-3, -2, -1, 0, 1, 2)
 
-_SERIES_CUT = 0.5
+# |x| below which each order is summed as its series.  The closed forms
+# of orders 1 and 2 cancel far above 1/2: against 50-digit values, fhat_2''
+# is off by 8e-11 of its size at 1/2, 1.5e-13 at 1.5 and 9e-15 at 2,
+# fhat_2' by 5e-12 at 1/2, while the series stay within 6e-16 up to 2
+_SERIES_CUT = {-3: 0.5, -2: 0.5, -1: 0.5, 0: 0.5, 1: 2.0, 2: 2.0}
 # each series keeps its 18 nonzero coefficients, of (x^2)^0..(x^2)^17:
 # powers x^0..x^34 (fhat, fhat'') or x^1..x^35 (fhat'); truncation
-# < 1e-20 at the cut
+# < 1e-20 at every cut
 _SERIES_TERMS = 18
 # points per power table: 4096 x 18 floats (576 KB)
 _SERIES_BLOCK = 4096
@@ -114,9 +119,9 @@ def _series(coeffs, x, odd: bool):
     return out
 
 
-def _eval_switch(xi, closed, series_coeffs, odd=False):
+def _eval_switch(xi, cut, closed, series_coeffs, odd=False):
     xi = np.asarray(xi, dtype=float)
-    small = np.abs(xi) < _SERIES_CUT
+    small = np.abs(xi) < cut
     n_small = np.count_nonzero(small)
     out = np.empty_like(xi)
     if n_small < small.size:
@@ -174,19 +179,21 @@ def _check_order(lam: int) -> None:
 def fhat(lam: int, xi):
     """Transform of the rescaled cone profile of order lam at xi."""
     _check_order(lam)
-    return _eval_switch(xi, _CLOSED[lam], _SERIES[lam][0])
+    return _eval_switch(xi, _SERIES_CUT[lam], _CLOSED[lam], _SERIES[lam][0])
 
 
 def fhat_d1(lam: int, xi):
     """d/dxi of fhat, closed trig forms."""
     _check_order(lam)
-    return _eval_switch(xi, _CLOSED_D1[lam], _SERIES[lam][1], odd=True)
+    return _eval_switch(xi, _SERIES_CUT[lam], _CLOSED_D1[lam],
+                        _SERIES[lam][1], odd=True)
 
 
 def fhat_d2(lam: int, xi):
     """d2/dxi2 of fhat, closed trig forms."""
     _check_order(lam)
-    return _eval_switch(xi, _CLOSED_D2[lam], _SERIES[lam][2])
+    return _eval_switch(xi, _SERIES_CUT[lam], _CLOSED_D2[lam],
+                        _SERIES[lam][2])
 
 
 def fhat_bessel(lam: int, xi):

@@ -64,22 +64,26 @@ def _closed_mp(lam, x):
     }[lam]
 
 
-SERIES_POINTS = np.concatenate([
-    [0.0, 1e-300, 1e-8, 1e-3, 0.49999999999999994, -0.49999999999999994],
-    np.linspace(-0.4999, 0.4999, 61)])
+def _series_points(cut):
+    """Points below an order's series cut, up to the last float below it."""
+    below = float(np.nextafter(cut, 0.0))
+    return np.concatenate([[0.0, 1e-300, 1e-8, 1e-3, below, -below],
+                           np.linspace(-0.9998 * cut, 0.9998 * cut, 61)])
 
 
 def test_series_match_exact_rational_series():
-    # below the cut fhat, fhat' and fhat'' are the exact rational series
-    # summed at 50 digits, to a few ulp of the sum of |terms|
+    # below each order's cut fhat, fhat' and fhat'' are the exact rational
+    # series summed at 50 digits, to a few ulp of the sum of |terms|
     import mpmath as mp
     exact = kb._trig_series(kb._SERIES_TERMS)
     eps = np.finfo(float).eps
     with mp.workdps(50):
         for lam in kb.ORDERS:
+            cut = kb._SERIES_CUT[lam]
+            points = _series_points(cut)
             for d, fn in enumerate((kb.fhat, kb.fhat_d1, kb.fhat_d2)):
-                got = fn(lam, SERIES_POINTS)
-                for x, g in zip(SERIES_POINTS, got):
+                got = fn(lam, points)
+                for x, g in zip(points, got):
                     X = mp.mpf(float(x))
                     terms = [mp.mpf(c.numerator) / c.denominator
                              * X ** (2 * i + (d == 1))
@@ -89,12 +93,30 @@ def test_series_match_exact_rational_series():
                     assert err <= 4 * eps * scale, (lam, d, x)
             # the truncated series is the function itself at the cut
             for d in range(3):
-                x = mp.mpf(0.5)
+                x = mp.mpf(cut)
                 terms = [mp.mpf(c.numerator) / c.denominator
                          * x ** (2 * i + (d == 1))
                          for i, c in enumerate(exact[lam][d])]
                 ref = mp.diff(lambda t: _closed_mp(lam, t), x, d)
                 assert abs(mp.fsum(terms) - ref) < 1e-20, (lam, d)
+
+
+def test_every_order_near_its_cut_against_50_digits():
+    # on |x| in [1/2, 2], both sides of every cut: fhat, fhat' and fhat''
+    # of each order to 1e-14 of their size there.  The closed forms of
+    # orders 1 and 2 alone would miss this by up to 8e-11 (fhat_2'' at
+    # 1/2), which is why their series reach out to |x| = 2
+    import mpmath as mp
+    x = np.concatenate([np.linspace(0.5, 2.0, 61), [np.nextafter(2.0, 0.0)],
+                        np.nextafter([0.5, 2.0], 3.0), [-0.7, -1.6]])
+    with mp.workdps(50):
+        for lam in kb.ORDERS:
+            for d, fn in enumerate((kb.fhat, kb.fhat_d1, kb.fhat_d2)):
+                ref = np.array([float(mp.diff(
+                    lambda t: _closed_mp(lam, t), mp.mpf(float(v)), d))
+                    for v in x])
+                err = np.abs(fn(lam, x) - ref)
+                assert err.max() <= 1e-14 * np.abs(ref).max(), (lam, d)
 
 
 def test_series_values_depend_on_own_point_only():
