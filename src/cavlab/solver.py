@@ -223,7 +223,7 @@ class PicardSolver:
         # K is symmetric: order on the pattern of K + K^T, which keeps the
         # factor about a third smaller than the default COLAMD ordering
         self.lu = splu(K_free[:, self.free].tocsc(),
-                            permc_spec="MMD_AT_PLUS_A")
+                       permc_spec="MMD_AT_PLUS_A")
         # per-step constants: far-field sigma, its lift into the free
         # rows (theta is 0 on the far field), the sigma guard, and the
         # scales of sigma and theta in update norms and Anderson mixing
