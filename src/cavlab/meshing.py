@@ -205,10 +205,12 @@ class Mesh:
     def obstacle_normal_flux(self, vector_nodal: np.ndarray) -> np.ndarray:
         """Edge-mean normal component F.n of a nodal field on each
         OBSTACLE edge (n into the fluid), one entry per column of
-        `obstacle_scatter`."""
+        `obstacle_scatter`.  F is (n, 2), or (k, n, 2) for k fields at
+        once, which gives (k, n_obstacle_edges)."""
         e, nrm, _ = self._obstacle
         F = vector_nodal
-        return np.sum(0.5 * (F[e[:, 0]] + F[e[:, 1]]) * nrm, axis=1)
+        mid = 0.5 * (F[..., e[:, 0], :] + F[..., e[:, 1], :])
+        return np.sum(mid * nrm, axis=-1)
 
     @cached_property
     def obstacle_scatter(self) -> sp.csr_matrix:

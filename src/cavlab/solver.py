@@ -20,22 +20,33 @@ divergence load, mass) belong to the mesh and are built once per mesh.
 
 The Picard map g sends the current iterate to the solution of both
 Poisson problems with its loads, as one two-column solve against one
-prefactored stiffness matrix.  Its contraction factor degrades roughly
-like 1/eps, so the iterates are mixed by type-II Anderson acceleration
-(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
-ANDERSON_DEPTH differences of the scaled iterates and residuals
-g(x) - x, with mixing parameter beta; the mixing coefficients come from
-the kept Gram matrix of the residual differences.  Two safeguards act
+prefactored stiffness matrix.  With the far-field Dirichlet rows and
+columns removed, the P1 Laplacian is symmetric positive definite, and
+`build_mesh` numbers the vertices column by column, so its nonzeros lie
+within one mesh column plus two of the diagonal (33 at h = 1/32): it is
+factored once by a banded Cholesky factorisation (LAPACK dpbtrf), whose
+storage and solve cost are n times that narrow band.  The contraction
+factor of g degrades roughly like 1/eps, so the iterates are mixed by
+type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49,
+2011) over the last ANDERSON_DEPTH differences of the scaled iterates
+and residuals g(x) - x, with mixing parameter beta; the mixing
+coefficients come from the kept Gram matrix of the residual
+differences.  A long history behaves more like GMRES and stalls less;
+its differences are stored in float32, so 16 of them take the bytes of
+8 in float64, while every product with them accumulates in float64.
+Mixing only chooses the path: g(x), the residuals and the convergence
+tests are float64 throughout.  Two safeguards act
 inside the one loop.  An attempt whose residual envelope grows, or whose
 last 30 iterations set no new least residual, is aborted and restarted
 from the least-residual iterate so far, with an empty history and halved
 beta.  A candidate that leaves the invertible sigma range is replaced by
 a damped Picard step (halved until it fits, projected as a last resort,
 projections counted and zero at convergence) and the history is
-cleared.  The nonlinear right-hand side is evaluated once per iteration:
-the load vectors `residual_norms` computes for the new iterate are
-passed on as the next step's right-hand side, and the least-residual
-iterate keeps its loads for a restart.
+cleared.  The nonlinear right-hand side is evaluated once per iteration,
+both fluxes from one evaluation of rho, qt and the trig factors: the
+load vectors `residual_norms` computes for the new iterate are passed
+on as the next step's right-hand side, and the least-residual iterate
+keeps its loads for a restart.
 """
 
 from __future__ import annotations
@@ -50,7 +61,9 @@ from .meshing import FARFIELD, Mesh
 
 RHO_GUARD = gc.RHO_CR - 1e-6
 # number of (iterate, residual) differences Anderson mixing keeps
-ANDERSON_DEPTH = 8
+ANDERSON_DEPTH = 16
+# rows of the float32 history converted to float64 at a time in `mix`
+_MIX_BLOCK = 2048
 
 
 class ConvergenceError(RuntimeError):
@@ -158,13 +171,27 @@ def circulation_flux(rho, theta):
 
 class AndersonHistory:
     """The last ANDERSON_DEPTH differences of iterates and of residuals,
-    kept in preallocated ring buffers (one column per difference), and
-    the Gram matrix dF^T dF of the residual differences."""
+    kept in preallocated float32 ring buffers (one column per
+    difference), and the float64 Gram matrix dF^T dF of the stored
+    residual differences.
+
+    float32 columns halve the memory of the history, which at h = 1/96
+    is of the size of the Cholesky factor; every product with them
+    (Gram entries, dF^T f, the correction) converts one block of
+    _MIX_BLOCK rows into a kept float64 buffer at a time and accumulates
+    in float64, so no float64 copy of the history is ever held.
+    """
 
     def __init__(self, size: int):
-        self.dx = np.empty((size, ANDERSON_DEPTH), order="F")
-        self.df = np.empty((size, ANDERSON_DEPTH), order="F")
+        self.dx = np.empty((size, ANDERSON_DEPTH), dtype=np.float32,
+                           order="F")
+        self.df = np.empty((size, ANDERSON_DEPTH), dtype=np.float32,
+                           order="F")
         self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        # float64 rows of one block: dX in the first count columns, dF in
+        # the next count
+        self.block = np.empty((min(size, _MIX_BLOCK), 2 * ANDERSON_DEPTH),
+                              order="F")
         self.x_prev = np.empty(size)
         self.f_prev = np.empty(size)
         self.clear()
@@ -181,33 +208,85 @@ class AndersonHistory:
 
         gamma solves the normal equations dF^T dF gamma = dF^T f on the
         kept Gram matrix, whose one new row and column cost O(n m) per
-        call; no factorisation of the n x m block is made.
+        call; no factorisation of the n x m block is made.  One pass over
+        the history forms the new Gram row and dF^T f, a second the
+        correction.
         """
         if self.has_prev:
             col = self.next
-            np.subtract(x, self.x_prev, out=self.dx[:, col])
-            np.subtract(f, self.f_prev, out=self.df[:, col])
+            self.dx[:, col] = x - self.x_prev
+            self.df[:, col] = f - self.f_prev
             self.next = (col + 1) % ANDERSON_DEPTH
             self.count = min(self.count + 1, ANDERSON_DEPTH)
-            row = self.df[:, :self.count].T @ self.df[:, col]
-            self.gram[col, :self.count] = row
-            self.gram[:self.count, col] = row
         self.x_prev[:] = x
         self.f_prev[:] = f
         self.has_prev = True
         cand = x + beta * f
-        if self.count:
-            c = self.count
-            dx, df = self.dx[:, :c], self.df[:, :c]
-            gamma = np.linalg.lstsq(self.gram[:c, :c], df.T @ f,
-                                    rcond=None)[0]
-            cand -= dx @ gamma + beta * (df @ gamma)
+        c = self.count
+        if not c:
+            return cand
+        # every call with a stored column has just added column `col`
+        row, dft_f = np.zeros(c), np.zeros(c)
+        for lo in range(0, len(x), _MIX_BLOCK):
+            hi = min(lo + _MIX_BLOCK, len(x))
+            df = self.block[:hi - lo, c:2 * c]
+            df[...] = self.df[lo:hi, :c]
+            row += df.T @ df[:, col]
+            dft_f += df.T @ f[lo:hi]
+        self.gram[col, :c] = row
+        self.gram[:c, col] = row
+        gamma = np.linalg.lstsq(self.gram[:c, :c], dft_f, rcond=None)[0]
+        coef = np.concatenate([gamma, beta * gamma])
+        for lo in range(0, len(x), _MIX_BLOCK):
+            hi = min(lo + _MIX_BLOCK, len(x))
+            both = self.block[:hi - lo, :2 * c]
+            both[:, :c] = self.dx[lo:hi, :c]
+            both[:, c:] = self.df[lo:hi, :c]
+            cand[lo:hi] -= both @ coef
         return cand
+
+
+class BandedCholesky:
+    """Cholesky factor L L^T of a sparse symmetric positive definite
+    matrix, in LAPACK's lower band storage: row d of `factor` holds the
+    d-th subdiagonal, so its size is (bandwidth + 1) x n."""
+
+    def __init__(self, A):
+        # imported here, so that importing the solver (as the config does)
+        # does not load scipy.linalg
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+        A = A.tocoo()
+        A.sum_duplicates()
+        lower = A.row >= A.col
+        rows, cols = A.row[lower], A.col[lower]
+        offset = rows - cols
+        band = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]),
+                        order="F")
+        band[offset, cols] = A.data[lower]
+        self.factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                "matrix is not positive definite: banded Cholesky breaks "
+                f"down at leading minor {info}")
+        if info < 0:
+            raise ValueError(f"dpbtrf: argument {-info} is invalid")
+        self._dpbtrs = dpbtrs
+
+    @property
+    def bandwidth(self) -> int:
+        return self.factor.shape[0] - 1
+
+    def solve(self, b):
+        """A^{-1} b for a vector or for each column of an (n, k) array."""
+        b = np.asarray(b, dtype=float)
+        x, _ = self._dpbtrs(self.factor, b.reshape(len(b), -1), lower=1)
+        return x.reshape(b.shape)
 
 
 class PicardSolver:
     """Both Poisson problems of a step in one solve against one
-    prefactored Laplacian."""
+    Cholesky-factored Laplacian, kept as a band (see the module
+    docstring)."""
 
     def __init__(self, mesh: Mesh, config: SolverConfig):
         self.mesh = mesh
@@ -217,13 +296,7 @@ class PicardSolver:
         K = mesh.stiffness_matrix()
         self.K = K
         K_free = K[self.free]
-        # imported here, so that importing the solver (as the config does)
-        # does not load scipy.sparse.linalg and with it scipy.linalg
-        from scipy.sparse.linalg import splu
-        # K is symmetric: order on the pattern of K + K^T, which keeps the
-        # factor about a third smaller than the default COLAMD ordering
-        self.lu = splu(K_free[:, self.free].tocsc(),
-                       permc_spec="MMD_AT_PLUS_A")
+        self.chol = BandedCholesky(K_free[:, self.free])
         # per-step constants: far-field sigma, its lift into the free
         # rows (theta is 0 on the far field), the sigma guard, and the
         # scales of sigma and theta in update norms and Anderson mixing
@@ -234,50 +307,67 @@ class PicardSolver:
                                 max(config.k_inf, 0.1)], n_free)
         sigma_d = np.full(len(self.dirichlet), self.sigma_inf)
         self.lift = np.column_stack([K_free[:, self.dirichlet] @ sigma_d,
-                                     np.zeros(len(self.free))])
+                                     np.zeros(n_free)])
 
     def rhs(self, sigma, theta, eps, source_sigma=None, source_theta=None):
-        """Load vectors of both Poisson problems for the current iterate."""
+        """Load vectors of both Poisson problems for the current iterate,
+        as the rows (b_sigma, b_theta) of one (2, n) array.
+
+        rho, qt and the trig factors are evaluated once for both fluxes
+        F and G, and the obstacle normal components of both are taken
+        together.
+        """
         mesh = self.mesh
         rho = np.asarray(gc.rho_of_sigma(np.clip(sigma, 0.0, gc.SIGMA_CR)))
-        F = mass_flux(rho, theta)
-        G = circulation_flux(rho, theta)
-        b_sig = mesh.divergence_rhs(F)
-        b_the = mesh.divergence_rhs(G)
-        Fn = mesh.obstacle_normal_flux(F)
-        sink = np.abs(Fn) - Fn  # inflow defect, vanishes where F.n >= 0
-        b_sig -= mesh.obstacle_scatter @ sink
-        b_the += mesh.obstacle_scatter @ mesh.obstacle_normal_flux(G)
-        b_sig /= eps
-        b_the /= eps
+        q = clipped_speed(rho)
+        cos, sin = np.cos(theta), np.sin(theta)
+        rho_q = rho * q
+        # fluxes[k, j, d]: component d at node j of F (k = 0), G (k = 1)
+        fluxes = np.empty((2, len(rho), 2))
+        np.multiply(rho_q, cos, out=fluxes[0, :, 0])
+        np.multiply(rho_q, sin, out=fluxes[0, :, 1])
+        np.multiply(q, sin, out=fluxes[1, :, 0])
+        np.multiply(q, cos, out=fluxes[1, :, 1])
+        np.negative(fluxes[1, :, 1], out=fluxes[1, :, 1])
+        # one sparse product per flux: scipy's product with a two-column
+        # block costs about 1.6 times as much as two single ones
+        loads = np.stack([mesh.divergence_rhs(flux) for flux in fluxes])
+        Fn, Gn = mesh.obstacle_normal_flux(fluxes)
+        # sigma: minus the inflow defect |F.n| - F.n, which vanishes where
+        # F.n >= 0; theta: plus G.n
+        loads[0] += mesh.obstacle_scatter @ (Fn - np.abs(Fn))
+        loads[1] += mesh.obstacle_scatter @ Gn
+        loads /= eps
         if source_sigma is not None:
-            b_sig -= mesh.mass_matrix() @ np.asarray(source_sigma)
+            loads[0] -= mesh.mass_matrix() @ np.asarray(source_sigma)
         if source_theta is not None:
-            b_the -= mesh.mass_matrix() @ np.asarray(source_theta)
-        return b_sig, b_the
+            loads[1] -= mesh.mass_matrix() @ np.asarray(source_theta)
+        return loads
 
     def _solve_pair(self, b_sig, b_the):
         """Free-node values of both Poisson problems, in one solve."""
-        rhs_f = np.column_stack([b_sig[self.free], b_the[self.free]]) \
-            - self.lift
-        out = self.lu.solve(rhs_f)
+        rhs_f = np.empty((len(self.free), 2), order="F")
+        np.subtract(b_sig[self.free], self.lift[:, 0], out=rhs_f[:, 0])
+        np.subtract(b_the[self.free], self.lift[:, 1], out=rhs_f[:, 1])
+        out = self.chol.solve(rhs_f)
         return out[:, 0], out[:, 1]
 
     def residual_norms(self, sigma, theta, eps, source_sigma=None,
                        source_theta=None):
         """Nonlinear weak residuals of the current fields (free nodes).
 
-        Returns ((r_sigma, r_theta), (b_sigma, b_theta)): the relative
-        residual norms and the load vectors they were computed from,
-        which are the right-hand side of the next Picard step.
+        Returns ((r_sigma, r_theta), loads): the relative residual norms
+        and the (2, n) load vectors (b_sigma, b_theta) they were computed
+        from, which are the right-hand side of the next Picard step.
         """
-        b_sig, b_the = self.rhs(sigma, theta, eps, source_sigma, source_theta)
+        loads = self.rhs(sigma, theta, eps, source_sigma, source_theta)
+        b_sig, b_the = loads
         r1 = (self.K @ sigma - b_sig)[self.free]
         r2 = (self.K @ theta - b_the)[self.free]
         s1 = max(float(np.linalg.norm(b_sig[self.free])), 1.0)
         s2 = max(float(np.linalg.norm(b_the[self.free])), 1.0)
         return ((float(np.linalg.norm(r1)) / s1,
-                 float(np.linalg.norm(r2)) / s2), (b_sig, b_the))
+                 float(np.linalg.norm(r2)) / s2), loads)
 
     def picard_step(self, sigma, theta, b_sig, b_the, beta, history):
         """One accelerated step from the load vectors (b_sig, b_the) of

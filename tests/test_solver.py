@@ -171,11 +171,39 @@ def test_solve_pair_matches_single_solves():
         (2, mesh.n_vertices))
     K_fd = mesh.stiffness_matrix()[solver.free][:, solver.dirichlet]
     n_d = len(solver.dirichlet)
+    K_ff = mesh.stiffness_matrix()[solver.free][:, solver.free]
     pair = solver._solve_pair(b_sig, b_the)
     for got, b, bdry in zip(pair, (b_sig, b_the),
                             (np.full(n_d, cfg.sigma_inf), np.zeros(n_d))):
-        ref = solver.lu.solve(b[solver.free] - K_fd @ bdry)
+        rhs = b[solver.free] - K_fd @ bdry
+        ref = solver.chol.solve(rhs)  # one column through the same factor
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(K_ff @ got - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_stiffness_band_is_one_mesh_column_wide():
+    # build_mesh numbers vertices column by column, ny + 1 per column;
+    # without the far-field rows a free node's farthest neighbour is ny
+    # free nodes away, or ny + 1 where the column's bottom node lies on
+    # the obstacle
+    for h in (1 / 16, 1 / 32):
+        spec = mh.DomainSpec(h_mesh=h)
+        ny = round(spec.height / h)
+        solver = sv.PicardSolver(mh.build_mesh(spec), sv.SolverConfig())
+        assert solver.chol.bandwidth == ny + 1
+        flat = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=h))
+        assert sv.PicardSolver(flat, sv.SolverConfig()).chol.bandwidth == ny
+
+
+def test_banded_cholesky_rejects_matrix_not_positive_definite():
+    import scipy.sparse as sp
+    A = sp.diags([[-1.0] * 5, [2.0] * 6, [-1.0] * 5], [-1, 0, 1])
+    assert np.allclose(A @ sv.BandedCholesky(A).solve(np.ones(6)), 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        sv.BandedCholesky(-A)
+    indefinite = A - 3.0 * sp.eye(6)
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor 1"):
+        sv.BandedCholesky(indefinite)
 
 
 def test_one_rhs_evaluation_per_iteration(monkeypatch):
@@ -233,7 +261,7 @@ def test_no_state_carried_between_solves():
     cfg = sv.SolverConfig(epsilons=(0.1,))
     solver = sv.PicardSolver(mesh, cfg)
     first = solver.solve_epsilon(0.1)
-    harder = solver.solve_epsilon(0.03)
+    harder = solver.solve_epsilon(0.015)
     assert harder.omega_final < cfg.omega  # the harder solve halved beta
     again = solver.solve_epsilon(0.1)
     assert again.iterations == first.iterations
@@ -303,11 +331,19 @@ def test_anderson_gram_matrix_tracks_ring():
         c = history.count
         if not c:
             continue  # the first mix has no difference to record
-        df = history.df[:, :c]
+        df = history.df[:, :c].astype(np.float64)  # the stored columns
         ref = df.T @ df
         assert np.abs(history.gram[:c, :c] - ref).max() \
             <= 1e-12 * np.abs(ref).max()
     assert history.count == sv.ANDERSON_DEPTH  # the ring has wrapped
+
+
+def test_anderson_history_is_float32_in_the_bytes_of_depth_8_float64():
+    size = 300
+    history = sv.AndersonHistory(size)
+    assert sv.ANDERSON_DEPTH == 16
+    assert history.dx.dtype == history.df.dtype == np.float32
+    assert history.dx.nbytes + history.df.nbytes == 2 * 8 * 8 * size
 
 
 def test_anderson_candidate_matches_block_lstsq():
@@ -319,7 +355,8 @@ def test_anderson_candidate_matches_block_lstsq():
         c = history.count
         ref = x + beta * f
         if c:
-            dx, df = history.dx[:, :c], history.df[:, :c]
+            dx = history.dx[:, :c].astype(np.float64)
+            df = history.df[:, :c].astype(np.float64)
             gamma = np.linalg.lstsq(df, f, rcond=None)[0]
             ref -= dx @ gamma + beta * (df @ gamma)
         assert np.abs(cand - ref).max() <= 1e-10 * np.abs(ref).max()
