@@ -18,9 +18,8 @@ closed forms (never finite differences), with the same series switch.
 
 Every fhat is even in x, so fhat and fhat'' are series in x^2 and fhat'
 is x times one.  Only those nonzero coefficients are stored, and a
-series is evaluated from one table of the powers of x^2 per block of
-points: a few array operations per call, whatever the number of terms,
-and temporaries that stay O(number of points).
+series is evaluated by Horner's rule in x^2: one multiply and one add
+per term on the point array, with one temporary of the size of x.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ _SERIES_CUT = {-3: 0.5, -2: 0.5, -1: 0.5, 0: 0.5, 1: 2.0, 2: 2.0}
 # powers x^0..x^34 (fhat, fhat'') or x^1..x^35 (fhat'); truncation
 # < 1e-20 at every cut
 _SERIES_TERMS = 18
-# points per power table: 4096 x 18 floats (576 KB)
-_SERIES_BLOCK = 4096
 
 
 def _trig_series(terms: int):
@@ -98,22 +95,16 @@ def _trig_series(terms: int):
 
 _SERIES = {lam: tuple(np.array([float(c) for c in cs]) for cs in exact)
            for lam, exact in _trig_series(_SERIES_TERMS).items()}
-_POWERS = np.arange(_SERIES_TERMS, dtype=float)
 
 
 def _series(coeffs, x, odd: bool):
-    """sum_i coeffs[i] x^(2i), times x if odd, on a 1-D array x.
-
-    Each block of points builds one table of the powers of x^2 and sums
-    each row of coeffs * powers; every value depends on its own point
-    only, whatever the block it falls in.
-    """
-    out = np.empty_like(x)
-    for start in range(0, x.size, _SERIES_BLOCK):
-        xb = x[start:start + _SERIES_BLOCK]
-        powers = np.power((xb * xb)[:, None], _POWERS)
-        powers *= coeffs
-        powers.sum(axis=1, out=out[start:start + xb.size])
+    """sum_i coeffs[i] x^(2i), times x if odd, on a 1-D array x, by
+    Horner's rule in x^2 (highest coefficient first)."""
+    x2 = x * x
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x2
+        out += c
     if odd:
         out *= x
     return out
