@@ -155,6 +155,36 @@ def test_check_on_small_config(tmp_path):
     assert [r["epsilon"] for r in report["records"]] == [0.2, 0.1, 0.05]
 
 
+def test_default_check_fails_its_pre_asymptotic_gates(tmp_path):
+    # the default check (h = 1/32, eps = 0.2 ... 0.0125) is a named
+    # pre-asymptotic case: an outflow layer and an eps range where the
+    # sqrt(eps) laws have not started fail six gates, at these values
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(f"output.dir = {run_dir}\n")
+    assert cli.main(["check", "--config", str(cfg)]) == cli.CHECK_FAILED
+    with open(run_dir / "report.json") as fh:
+        report = json.load(fh)
+    sweep = report["sweep"]
+    gates = {
+        "invariant-region": all(r["invariant_region"]["pass"]
+                                for r in report["records"]),
+        "dissipation": sweep["dissipation_ratio"] <= 3.0,
+        "trace": sweep["trace_min"] >= -1e-6,
+        "mass-fit": sweep["mass_fit"]["violations"] == 0,
+        "curl-fit": sweep["curl_fit"]["violations"] == 0,
+        "entropy-defect-fit": sweep["defect_star_fit"]["violations"] == 0,
+        "D2": sweep["D2_ratio"] <= 3.0,
+        "D1": sweep["D1_ratio"] <= 3.0,
+    }
+    assert {gate for gate, ok in gates.items() if not ok} == {
+        "dissipation", "D2", "D1", "mass-fit", "curl-fit",
+        "entropy-defect-fit"}
+    assert sweep["dissipation_ratio"] == pytest.approx(6.1794, rel=1e-4)
+    assert sweep["D1_ratio"] == pytest.approx(11.361, rel=1e-4)
+    assert sweep["trace_min"] > 0.0
+
+
 @pytest.mark.parametrize("command", ("sweep", "check"))
 def test_unresolved_epsilon_is_a_usage_error(tmp_path, capsys, command):
     # at h/eps = 5 the invariant-region verdict is meaningless
