@@ -323,19 +323,23 @@ def _mix_sequence(history, rng, n, steps, beta=0.5):
         yield x, f, history.mix(x, f, beta)
 
 
+# one block of float64 rows, and several with a partial last block
+HISTORY_SIZES = (300, 2 * sv._MIX_BLOCK + 300)
+
+
 def test_anderson_gram_matrix_tracks_ring():
-    n = 300
-    history = sv.AndersonHistory(n)
-    rng = np.random.default_rng(11)
-    for _ in _mix_sequence(history, rng, n, 2 * sv.ANDERSON_DEPTH + 3):
-        c = history.count
-        if not c:
-            continue  # the first mix has no difference to record
-        df = history.df[:, :c].astype(np.float64)  # the stored columns
-        ref = df.T @ df
-        assert np.abs(history.gram[:c, :c] - ref).max() \
-            <= 1e-12 * np.abs(ref).max()
-    assert history.count == sv.ANDERSON_DEPTH  # the ring has wrapped
+    for n in HISTORY_SIZES:
+        history = sv.AndersonHistory(n)
+        rng = np.random.default_rng(11)
+        for _ in _mix_sequence(history, rng, n, 2 * sv.ANDERSON_DEPTH + 3):
+            c = history.count
+            if not c:
+                continue  # the first mix has no difference to record
+            df = history.df[:, :c].astype(np.float64)  # the stored columns
+            ref = df.T @ df
+            assert np.abs(history.gram[:c, :c] - ref).max() \
+                <= 1e-12 * np.abs(ref).max()
+        assert history.count == sv.ANDERSON_DEPTH  # the ring has wrapped
 
 
 def test_anderson_history_is_float32_in_the_bytes_of_depth_8_float64():
@@ -347,19 +351,20 @@ def test_anderson_history_is_float32_in_the_bytes_of_depth_8_float64():
 
 
 def test_anderson_candidate_matches_block_lstsq():
-    n, beta = 300, 0.5
-    history = sv.AndersonHistory(n)
-    rng = np.random.default_rng(5)
-    mixes = _mix_sequence(history, rng, n, 2 * sv.ANDERSON_DEPTH + 3, beta)
-    for x, f, cand in mixes:
-        c = history.count
-        ref = x + beta * f
-        if c:
-            dx = history.dx[:, :c].astype(np.float64)
-            df = history.df[:, :c].astype(np.float64)
-            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-            ref -= dx @ gamma + beta * (df @ gamma)
-        assert np.abs(cand - ref).max() <= 1e-10 * np.abs(ref).max()
+    beta = 0.5
+    for n in HISTORY_SIZES:
+        history = sv.AndersonHistory(n)
+        rng = np.random.default_rng(5)
+        for x, f, cand in _mix_sequence(history, rng, n,
+                                        2 * sv.ANDERSON_DEPTH + 3, beta):
+            c = history.count
+            ref = x + beta * f
+            if c:
+                dx = history.dx[:, :c].astype(np.float64)
+                df = history.df[:, :c].astype(np.float64)
+                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+                ref -= dx @ gamma + beta * (df @ gamma)
+            assert np.abs(cand - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class _ScriptedSolver:
