@@ -188,8 +188,7 @@ class AndersonHistory:
         self.df = np.empty((size, ANDERSON_DEPTH), dtype=np.float32,
                            order="F")
         self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
-        # float64 rows of one block: dX in the first count columns, dF in
-        # the next count
+        # float64 rows of one block: dF alone, or dX and dF side by side
         self.block = np.empty((min(size, _MIX_BLOCK), 2 * ANDERSON_DEPTH),
                               order="F")
         self.x_prev = np.empty(size)
@@ -229,7 +228,7 @@ class AndersonHistory:
         row, dft_f = np.zeros(c), np.zeros(c)
         for lo in range(0, len(x), _MIX_BLOCK):
             hi = min(lo + _MIX_BLOCK, len(x))
-            df = self.block[:hi - lo, c:2 * c]
+            df = self.block[:hi - lo, :c]
             df[...] = self.df[lo:hi, :c]
             row += df.T @ df[:, col]
             dft_f += df.T @ f[lo:hi]
@@ -258,8 +257,8 @@ class BandedCholesky:
         A = A.tocoo()
         A.sum_duplicates()
         lower = A.row >= A.col
-        rows, cols = A.row[lower], A.col[lower]
-        offset = rows - cols
+        cols = A.col[lower]
+        offset = A.row[lower] - cols
         band = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]),
                         order="F")
         band[offset, cols] = A.data[lower]
@@ -285,8 +284,15 @@ class BandedCholesky:
 
 class PicardSolver:
     """Both Poisson problems of a step in one solve against one
-    Cholesky-factored Laplacian, kept as a band (see the module
-    docstring)."""
+    prefactored Laplacian.
+
+    The free-node Laplacian (far-field Dirichlet rows and columns
+    removed) is symmetric positive definite, and `build_mesh` numbers the
+    vertices column by column, ny + 1 to a column, so a free node's
+    farthest neighbour is ny + 1 free nodes away at most: its Cholesky
+    factor is kept as a band of that width (`BandedCholesky`), about
+    (ny + 2) n_free floats, and each solve costs O(ny n_free).
+    """
 
     def __init__(self, mesh: Mesh, config: SolverConfig):
         self.mesh = mesh
