@@ -252,8 +252,8 @@ def cmd_solve(args) -> int:
     store.save_config(cfg)
     store.save_mesh(mesh, fields={"rho": sol.rho, "theta": sol.theta})
     store.save_fields(mesh, sol)
-    print(f"solved eps={eps:g} in {sol.iterations} iterations "
-          f"(min q = {sol.q.min():.6f})")
+    print(f"solved eps={eps:g} in {sol.iterations} Newton steps, "
+          f"{sol.krylov_steps} Krylov steps (min q = {sol.q.min():.6f})")
     return 0
 
 
@@ -295,7 +295,8 @@ def cmd_report(args) -> int:
           f"{[round(d, 6) for d in sweep['cauchy']['l2_differences']]}")
     for rec in payload["records"]:
         inv = rec["invariant_region"]
-        print(f"  eps={rec['epsilon']:g}: iters={rec['iterations']} "
+        print(f"  eps={rec['epsilon']:g}: newton={rec['iterations']} "
+              f"krylov={rec['krylov_steps']} "
               f"min-q margin={inv['min_q_margin']:+.2e} "
               f"angle margin={inv['angle_margin']:+.2e} "
               f"{'ok' if inv['pass'] else 'VIOLATED'}")

@@ -42,7 +42,6 @@ _FLOAT_KEYS = {
     "geometry.bump_height": ("geometry", "bump_height"),
     "geometry.h_mesh": ("geometry", "h_mesh"),
     "flow.q_inf": ("solver", "q_inf"),
-    "solver.omega": ("solver", "omega"),
     "solver.picard_tol": ("solver", "picard_tol"),
     "solver.residual_tol": ("solver", "residual_tol"),
     "solver.tol_inv_factor": ("solver", "tol_inv_factor"),
@@ -113,7 +112,6 @@ def dump_config(cfg: RunConfig) -> str:
         f"geometry.h_mesh = {g.h_mesh!r}",
         f"flow.q_inf = {s.q_inf!r}",
         "solver.epsilons = " + ",".join(repr(e) for e in s.epsilons),
-        f"solver.omega = {s.omega!r}",
         f"solver.picard_tol = {s.picard_tol!r}",
         f"solver.residual_tol = {s.residual_tol!r}",
         f"solver.max_iters = {s.max_iters!r}",

@@ -355,8 +355,8 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
         records.append({
             "epsilon": sol.epsilon,
             "iterations": sol.iterations,
+            "krylov_steps": sol.krylov_steps,
             "final_residual": sol.residual_history[-1],
-            "projection_count": sol.projection_count,
             "invariant_region": invariant_region_report(sol),
             "dissipation_integral": dissipation_integral(mesh, cells),
             "weak_residuals": weak_form_residuals(mesh, sol, psi_in),
@@ -389,7 +389,7 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
     }
     cfg_rec = {
         "epsilons": list(config.epsilons), "q_inf": config.q_inf,
-        "omega": config.omega, "picard_tol": config.picard_tol,
+        "picard_tol": config.picard_tol,
         "residual_tol": config.residual_tol, "max_iters": config.max_iters,
         "tol_inv": config.tol_inv,
         "mesh": {"vertices": mesh.n_vertices,

@@ -1,5 +1,5 @@
-"""Viscous approximate solutions by safeguarded Anderson-accelerated Picard
-iteration.
+"""Viscous approximate solutions by Newton-Krylov iteration on the Picard
+map.
 
 For each viscosity eps the mixed Dirichlet-Neumann system is solved in
 the potential form
@@ -18,41 +18,46 @@ qt(rho) = (1 - rho_+^2)_+^(1/2) guards transients; at convergence it
 coincides with the Bernoulli speed.  The P1 operators (stiffness,
 divergence load, mass) belong to the mesh and are built once per mesh.
 
-The Picard map g sends the current iterate to the solution of both
-Poisson problems with its loads, as one two-column solve against one
-prefactored stiffness matrix.  With the far-field Dirichlet rows and
-columns removed, the P1 Laplacian is symmetric positive definite, and
-`build_mesh` numbers the vertices column by column, so its nonzeros lie
-within one mesh column plus two of the diagonal (33 at h = 1/32): it is
-factored once by a banded Cholesky factorisation (LAPACK dpbtrf), whose
-storage and solve cost are n times that narrow band.  The contraction
-factor of g degrades roughly like 1/eps, so the iterates are mixed by
-type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49,
-2011) over the last ANDERSON_DEPTH differences of the scaled iterates
-and residuals g(x) - x, with mixing parameter beta; the mixing
-coefficients come from the kept Gram matrix of the residual
-differences.  A long history behaves more like GMRES and stalls less;
-its differences are stored in float32, so 16 of them take the bytes of
-8 in float64, while every product with them accumulates in float64.
-Mixing only chooses the path: g(x), the residuals and the convergence
-tests are float64 throughout.  Two safeguards act
-inside the one loop.  An attempt whose residual envelope grows, or whose
-last 30 iterations set no new least residual, is aborted and restarted
-from the least-residual iterate so far, with an empty history and halved
-beta.  A candidate that leaves the invertible sigma range is replaced by
-a damped Picard step (halved until it fits, projected as a last resort,
-projections counted and zero at convergence) and the history is
-cleared.  The nonlinear right-hand side is evaluated once per iteration,
-both fluxes from one evaluation of rho, qt and the trig factors: the
-load vectors `residual_norms` computes for the new iterate are passed
-on as the next step's right-hand side, and the least-residual iterate
-keeps its loads for a restart.
+The Picard map g sends the iterate x to the solution of both Poisson
+problems with its loads b(x), as one two-column solve against one
+prefactored stiffness matrix: g(x) = K^-1 (b(x) - lift) on the free
+nodes.  With the far-field Dirichlet rows and columns removed, the P1
+Laplacian K is symmetric positive definite, and `build_mesh` numbers
+the vertices column by column, so its nonzeros lie within one mesh
+column plus two of the diagonal (33 at h = 1/32): it is factored once by
+a banded Cholesky factorisation (LAPACK dpbtrf), whose storage and solve
+cost are n times that narrow band.
+
+The contraction factor of g degrades roughly like 1/eps, so g(x) - x = 0
+is solved by inexact Newton iteration with g as its preconditioner
+(Knoll & Keyes, J. Comput. Phys. 193, 2004).  Each Newton step solves
+
+    (I - K^-1 J_b) delta = g(x) - x
+
+by `gmres`, to the Eisenstat-Walker forcing term (choice 2 of SIAM J.
+Sci. Comput. 17, 1996, at most ETA_MAX).  J_b, the Jacobian of the
+loads, is applied matrix-free from the nodal fluxes F = rho qt e(theta)
+and G = qt e(theta - pi/2) that `rhs` builds, and one array
+c = -rho / (1 - 2 rho^2), so sigma is not inverted again: with
+d sigma / d rho = (1 - 2 rho^2) / (1 - rho^2),
+
+    dF/dsigma = (-G_y, G_x),   dF/dtheta = (-F_y, F_x),
+    dG/dsigma = c G,           dG/dtheta = (-G_y, G_x),
+
+and the obstacle load S(F.n - |F.n|) of sigma differentiates to
+S((1 - sign F.n) d(F.n)).  One Krylov step is one J_b product and one
+two-column solve.  The step is halved while it leaves the invertible
+sigma range, and then while |g(x) - x| does not decrease.  The unknowns
+are the free-node values of sigma and theta divided by their scales,
+so that both fields weigh alike in every norm.  Each trial iterate costs
+one evaluation of the loads (rho, qt and the trig factors once for both
+fluxes) and one two-column solve for g(x) - x (`picard_step`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -60,14 +65,16 @@ from . import gaschart as gc
 from .meshing import FARFIELD, Mesh
 
 RHO_GUARD = gc.RHO_CR - 1e-6
-# number of (iterate, residual) differences Anderson mixing keeps
-ANDERSON_DEPTH = 16
-# rows of the float32 history converted to float64 at a time in `mix`
-_MIX_BLOCK = 2048
+# Krylov steps one Newton system may take (rows of the GMRES basis - 1)
+KRYLOV_MAX = 200
+# largest Eisenstat-Walker forcing term
+ETA_MAX = 0.1
+# halvings of a Newton step before the solve gives up
+MAX_HALVINGS = 12
 
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration failed; carries the iteration history."""
+    """Newton iteration failed; carries the iteration history."""
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -78,10 +85,10 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     epsilons: tuple = (0.2, 0.1, 0.05, 0.025, 0.0125)
     q_inf: float = 0.9
-    omega: float = 0.5
     picard_tol: float = 1e-8
     residual_tol: float = 1e-7
-    # iteration budget per viscosity, over all attempts
+    # budget of two-column solves per viscosity: one per evaluation of
+    # the Picard map, one per Krylov step
     max_iters: int = 8000
     tol_inv_factor: float = 1e-3
 
@@ -89,8 +96,6 @@ class SolverConfig:
         if not gc.Q_CR < self.q_inf < gc.Q_CAV:
             raise ValueError("far-field speed must be strictly supersonic "
                              "and strictly below cavitation")
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         eps = tuple(self.epsilons)
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon list must be strictly decreasing")
@@ -117,16 +122,16 @@ class SolverConfig:
 @dataclass
 class Solution:
     """Converged nodal fields for one viscosity, plus derived states;
-    rho is inverted from sigma once, on first use."""
+    rho is inverted from sigma once, on first use.  `iterations` counts
+    Newton steps and `krylov_steps` the GMRES steps of all of them."""
 
     epsilon: float
     sigma: np.ndarray
     theta: np.ndarray
     iterations: int
+    krylov_steps: int
     update_history: list
     residual_history: list
-    omega_final: float
-    projection_count: int
     config: SolverConfig
 
     @cached_property
@@ -169,80 +174,45 @@ def circulation_flux(rho, theta):
     return np.stack([q * np.sin(theta), -q * np.cos(theta)], axis=1)
 
 
-class AndersonHistory:
-    """The last ANDERSON_DEPTH differences of iterates and of residuals,
-    kept in preallocated float32 ring buffers (one column per
-    difference), and the float64 Gram matrix dF^T dF of the stored
-    residual differences.
+def gmres(matvec, b, atol, basis):
+    """x with |b - A x|_2 <= atol, A given by `matvec`, by GMRES from x = 0
+    without restarts (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
 
-    float32 columns halve the memory of the history, which at h = 1/96
-    is of the size of the Cholesky factor; every product with them
-    (Gram entries, dF^T f, the correction) converts one block of
-    _MIX_BLOCK rows into a kept float64 buffer at a time and accumulates
-    in float64, so no float64 copy of the history is ever held.
+    The orthonormal Krylov basis is built in the rows of `basis`, one row
+    per step and written only when its step is taken, so at most
+    len(basis) - 1 steps are taken; at that cap the minimal-residual
+    iterate in the basis is returned.  Returns (x, steps).
     """
-
-    def __init__(self, size: int):
-        self.dx = np.empty((size, ANDERSON_DEPTH), dtype=np.float32,
-                           order="F")
-        self.df = np.empty((size, ANDERSON_DEPTH), dtype=np.float32,
-                           order="F")
-        self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
-        # float64 rows of one block: dF alone, or dX and dF side by side
-        self.block = np.empty((min(size, _MIX_BLOCK), 2 * ANDERSON_DEPTH),
-                              order="F")
-        self.x_prev = np.empty(size)
-        self.f_prev = np.empty(size)
-        self.clear()
-
-    def clear(self):
-        self.count = 0    # stored columns
-        self.next = 0     # column the next difference overwrites
-        self.has_prev = False
-
-    def mix(self, x, f, beta):
-        """Type-II Anderson candidate x + beta f - (dX + beta dF) gamma,
-        gamma minimising |f - dF gamma|_2, for the residual f = g(x) - x;
-        records the differences to the previous (x, f) first.
-
-        gamma solves the normal equations dF^T dF gamma = dF^T f on the
-        kept Gram matrix, whose one new row and column cost O(n m) per
-        call; no factorisation of the n x m block is made.  One pass over
-        the history forms the new Gram row and dF^T f, a second the
-        correction.
-        """
-        if self.has_prev:
-            col = self.next
-            self.dx[:, col] = x - self.x_prev
-            self.df[:, col] = f - self.f_prev
-            self.next = (col + 1) % ANDERSON_DEPTH
-            self.count = min(self.count + 1, ANDERSON_DEPTH)
-        self.x_prev[:] = x
-        self.f_prev[:] = f
-        self.has_prev = True
-        cand = x + beta * f
-        c = self.count
-        if not c:
-            return cand
-        # every call with a stored column has just added column `col`
-        row, dft_f = np.zeros(c), np.zeros(c)
-        for lo in range(0, len(x), _MIX_BLOCK):
-            hi = min(lo + _MIX_BLOCK, len(x))
-            df = self.block[:hi - lo, :c]
-            df[...] = self.df[lo:hi, :c]
-            row += df.T @ df[:, col]
-            dft_f += df.T @ f[lo:hi]
-        self.gram[col, :c] = row
-        self.gram[:c, col] = row
-        gamma = np.linalg.lstsq(self.gram[:c, :c], dft_f, rcond=None)[0]
-        coef = np.concatenate([gamma, beta * gamma])
-        for lo in range(0, len(x), _MIX_BLOCK):
-            hi = min(lo + _MIX_BLOCK, len(x))
-            both = self.block[:hi - lo, :2 * c]
-            both[:, :c] = self.dx[lo:hi, :c]
-            both[:, c:] = self.df[lo:hi, :c]
-            cand[lo:hi] -= both @ coef
-        return cand
+    m = len(basis) - 1
+    beta = float(np.linalg.norm(b))
+    if beta <= atol or m < 1:
+        return np.zeros_like(b), 0
+    H = np.zeros((m + 1, m))  # Hessenberg matrix, reduced by rotations
+    rot = np.zeros((m, 2))    # (cos, sin) of each Givens rotation
+    g = np.zeros(m + 1)       # rotated right-hand side beta e_1
+    g[0] = beta
+    basis[0] = b / beta
+    for k in range(m):
+        w = matvec(basis[k])
+        V = basis[:k + 1]
+        for _ in range(2):  # classical Gram-Schmidt, repeated once
+            h = V @ w
+            w -= h @ V
+            H[:k + 1, k] += h
+        h_next = float(np.linalg.norm(w))
+        for j, (c, s) in enumerate(rot[:k]):
+            H[j, k], H[j + 1, k] = (c * H[j, k] + s * H[j + 1, k],
+                                    c * H[j + 1, k] - s * H[j, k])
+        r = np.hypot(H[k, k], h_next)
+        rot[k] = c, s = H[k, k] / r, h_next / r
+        H[k, k] = r
+        g[k + 1] = -s * g[k]
+        g[k] *= c
+        if abs(g[k + 1]) <= atol or k + 1 == m or h_next == 0.0:
+            break
+        basis[k + 1] = w / h_next
+    y = np.linalg.solve(H[:k + 1, :k + 1], g[:k + 1])
+    return y @ basis[:k + 1], k + 1
 
 
 class BandedCholesky:
@@ -305,7 +275,7 @@ class PicardSolver:
         self.chol = BandedCholesky(K_free[:, self.free])
         # per-step constants: far-field sigma, its lift into the free
         # rows (theta is 0 on the far field), the sigma guard, and the
-        # scales of sigma and theta in update norms and Anderson mixing
+        # scales of sigma and theta in the Newton unknowns
         self.sigma_inf = config.sigma_inf
         self.sigma_hi = gc.sigma_of_rho(RHO_GUARD)
         n_free = len(self.free)
@@ -314,14 +284,19 @@ class PicardSolver:
         sigma_d = np.full(len(self.dirichlet), self.sigma_inf)
         self.lift = np.column_stack([K_free[:, self.dirichlet] @ sigma_d,
                                      np.zeros(n_free)])
+        # the GMRES basis; a row's memory is touched only once it is used
+        self.basis = np.empty((KRYLOV_MAX + 1, 2 * n_free))
 
     def rhs(self, sigma, theta, eps, source_sigma=None, source_theta=None):
         """Load vectors of both Poisson problems for the current iterate,
-        as the rows (b_sigma, b_theta) of one (2, n) array.
+        and their Jacobian J_b there.
 
-        rho, qt and the trig factors are evaluated once for both fluxes
-        F and G, and the obstacle normal components of both are taken
-        together.
+        Returns (loads, jacobian): loads is the (2, n) array of rows
+        (b_sigma, b_theta), and jacobian(dsigma, dtheta) applies J_b to
+        nodal increments, giving a (2, n) array.  rho, qt and the trig
+        factors are evaluated once for both fluxes F and G, and the
+        obstacle normal components of both are taken together; J_b reuses
+        F, G and F.n.
         """
         mesh = self.mesh
         rho = np.asarray(gc.rho_of_sigma(np.clip(sigma, 0.0, gc.SIGMA_CR)))
@@ -348,6 +323,27 @@ class PicardSolver:
             loads[0] -= mesh.mass_matrix() @ np.asarray(source_sigma)
         if source_theta is not None:
             loads[1] -= mesh.mass_matrix() @ np.asarray(source_theta)
+        F, G = fluxes
+        return loads, partial(
+            self._load_jacobian,
+            np.column_stack([-G[:, 1], G[:, 0]]),  # qt e(theta)
+            np.column_stack([-F[:, 1], F[:, 0]]),
+            (-rho / (1.0 - 2.0 * rho * rho))[:, None] * G,
+            1.0 - np.sign(Fn), eps)
+
+    def _load_jacobian(self, q_e, f_theta, g_sigma, wall, eps, dsigma,
+                       dtheta):
+        """J_b (dsigma, dtheta) from the nodal flux derivatives of an
+        iterate, q_e = dF/dsigma = dG/dtheta, f_theta = dF/dtheta and
+        g_sigma = dG/dsigma, and wall = 1 - sign F.n on the obstacle."""
+        mesh = self.mesh
+        ds, dt = dsigma[:, None], dtheta[:, None]
+        d = np.stack([q_e * ds + f_theta * dt, g_sigma * ds + q_e * dt])
+        loads = np.stack([mesh.divergence_rhs(flux) for flux in d])
+        dFn, dGn = mesh.obstacle_normal_flux(d)
+        loads[0] += mesh.obstacle_scatter @ (wall * dFn)
+        loads[1] += mesh.obstacle_scatter @ dGn
+        loads /= eps
         return loads
 
     def _solve_pair(self, b_sig, b_the):
@@ -362,80 +358,70 @@ class PicardSolver:
                        source_theta=None):
         """Nonlinear weak residuals of the current fields (free nodes).
 
-        Returns ((r_sigma, r_theta), loads): the relative residual norms
-        and the (2, n) load vectors (b_sigma, b_theta) they were computed
-        from, which are the right-hand side of the next Picard step.
+        Returns ((r_sigma, r_theta), loads, jacobian): the relative
+        residual norms, and the load vectors and load Jacobian of `rhs`
+        they were computed from.
         """
-        loads = self.rhs(sigma, theta, eps, source_sigma, source_theta)
+        loads, jacobian = self.rhs(sigma, theta, eps, source_sigma,
+                                   source_theta)
         b_sig, b_the = loads
         r1 = (self.K @ sigma - b_sig)[self.free]
         r2 = (self.K @ theta - b_the)[self.free]
         s1 = max(float(np.linalg.norm(b_sig[self.free])), 1.0)
         s2 = max(float(np.linalg.norm(b_the[self.free])), 1.0)
         return ((float(np.linalg.norm(r1)) / s1,
-                 float(np.linalg.norm(r2)) / s2), loads)
+                 float(np.linalg.norm(r2)) / s2), loads, jacobian)
 
-    def picard_step(self, sigma, theta, b_sig, b_the, beta, history):
-        """One accelerated step from the load vectors (b_sig, b_the) of
-        (sigma, theta).
+    def picard_step(self, sigma, theta, b_sig, b_the):
+        """g(x) - x for the iterate x = (sigma, theta) with the load
+        vectors (b_sig, b_the): one two-column solve.  Free-node values,
+        sigma's then theta's, divided by their scales."""
+        f = np.concatenate(self._solve_pair(b_sig, b_the))
+        f[:len(self.free)] -= sigma[self.free]
+        f[len(self.free):] -= theta[self.free]
+        f /= self.scale
+        return f
 
-        g(x), the undamped Picard map, is one two-column solve; the
-        candidate is `history.mix` of the scaled free-node values.  A
-        candidate outside the invertible sigma range is replaced by the
-        damped step x + w (g(x) - x), w halved from beta until it fits,
-        and the history is cleared.  Returns (sigma, theta, update, w,
-        projections): update is the scaled full-step norm |g(x) - x|_inf
-        and w the damping of a fallback step (beta otherwise).
-        """
-        free, n_free = self.free, len(self.free)
-        g = np.concatenate(self._solve_pair(b_sig, b_the)) / self.scale
-        x = np.concatenate([sigma[free], theta[free]]) / self.scale
-        f = g - x
-        update = float(np.abs(f).max())
-        cand = history.mix(x, f, beta) * self.scale
-        cand_s = sigma.copy()
-        cand_s[free] = cand[:n_free]
-        w, projections = beta, 0
-        if not self._in_range(cand_s):
-            history.clear()
-            for _ in range(6):
-                cand = (x + w * f) * self.scale
-                cand_s[free] = cand[:n_free]
-                if self._in_range(cand_s):
-                    break
-                w *= 0.5  # step leaves the invertible range: damp
-            else:
-                projections = int(np.sum((cand_s < 0)
-                                         | (cand_s > self.sigma_hi)))
-                cand_s = np.clip(cand_s, 0.0, self.sigma_hi)
-        cand_t = theta.copy()
-        cand_t[free] = cand[n_free:]
-        return cand_s, cand_t, update, w, projections
+    def _newton_operator(self, jacobian):
+        """v -> (I - K^-1 J_b) v on scaled free-node increments v."""
+        free, scale = self.free, self.scale
+        increment = np.zeros((2, self.mesh.n_vertices))  # 0 on the far field
+
+        def matvec(v):
+            # row by row and np.take: fancy indexing across both rows of a
+            # (2, n) array at once is several times slower
+            increment[0, free], increment[1, free] = \
+                (v * scale).reshape(2, -1)
+            w = self.chol.solve(np.take(jacobian(*increment), free, axis=1).T)
+            return v - w.T.ravel() / scale
+        return matvec
 
     def _in_range(self, sigma):
         return bool(np.all((sigma >= -1e-12) & (sigma <= self.sigma_hi)))
 
     def solve_epsilon(self, eps: float, warm_start=None,
                       source_sigma=None, source_theta=None) -> Solution:
-        """Iterate to the fixed point at one viscosity.
+        """Newton-Krylov iteration to the fixed point at one viscosity.
 
-        Each iteration is one `picard_step`: Anderson mixing of the
-        undamped Picard map with mixing parameter beta, starting at
-        `config.omega` for every viscosity.  The map loses contractivity
-        as eps shrinks, so an attempt is checked from its 30th iteration
-        on, every 10: it is aborted when its residual envelope grows
-        (the least of the last 10 residuals exceeds twice the attempt's
-        least) or when the last 30 iterations set no new least residual
-        of the solve (stagnation, which the envelope test cannot see
-        once the relative residual saturates near 1).  An aborted attempt
-        restarts from the iterate with the least residual so far (the
-        warm start until an iterate beats it), with a cleared history and
-        beta halved, so the progress of the attempt is kept.  Nothing
-        carries over from one call to the next.  Converged means the
-        scaled full-step update |g(x) - x|_inf is below `picard_tol` and
-        the relative residual of the new iterate below `residual_tol`.
+        Converged means that at the current iterate the scaled update
+        |g(x) - x|_inf is below `picard_tol` and the relative residual
+        below `residual_tol`.  Until then, each Newton step solves
+        (I - K^-1 J_b) delta = g(x) - x by `gmres` to |residual|_2 <=
+        eta |g(x) - x|_2, where eta is 0.9 times the squared ratio of the
+        last two norms |g - x|_2 (ETA_MAX at the first step), at most
+        ETA_MAX, and no smaller than needed for a residual of half
+        `picard_tol`.  The step x + delta is halved while it leaves the
+        invertible sigma range, and then until |g - x|_2 falls by 1e-4
+        of the step fraction at least.  After MAX_HALVINGS halvings, or
+        once `config.max_iters` two-column solves (Picard-map evaluations
+        and Krylov steps) are spent, `ConvergenceError` is raised.  The
+        iteration starts from `warm_start`, or from the far-field state;
+        nothing carries over from one call to the next.  The Solution
+        counts the Newton steps (0 when the start is converged) and the
+        Krylov steps of all of them.
         """
         cfg = self.config
+        free, n_free = self.free, len(self.free)
         n = self.mesh.n_vertices
         if warm_start is None:
             sigma = np.full(n, self.sigma_inf)
@@ -445,57 +431,62 @@ class PicardSolver:
             theta = warm_start[1].copy()
         sigma[self.dirichlet] = self.sigma_inf
         theta[self.dirichlet] = 0.0
-        res, loads = self.residual_norms(sigma, theta, eps, source_sigma,
-                                         source_theta)
-        # (residual, sigma, theta, loads) of the least-residual iterate
-        best = (max(res), sigma, theta, loads)
-        beta = cfg.omega
-        beta_min = cfg.omega / 1024.0
-        history = AndersonHistory(2 * len(self.free))
-        updates, residuals = [], []
-        total_iters = 0
+        updates, residuals, krylov = [], [], []
+        solves = 0
+
+        def evaluate(sigma, theta):
+            nonlocal solves
+            solves += 1
+            res, loads, jacobian = self.residual_norms(
+                sigma, theta, eps, source_sigma, source_theta)
+            return max(res), self.picard_step(sigma, theta, *loads), jacobian
+
+        def failure(reason):
+            return ConvergenceError(
+                f"no fixed point at eps={eps} after {len(krylov)} Newton "
+                f"steps and {solves} two-column solves: {reason} (last "
+                f"update {updates[-1]:.3e}, residual {r:.3e})",
+                {"updates": updates, "residuals": residuals,
+                 "krylov_steps": krylov})
+
+        r, f, jacobian = evaluate(sigma, theta)
+        eta = ETA_MAX
         while True:
-            _, sigma, theta, loads = best
-            history.clear()
-            attempt = []      # residuals of this attempt
-            since_best = 0    # iterations since the least residual fell
-            projections = 0
-            aborted = False
-            while total_iters < cfg.max_iters:
-                total_iters += 1
-                sigma, theta, upd, w_used, proj = self.picard_step(
-                    sigma, theta, *loads, beta, history)
-                projections += proj
-                res, loads = self.residual_norms(sigma, theta, eps,
-                                                 source_sigma, source_theta)
-                r = max(res)
-                updates.append(upd)
-                residuals.append(r)
-                attempt.append(r)
-                if upd < cfg.picard_tol and r < cfg.residual_tol:
-                    return Solution(eps, sigma, theta, total_iters,
-                                    updates, residuals, w_used,
-                                    projections, cfg)
-                if r < best[0]:
-                    best = (r, sigma, theta, loads)
-                    since_best = 0
-                else:
-                    since_best += 1
-                if len(attempt) >= 30 and len(attempt) % 10 == 0:
-                    envelope = min(attempt[-10:])
-                    if not np.isfinite(envelope) \
-                            or envelope > 2.0 * min(attempt) \
-                            or since_best >= 30:
-                        aborted = True  # diverging or stalled: reject
+            update = float(np.abs(f).max())
+            updates.append(update)
+            residuals.append(r)
+            if update < cfg.picard_tol and r < cfg.residual_tol:
+                return Solution(eps, sigma, theta, len(krylov), sum(krylov),
+                                updates, residuals, cfg)
+            budget = min(KRYLOV_MAX, cfg.max_iters - solves - 1)
+            if budget < 1:
+                raise failure("solve budget spent")
+            f_norm = float(np.linalg.norm(f))
+            atol = min(ETA_MAX * f_norm,
+                       max(eta * f_norm, 0.5 * cfg.picard_tol))
+            delta, steps = gmres(self._newton_operator(jacobian), f, atol,
+                                 self.basis[:budget + 1])
+            solves += steps
+            krylov.append(steps)
+            delta *= self.scale
+            lam = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                trial_s = sigma.copy()
+                trial_s[free] += lam * delta[:n_free]
+                if self._in_range(trial_s):
+                    if solves >= cfg.max_iters:
+                        raise failure("solve budget spent")
+                    trial_t = theta.copy()
+                    trial_t[free] += lam * delta[n_free:]
+                    r, f_trial, jacobian = evaluate(trial_s, trial_t)
+                    trial_norm = float(np.linalg.norm(f_trial))
+                    if trial_norm <= (1.0 - 1e-4 * lam) * f_norm:
                         break
-            if not aborted or total_iters >= cfg.max_iters \
-                    or beta <= beta_min:
-                raise ConvergenceError(
-                    f"no fixed point after {total_iters} iterations at "
-                    f"eps={eps} (last update {updates[-1]:.3e}, "
-                    f"residual {residuals[-1]:.3e}, beta {beta:.2e})",
-                    {"updates": updates, "residuals": residuals})
-            beta = max(beta * 0.5, beta_min)
+                lam *= 0.5
+            else:
+                raise failure("step too small")
+            sigma, theta, f = trial_s, trial_t, f_trial
+            eta = 0.9 * (trial_norm / f_norm) ** 2
 
 
 def sweep(config: SolverConfig, mesh: Mesh) -> list:

@@ -290,7 +290,7 @@ def test_sweep_then_report(swept, capsys):
     assert [float(r["epsilon"]) for r in rows] == [0.2, 0.1]
 
 
-RECORD_KEYS = {"epsilon", "iterations", "final_residual", "projection_count",
+RECORD_KEYS = {"epsilon", "iterations", "krylov_steps", "final_residual",
                "invariant_region", "dissipation_integral", "weak_residuals",
                "entropy_defect_star", "entropy_defect_star_all",
                "compactness_star", "obstacle_trace_min",
@@ -347,7 +347,8 @@ def test_sweep_process_does_not_load_kernel_stack():
             "import cavlab.cli, cavlab.solver, cavlab.diagnostics, "
             "cavlab.meshing\n"
             "print(' '.join(m for m in ('scipy.integrate', "
-            "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+            "'scipy.interpolate', 'scipy.optimize', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
     assert _fresh_interpreter(code).strip() == ""
 
 

@@ -12,7 +12,7 @@ from cavlab.solver import SolverConfig
 CUSTOM = RunConfig(
     geometry=DomainSpec(half_length=2.5, height=1.2, chord=0.8,
                         bump_height=0.04, h_mesh=1.0 / 48.0),
-    solver=SolverConfig(epsilons=(0.3, 0.15, 0.075), q_inf=0.88, omega=0.25,
+    solver=SolverConfig(epsilons=(0.3, 0.15, 0.075), q_inf=0.88,
                         picard_tol=2e-8, residual_tol=3e-7, max_iters=123,
                         tol_inv_factor=2e-3),
     kernel=KernelConfig(nu_star=0.03),
@@ -37,7 +37,8 @@ def _entropy_check(tmp_path, text):
 
 
 @pytest.mark.parametrize("key", ["kernel.xi_max", "kernel.n_nu",
-                                 "kernel.n_xi_log", "determinism.seedless"])
+                                 "kernel.n_xi_log", "determinism.seedless",
+                                 "solver.omega"])
 def test_keys_that_reach_no_code_are_rejected(tmp_path, key):
     assert _entropy_check(tmp_path, f"{key} = 1\n") == cli.USAGE_ERROR
 

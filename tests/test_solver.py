@@ -1,4 +1,5 @@
-"""Picard solver: fixed points, manufactured convergence, invariant regions."""
+"""Newton-Krylov solver: fixed points, manufactured convergence,
+invariant regions, the load Jacobian and GMRES."""
 
 import math
 
@@ -17,15 +18,14 @@ def test_config_validation():
         sv.SolverConfig(q_inf=1.1)
     with pytest.raises(ValueError):
         sv.SolverConfig(epsilons=(0.1, 0.2))  # must decrease
-    with pytest.raises(ValueError):
-        sv.SolverConfig(omega=1.5)
 
 
 def test_constant_flow_exact_fixed_point():
     mesh = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=0.1))
     cfg = sv.SolverConfig(epsilons=(0.2,), max_iters=5)
     sol = sv.PicardSolver(mesh, cfg).solve_epsilon(0.2)
-    assert sol.iterations == 1
+    # the far-field start is the fixed point: no Newton step is taken
+    assert (sol.iterations, sol.krylov_steps) == (0, 0)
     assert sol.update_history[0] < 1e-14
     assert np.abs(sol.sigma - cfg.sigma_inf).max() < 1e-13
     assert np.abs(sol.theta).max() < 1e-13
@@ -128,7 +128,6 @@ def test_invariant_region(obstacle_solution):
     assert sol.q.min() >= cfg.q_inf - cfg.tol_inv
     assert np.abs(sol.theta).max() <= cfg.k_inf + cfg.tol_inv
     assert sol.rho.min() > 0.0
-    assert sol.projection_count == 0
 
 
 def test_riemann_extreme_principle(obstacle_solution):
@@ -154,12 +153,20 @@ def test_solution_determinism():
 
 
 def test_nonconvergence_reports_history():
+    # max_iters is a budget of two-column solves: Picard-map evaluations
+    # and Krylov steps together
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
     cfg = sv.SolverConfig(epsilons=(0.05,), max_iters=3)
+    solver = sv.PicardSolver(mesh, cfg)
+    calls = []
+    solve = solver.chol.solve
+    solver.chol.solve = lambda b: calls.append(1) or solve(b)
     with pytest.raises(sv.ConvergenceError) as exc:
-        sv.PicardSolver(mesh, cfg).solve_epsilon(0.05)
-    assert "updates" in exc.value.history
-    assert len(exc.value.history["updates"]) == 3
+        solver.solve_epsilon(0.05)
+    assert len(calls) == 3
+    history = exc.value.history
+    # one update per iterate: the start and one per Newton step
+    assert len(history["updates"]) == len(history["krylov_steps"]) + 1
 
 
 def test_solve_pair_matches_single_solves():
@@ -207,22 +214,25 @@ def test_banded_cholesky_rejects_matrix_not_positive_definite():
 
 
 def test_one_rhs_evaluation_per_iteration(monkeypatch):
-    calls = []
-    rhs = sv.PicardSolver.rhs
+    calls = {"rhs": 0, "picard_step": 0}
 
-    def counting_rhs(self, *args, **kwargs):
-        calls.append(1)
-        return rhs(self, *args, **kwargs)
+    def counting(name):
+        method = getattr(sv.PicardSolver, name)
 
-    monkeypatch.setattr(sv.PicardSolver, "rhs", counting_rhs)
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sv.PicardSolver, name, counting(name))
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
     cfg = sv.SolverConfig(epsilons=(0.2, 0.1))
     solutions = sv.sweep(cfg, mesh)
-    iterations = sum(sol.iterations for sol in solutions)
-    # one evaluation per iteration plus one per attempt; an attempt is
-    # aborted no earlier than its 30th iteration
-    attempts_max = len(cfg.epsilons) + iterations // 30
-    assert len(calls) <= iterations + attempts_max
+    # each iterate tried has its loads evaluated once, and turned into
+    # g(x) - x once; Krylov steps evaluate neither
+    assert calls["rhs"] == calls["picard_step"]
+    assert calls["rhs"] >= sum(sol.iterations + 1 for sol in solutions)
 
 
 @pytest.fixture(scope="module")
@@ -238,13 +248,14 @@ def test_coarse_sweep_converges(coarse_sweep):
     for sol in solutions:
         assert sol.update_history[-1] < cfg.picard_tol
         assert sol.residual_history[-1] < cfg.residual_tol
-        assert sol.projection_count == 0
 
 
 def test_iteration_count(coarse_sweep):
-    # the sweep (0.2, 0.1) is the first two solves of the fixture's sweep
+    # the sweep (0.2, 0.1) is the first two solves of the fixture's sweep:
+    # 3 + 4 Newton steps and 21 + 39 Krylov steps when last measured
     mesh, cfg, solutions = coarse_sweep
-    assert sum(sol.iterations for sol in solutions[:2]) <= 150
+    assert sum(sol.iterations for sol in solutions[:2]) <= 9
+    assert sum(sol.krylov_steps for sol in solutions[:2]) <= 80
 
 
 def test_fixed_point_matches_tight_reference(coarse_sweep):
@@ -261,161 +272,98 @@ def test_no_state_carried_between_solves():
     cfg = sv.SolverConfig(epsilons=(0.1,))
     solver = sv.PicardSolver(mesh, cfg)
     first = solver.solve_epsilon(0.1)
-    harder = solver.solve_epsilon(0.015)
-    assert harder.omega_final < cfg.omega  # the harder solve halved beta
+    solver.solve_epsilon(0.015)  # a harder solve in between
     again = solver.solve_epsilon(0.1)
     assert again.iterations == first.iterations
     assert np.array_equal(again.sigma, first.sigma)
     assert np.array_equal(again.theta, first.theta)
 
 
-class _OutOfRangeHistory:
-    """Anderson history whose candidates leave the invertible range."""
-
-    def __init__(self):
-        self.cleared = 0
-
-    def mix(self, x, f, beta):
-        return x + 1e3
-
-    def clear(self):
-        self.cleared += 1
-
-
-def test_out_of_range_candidate_falls_back_to_damped_step():
+def test_newton_step_is_halved_into_the_invertible_range(monkeypatch):
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
     cfg = sv.SolverConfig(epsilons=(0.2,))
     solver = sv.PicardSolver(mesh, cfg)
-    sigma = np.full(mesh.n_vertices, cfg.sigma_inf)
-    theta = np.zeros(mesh.n_vertices)
-    loads = solver.rhs(sigma, theta, 0.2)
-    history = _OutOfRangeHistory()
-    new_s, new_t, _, w, proj = solver.picard_step(
-        sigma, theta, *loads, cfg.omega, history)
-    assert history.cleared == 1
-    assert (w, proj) == (cfg.omega, 0)
-    sig_f, the_f = solver._solve_pair(*loads)
-    free = solver.free
-    assert np.allclose(new_s[free], sigma[free] + w * (sig_f - sigma[free]),
-                       rtol=0, atol=1e-14)
-    assert np.allclose(new_t[free], w * the_f, rtol=0, atol=1e-14)
-    assert np.array_equal(new_s[solver.dirichlet],
-                          sigma[solver.dirichlet])
+    gmres = sv.gmres
+
+    def overshooting(*args):
+        delta, steps = gmres(*args)
+        return 64.0 * delta, steps
+
+    monkeypatch.setattr(sv, "gmres", overshooting)
+    checked, evaluated = [], []
+    in_range, rhs = solver._in_range, solver.rhs
+    monkeypatch.setattr(solver, "_in_range",
+                        lambda s: checked.append(in_range(s)) or checked[-1])
+    monkeypatch.setattr(solver, "rhs",
+                        lambda s, *args: evaluated.append(s) or rhs(s, *args))
+    sol = solver.solve_epsilon(0.2)
+    assert sol.residual_history[-1] < cfg.residual_tol
+    assert not all(checked)  # some steps left the range and were halved
+    assert all(in_range(s) for s in evaluated)
 
 
 def test_blind_spot_converges():
-    # at eps = 0.00625 the residual stalls near 1, where the envelope
-    # test cannot fire; the stagnation abort must catch it
+    # down to eps = 0.00625, h/eps = 5 (6 + 5 + 6 Newton steps and
+    # 152 + 182 + 361 Krylov steps when last measured)
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 32))
     cfg = sv.SolverConfig(epsilons=(0.025, 0.0125, 0.00625))
     solutions = sv.sweep(cfg, mesh)
     for sol in solutions:
         assert sol.update_history[-1] < cfg.picard_tol
         assert sol.residual_history[-1] < cfg.residual_tol
-        assert sol.projection_count == 0
-    assert sum(sol.iterations for sol in solutions) <= 2000
+    assert sum(sol.iterations for sol in solutions) <= 21
+    assert sum(sol.krylov_steps for sol in solutions) <= 900
 
 
-def _mix_sequence(history, rng, n, steps, beta=0.5):
-    """Feed random (x, f) pairs to `history`; yield after each mix."""
-    for _ in range(steps):
-        x, f = rng.standard_normal((2, n))
-        yield x, f, history.mix(x, f, beta)
-
-
-# one block of float64 rows, and several with a partial last block
-HISTORY_SIZES = (300, 2 * sv._MIX_BLOCK + 300)
-
-
-def test_anderson_gram_matrix_tracks_ring():
-    for n in HISTORY_SIZES:
-        history = sv.AndersonHistory(n)
-        rng = np.random.default_rng(11)
-        for _ in _mix_sequence(history, rng, n, 2 * sv.ANDERSON_DEPTH + 3):
-            c = history.count
-            if not c:
-                continue  # the first mix has no difference to record
-            df = history.df[:, :c].astype(np.float64)  # the stored columns
-            ref = df.T @ df
-            assert np.abs(history.gram[:c, :c] - ref).max() \
-                <= 1e-12 * np.abs(ref).max()
-        assert history.count == sv.ANDERSON_DEPTH  # the ring has wrapped
-
-
-def test_anderson_history_is_float32_in_the_bytes_of_depth_8_float64():
-    size = 300
-    history = sv.AndersonHistory(size)
-    assert sv.ANDERSON_DEPTH == 16
-    assert history.dx.dtype == history.df.dtype == np.float32
-    assert history.dx.nbytes + history.df.nbytes == 2 * 8 * 8 * size
-
-
-def test_anderson_candidate_matches_block_lstsq():
-    beta = 0.5
-    for n in HISTORY_SIZES:
-        history = sv.AndersonHistory(n)
-        rng = np.random.default_rng(5)
-        for x, f, cand in _mix_sequence(history, rng, n,
-                                        2 * sv.ANDERSON_DEPTH + 3, beta):
-            c = history.count
-            ref = x + beta * f
-            if c:
-                dx = history.dx[:, :c].astype(np.float64)
-                df = history.df[:, :c].astype(np.float64)
-                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-                ref -= dx @ gamma + beta * (df @ gamma)
-            assert np.abs(cand - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
-class _ScriptedSolver:
-    """Stub steps and residuals for `solve_epsilon`: iterate k carries k
-    in sigma[free[0]], its loads carry k too, and its residual is
-    script(k) (k = 0 is the warm start)."""
-
-    def __init__(self, solver, script, converge_at):
-        self.script, self.converge_at = script, converge_at
-        self.steps = []   # (iterate id, loads id, beta) per step
-        self.slot = solver.free[0]
-
-    def picard_step(self, sigma, theta, b_sig, b_the, beta, history):
-        k = len(self.steps) + 1
-        self.steps.append((int(sigma[self.slot]), int(b_sig[0]), beta))
-        new_s = sigma.copy()
-        new_s[self.slot] = k
-        update = 0.0 if k == self.converge_at else 1.0
-        return new_s, theta.copy(), update, beta, 0
-
-    def residual_norms(self, sigma, theta, eps, *sources):
-        k = int(sigma[self.slot])
-        r = 0.0 if k == self.converge_at else self.script(k)
-        loads = np.full(len(sigma), float(k))
-        return (r, 0.0), (loads, loads)
-
-
-@pytest.mark.parametrize("script, abort_at, best", [
-    # envelope abort: least residual at step 5, then growth
-    (lambda k: 1.0 if k == 0 else (0.5 ** k if k <= 5 else 0.9), 30, 5),
-    # stagnation abort: least residual 0.5 at step 8, then saturated near
-    # 1 so the envelope (0.98 < 2 x 0.5) never fires
-    (lambda k: 1.0 if k == 0 else (0.9 - 0.05 * k if k < 8 else
-                                   0.5 if k == 8 else 0.98), 40, 8),
-], ids=["envelope", "stagnation"])
-def test_aborted_attempt_restarts_from_least_residual_iterate(
-        monkeypatch, script, abort_at, best):
-    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 8))
-    cfg = sv.SolverConfig(epsilons=(0.1,))
+@pytest.mark.parametrize("state", ["cold", "converged"])
+def test_load_jacobian_matches_central_differences(state):
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.2,))
     solver = sv.PicardSolver(mesh, cfg)
-    stub = _ScriptedSolver(solver, script, converge_at=abort_at + 1)
-    monkeypatch.setattr(solver, "picard_step", stub.picard_step)
-    monkeypatch.setattr(solver, "residual_norms", stub.residual_norms)
-    warm = (np.full(mesh.n_vertices, cfg.sigma_inf),
-            np.zeros(mesh.n_vertices))
-    warm[0][stub.slot] = 0.0  # the warm start is iterate 0
-    sol = solver.solve_epsilon(0.1, warm_start=warm)
-    assert sol.iterations == abort_at + 1
-    # the first attempt runs at omega from the warm start ...
-    assert stub.steps[0] == (0, 0, cfg.omega)
-    assert all(beta == cfg.omega for _, _, beta in stub.steps[:abort_at])
-    # ... the restart takes the least-residual iterate with its loads
-    assert stub.steps[abort_at] == (best, best, cfg.omega / 2)
-    assert sol.omega_final == cfg.omega / 2
+    if state == "cold":
+        sigma = np.full(mesh.n_vertices, cfg.sigma_inf)
+        theta = np.zeros(mesh.n_vertices)
+    else:
+        sol = solver.solve_epsilon(0.2)
+        sigma, theta = sol.sigma, sol.theta
+    x, y = mesh.vertices.T
+    # smooth, and nonzero on the obstacle, so the wall term is exercised
+    d_sig = 0.05 * (1.5 + np.cos(2.0 * x)) * (1.0 + y)
+    d_the = 0.05 * (1.5 + np.sin(3.0 * x + 1.0)) * (1.0 + y)
+    assert np.all(d_sig[mesh.boundary_nodes(mh.OBSTACLE)] > 0.0)
+    _, jacobian = solver.rhs(sigma, theta, 0.2)
+    step = 1e-5
+    central = (solver.rhs(sigma + step * d_sig, theta + step * d_the, 0.2)[0]
+               - solver.rhs(sigma - step * d_sig, theta - step * d_the,
+                            0.2)[0]) / (2.0 * step)
+    err = np.abs(jacobian(d_sig, d_the) - central).max()
+    assert err <= 1e-6 * np.abs(central).max()
+
+
+def test_gmres_matches_dense_solve():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((8, 8)) + 6.0 * np.eye(8)  # nonsymmetric
+    b = rng.standard_normal(8)
+    x, steps = sv.gmres(lambda v: A @ v, b, 1e-13, np.empty((9, 8)))
+    assert steps <= 8
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-11
+
+
+def test_gmres_basis_grows_only_as_needed():
+    # a diagonal matrix with 5 distinct eigenvalues has a Krylov space of
+    # dimension 5: the solve stops after 5 steps and writes 5 basis rows
+    n = 40
+    diag = np.repeat([1.0, 2.0, 3.0, 5.0, 8.0], n // 5)
+    b = np.random.default_rng(2).standard_normal(n)
+    basis = np.full((n + 1, n), np.nan)
+    x, steps = sv.gmres(lambda v: diag * v, b, 1e-10, basis)
+    assert steps == 5
+    assert np.abs(diag * x - b).max() <= 1e-9
+    assert not np.isnan(basis[:5]).any() and np.isnan(basis[5:]).all()
+    # capped at 2 steps, it returns the least-squares solution in the
+    # Krylov space span(b, A b)
+    x2, steps = sv.gmres(lambda v: diag * v, b, 1e-10, np.empty((3, n)))
+    K = np.column_stack([b, diag * b])
+    coef = np.linalg.lstsq(diag[:, None] * K, b, rcond=None)[0]
+    assert steps == 2
+    assert np.abs(x2 - K @ coef).max() <= 1e-10 * np.abs(x2).max()
