@@ -35,24 +35,29 @@ class RunConfig:
     output_dir: str = "run"
 
 
-_FLOAT_KEYS = {
-    "geometry.half_length": ("geometry", "half_length"),
-    "geometry.height": ("geometry", "height"),
-    "geometry.chord": ("geometry", "chord"),
-    "geometry.bump_height": ("geometry", "bump_height"),
-    "geometry.h_mesh": ("geometry", "h_mesh"),
-    "flow.q_inf": ("solver", "q_inf"),
-    "solver.picard_tol": ("solver", "picard_tol"),
-    "solver.residual_tol": ("solver", "residual_tol"),
-    "solver.tol_inv_factor": ("solver", "tol_inv_factor"),
-    "kernel.nu_star": ("kernel", "nu_star"),
-}
-_INT_KEYS = {
-    "solver.max_iters": ("solver", "max_iters"),
-}
-_OTHER_KEYS = ("solver.epsilons", "output.dir")
+def _epsilons(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(","))
 
-KNOWN_KEYS = sorted(set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_OTHER_KEYS))
+
+# key -> (group, field, converter), in the order dump_config writes them;
+# group None is a field of RunConfig itself
+KEYS = {
+    "geometry.half_length": ("geometry", "half_length", float),
+    "geometry.height": ("geometry", "height", float),
+    "geometry.chord": ("geometry", "chord", float),
+    "geometry.bump_height": ("geometry", "bump_height", float),
+    "geometry.h_mesh": ("geometry", "h_mesh", float),
+    "flow.q_inf": ("solver", "q_inf", float),
+    "solver.epsilons": ("solver", "epsilons", _epsilons),
+    "solver.picard_tol": ("solver", "picard_tol", float),
+    "solver.residual_tol": ("solver", "residual_tol", float),
+    "solver.max_iters": ("solver", "max_iters", int),
+    "solver.tol_inv_factor": ("solver", "tol_inv_factor", float),
+    "kernel.nu_star": ("kernel", "nu_star", float),
+    "output.dir": (None, "output_dir", str),
+}
+
+KNOWN_KEYS = sorted(KEYS)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -66,28 +71,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} "
                               f"(known: {', '.join(KNOWN_KEYS)})")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = val
 
-    groups = {"geometry": {}, "solver": {}, "kernel": {}}
-    extras = {}
+    groups = {"geometry": {}, "solver": {}, "kernel": {}, None: {}}
     for key, val in values.items():
+        group, name, convert = KEYS[key]
         try:
-            if key in _FLOAT_KEYS:
-                grp, attr = _FLOAT_KEYS[key]
-                groups[grp][attr] = float(val)
-            elif key in _INT_KEYS:
-                grp, attr = _INT_KEYS[key]
-                groups[grp][attr] = int(val)
-            elif key == "solver.epsilons":
-                eps = tuple(float(tok) for tok in val.split(","))
-                groups["solver"]["epsilons"] = eps
-            elif key == "output.dir":
-                extras["output_dir"] = val
+            groups[group][name] = convert(val)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
 
@@ -95,28 +90,21 @@ def parse_config(text: str) -> RunConfig:
         return RunConfig(geometry=DomainSpec(**groups["geometry"]),
                          solver=SolverConfig(**groups["solver"]),
                          kernel=KernelConfig(**groups["kernel"]),
-                         **extras)
+                         **groups[None])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Reproducible text form of a RunConfig (round trips via parse)."""
-    g, s, k = cfg.geometry, cfg.solver, cfg.kernel
-    lines = [
-        "# cavlab run configuration",
-        f"geometry.half_length = {g.half_length!r}",
-        f"geometry.height = {g.height!r}",
-        f"geometry.chord = {g.chord!r}",
-        f"geometry.bump_height = {g.bump_height!r}",
-        f"geometry.h_mesh = {g.h_mesh!r}",
-        f"flow.q_inf = {s.q_inf!r}",
-        "solver.epsilons = " + ",".join(repr(e) for e in s.epsilons),
-        f"solver.picard_tol = {s.picard_tol!r}",
-        f"solver.residual_tol = {s.residual_tol!r}",
-        f"solver.max_iters = {s.max_iters!r}",
-        f"solver.tol_inv_factor = {s.tol_inv_factor!r}",
-        f"kernel.nu_star = {k.nu_star!r}",
-        f"output.dir = {cfg.output_dir}",
-    ]
+    lines = ["# cavlab run configuration"]
+    for key, (group, name, _) in KEYS.items():
+        value = getattr(cfg if group is None else getattr(cfg, group), name)
+        if isinstance(value, str):
+            text = value
+        elif isinstance(value, (tuple, list)):
+            text = ",".join(repr(v) for v in value)
+        else:
+            text = repr(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from . import entropy as en
 from . import gaschart as gc
 from .meshing import FARFIELD, Mesh
-from .solver import Solution, SolverConfig, circulation_flux, mass_flux
+from .solver import Solution, SolverConfig, nodal_fluxes
 
 DEGENERACY_FLOOR = 1e-12
 
@@ -52,8 +52,9 @@ class BumpFunction:
         return np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
 
 
-def interior_lattice(mesh: Mesh, nx: int = 5, ny: int = 3) -> list:
-    """Bumps on an interior lattice, supports away from every boundary.
+def interior_lattice(mesh: Mesh) -> list:
+    """Bumps on an interior 5 x 3 lattice, supports away from every
+    boundary.
 
     The radius is fixed in physical units, so every mesh of one domain
     gets the same test functions and fits at two h can be compared.
@@ -63,21 +64,21 @@ def interior_lattice(mesh: Mesh, nx: int = 5, ny: int = 3) -> list:
     margin = radius * 1.05
     ymin = spec.bump_height + margin
     xs = np.linspace(-spec.half_length + margin, spec.half_length - margin,
-                     nx)
-    ys = np.linspace(ymin, spec.height - margin, ny)
+                     5)
+    ys = np.linspace(ymin, spec.height - margin, 3)
     return [BumpFunction((float(x), float(y)), radius)
             for x in xs for y in ys]
 
 
-def obstacle_lattice(mesh: Mesh, n: int = 5) -> list:
-    """Bumps covering the obstacle arc.
+def obstacle_lattice(mesh: Mesh) -> list:
+    """Five bumps covering the obstacle arc.
 
     Their supports stay clear of the inlet, outlet and lid but reach the
     far-field parts of the bottom wall, where `nodal_test_functions`
     zeroes them.
     """
     spec = mesh.spec
-    xs = np.linspace(-spec.chord / 2, spec.chord / 2, n)
+    xs = np.linspace(-spec.chord / 2, spec.chord / 2, 5)
     radius = min(0.45 * (spec.half_length - spec.chord / 2),
                  0.45 * spec.height, 0.6 * spec.chord)
     return [BumpFunction((float(x), 0.0), radius) for x in xs]
@@ -149,9 +150,9 @@ def weak_form_residuals(mesh: Mesh, sol: Solution, psi) -> dict:
     IS the viscous term, so the sqrt(eps) laws are measured without an
     O(h^2) quadrature floor.
     """
-    rho, theta = sol.rho, sol.theta
-    mass = psi.T @ mesh.divergence_rhs(mass_flux(rho, theta))
-    curl = psi.T @ mesh.divergence_rhs(circulation_flux(rho, theta))
+    F, G = nodal_fluxes(sol.rho, sol.theta)
+    mass = psi.T @ mesh.divergence_rhs(F)
+    curl = psi.T @ mesh.divergence_rhs(G)
     return {"mass": float(np.abs(mass).max()),
             "curl": float(np.abs(curl).max())}
 
@@ -244,7 +245,7 @@ def obstacle_trace(mesh: Mesh, sol: Solution, psi) -> np.ndarray:
     geometry its minimum over the obstacle lattice goes -1.77e-2 ...
     -2.18e-2 for eps = 0.2 ... 0.0125, the same at h = 1/32 and 1/64.
     """
-    F = mass_flux(sol.rho, sol.theta)
+    F = nodal_fluxes(sol.rho, sol.theta)[0]
     wall = mesh.obstacle_scatter @ np.abs(mesh.obstacle_normal_flux(F))
     load = wall + mesh.divergence_rhs(F) \
         - sol.epsilon * (mesh.stiffness_matrix() @ sol.sigma)

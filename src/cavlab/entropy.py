@@ -256,8 +256,7 @@ def kernel_generator(regular: KernelTransform | None = None,
             if smoothing_width is None:
                 smoothing_width = gc.k_of_nu(tr.nu_star) / 6.0
             phi = GaussianSmoother(smoothing_width)
-            sk = SmoothedKernel(tr, phi, np.zeros(1), np.zeros(1), None)
-            pieces.append((float(w), sk))
+            pieces.append((float(w), SmoothedKernel(tr, phi)))
             nu_star = tr.nu_star if nu_star is None else min(nu_star,
                                                              tr.nu_star)
     if not pieces:
@@ -356,13 +355,13 @@ def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
             "stable": bool(drift1 < 0.10 and drift2 < 0.10)}
 
 
-def generator_pde_residual(gen: Generator, nu_points, theta_points,
-                           rel_step: float = 1e-2) -> float:
+def generator_pde_residual(gen: Generator, nu_points, theta_points) -> float:
     """Sup residual of H_nunu = k'(nu)^2 H_thetatheta at sample points.
 
     H_nunu comes from Richardson-extrapolated centered differences of
-    H_nu (the one derivative not provided analytically); the achievable
-    tolerance is the generator evaluation noise divided by the step.
+    H_nu (the one derivative not provided analytically), with steps nu/100
+    and nu/200; the achievable tolerance is the generator evaluation noise
+    divided by the step.
     """
     worst = 0.0
     for nu in np.atleast_1d(nu_points):
@@ -370,7 +369,7 @@ def generator_pde_residual(gen: Generator, nu_points, theta_points,
             def D(h):
                 return float(gen.H_nu(nu + h, th)
                              - gen.H_nu(nu - h, th)) / (2 * h)
-            h = nu * rel_step
+            h = nu * 1e-2
             hnn = (4.0 * D(h / 2) - D(h)) / 3.0
             target = gc.kprime_of_nu(nu) ** 2 * gen.H_thetatheta(nu, th)
             scale = max(abs(float(target)), 1.0)
@@ -379,14 +378,13 @@ def generator_pde_residual(gen: Generator, nu_points, theta_points,
 
 
 def admissible_kernel_mix(gen_star: Generator, gen_kernel: Generator,
-                          nu_grid, theta_grid,
-                          safety: float = 0.5) -> tuple:
+                          nu_grid, theta_grid) -> tuple:
     """Largest safe admixture of a kernel generator into the quadratic one.
 
     With K the kernel generator, H* + c K satisfies both admissibility
     conditions whenever c <= rho_min / (M2 + rho_min M1), where M1 bounds
-    (rho K_ntt - K_tt)_+ and M2 bounds |rho K_nt + K_ttt| on the grid.
-    Returns (generator, c).
+    (rho K_ntt - K_tt)_+ and M2 bounds |rho K_nt + K_ttt| on the grid;
+    c is half that bound.  Returns (generator, c).
     """
     nu = np.asarray(nu_grid, dtype=float)
     th = np.asarray(theta_grid, dtype=float)
@@ -397,7 +395,7 @@ def admissible_kernel_mix(gen_star: Generator, gen_kernel: Generator,
     M2 = float(np.max(np.abs(rho * gen_kernel.d(1, 1)(NU, TH)
                              + gen_kernel.d(0, 3)(NU, TH))))
     rho_min = float(rho.min())
-    c = safety * rho_min / (M2 + rho_min * M1 + 1e-300)
+    c = 0.5 * rho_min / (M2 + rho_min * M1 + 1e-300)
     mix = Generator.combination([(1.0, gen_star), (c, gen_kernel)],
                                 provenance="special+kernel")
     return mix, c

@@ -29,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .gaschart import k_of_nu
+
 ORDERS = (-3, -2, -1, 0, 1, 2)
 
 # |x| below which each order is summed as its series.  The closed forms
@@ -204,7 +206,7 @@ def fhat_bessel(lam: int, xi):
     return out if out.shape else float(out)
 
 
-def G_physical(lam: int, nu, s, k_of_nu=None):
+def G_physical(lam: int, nu, s):
     """Physical cone profile [k(nu)^2 - s^2]_+^lam for lam in {0, 1, 2}.
 
     Negative orders exist only as distributions; request the smoothed
@@ -212,9 +214,6 @@ def G_physical(lam: int, nu, s, k_of_nu=None):
     """
     if lam not in (0, 1, 2):
         raise ValueError("physical-space evaluation only for lam in {0,1,2}")
-    if k_of_nu is None:
-        from .gaschart import k_of_nu as k_of_nu_default
-        k_of_nu = k_of_nu_default
     k = np.asarray(k_of_nu(nu), dtype=float)
     s = np.asarray(s, dtype=float)
     base = np.clip(k * k - s * s, 0.0, None)
@@ -225,21 +224,19 @@ def G_physical(lam: int, nu, s, k_of_nu=None):
     return out if out.shape else float(out)
 
 
-def Ghat(lam: int, nu, xi, k_of_nu=None):
+def Ghat(lam: int, nu, xi):
     """Ghat_lam(nu, xi) = k^(1+2 lam) fhat_lam(xi k)."""
-    if k_of_nu is None:
-        from .gaschart import k_of_nu as k_of_nu_default
-        k_of_nu = k_of_nu_default
     k = np.asarray(k_of_nu(nu), dtype=float)
     return k ** (1 + 2 * lam) * fhat(lam, np.asarray(xi) * k)
 
 
-def check_recurrences(xi_grid=None, zk_grid=None) -> dict:
-    """Max absolute defect of every Fourier-side recurrence relation.
+def check_recurrences() -> dict:
+    """Max absolute defect of every Fourier-side recurrence relation, on
+    300 log-spaced xi in [1e-3, 1] and 700 evenly spaced in [1, 60].
 
     Covers the derivative ladder between neighbouring orders, the
     harmonic relation at order -1, and the second-derivative identities
-    of the cone profiles (as relations between the fhat at z = xi*k):
+    of the cone profiles (as relations between the fhat at z = xi k):
 
         -z^2 fhat_1 = -2 fhat_0 + 4 fhat_{-1}
         -z^2 fhat_0 =  2 fhat_{-1} - 4 fhat_{-2}
@@ -248,14 +245,8 @@ def check_recurrences(xi_grid=None, zk_grid=None) -> dict:
     Returns {"relations": {name: defect}, "max_defect": float,
     "pass": bool, "tolerance": float}.
     """
-    if xi_grid is None:
-        xi_grid = np.concatenate([np.geomspace(1e-3, 1.0, 300),
-                                  np.linspace(1.0, 60.0, 700)])
-    xi = np.asarray(xi_grid, dtype=float)
-    if np.any(xi == 0.0):
-        raise ValueError("grid must exclude xi = 0 for the singular relations")
-    z = xi if zk_grid is None else np.asarray(zk_grid, dtype=float)
-
+    xi = np.concatenate([np.geomspace(1e-3, 1.0, 300),
+                         np.linspace(1.0, 60.0, 700)])
     f = {lam: fhat(lam, xi) for lam in ORDERS}
     d1 = {lam: fhat_d1(lam, xi) for lam in ORDERS}
     d2 = {lam: fhat_d2(lam, xi) for lam in ORDERS}
@@ -279,11 +270,11 @@ def check_recurrences(xi_grid=None, zk_grid=None) -> dict:
     put("d1[-1]", d1[-1] + (xi / 2.0) * f[0])
     put("d1[-1]_ladder", d1[-1] - (1.0 / xi) * f[-1] + (2.0 / xi) * f[-2])
     put("d1[-2]", d1[-2] - (3.0 / xi) * f[-2] + (4.0 / xi) * f[-3])
-    # cone-profile second derivatives at z = xi*k
-    g = {lam: fhat(lam, z) for lam in ORDERS}
-    put("ss_G1", -z * z * g[1] + 2.0 * g[0] - 4.0 * g[-1])
-    put("ss_G0", -z * z * g[0] - 2.0 * g[-1] + 4.0 * g[-2])
-    put("ss_Gm1", -z * z * g[-1] + 6.0 * g[-2] - 8.0 * g[-3])
+    # cone-profile second derivatives, with z = xi k on the same grid
+    z2 = xi * xi
+    put("ss_G1", -z2 * f[1] + 2.0 * f[0] - 4.0 * f[-1])
+    put("ss_G0", -z2 * f[0] - 2.0 * f[-1] + 4.0 * f[-2])
+    put("ss_Gm1", -z2 * f[-1] + 6.0 * f[-2] - 8.0 * f[-3])
 
     tol = 1e-10
     worst = max(rel.values())

@@ -37,7 +37,7 @@ is solved by inexact Newton iteration with g as its preconditioner
 by `gmres`, to the Eisenstat-Walker forcing term (choice 2 of SIAM J.
 Sci. Comput. 17, 1996, at most ETA_MAX).  J_b, the Jacobian of the
 loads, is applied matrix-free from the nodal fluxes F = rho qt e(theta)
-and G = qt e(theta - pi/2) that `rhs` builds, and one array
+and G = qt e(theta - pi/2) that `rhs` builds (`nodal_fluxes`), and one array
 c = -rho / (1 - 2 rho^2), so sigma is not inverted again: with
 d sigma / d rho = (1 - 2 rho^2) / (1 - rho^2),
 
@@ -155,23 +155,23 @@ class Solution:
         return self.theta + np.asarray(gc.k_of_q(self.q))
 
 
-def clipped_speed(rho):
-    """qt(rho) = (1 - rho_+^2)_+^(1/2)."""
-    rp = np.clip(np.asarray(rho, dtype=float), 0.0, None)
-    return np.sqrt(np.clip(1.0 - rp * rp, 0.0, None))
-
-
-def mass_flux(rho, theta):
-    """F = rho qt e(theta) at nodes."""
-    q = clipped_speed(rho)
-    return np.stack([rho * q * np.cos(theta), rho * q * np.sin(theta)],
-                    axis=1)
-
-
-def circulation_flux(rho, theta):
-    """G = qt e(theta - pi/2) at nodes."""
-    q = clipped_speed(rho)
-    return np.stack([q * np.sin(theta), -q * np.cos(theta)], axis=1)
+def nodal_fluxes(rho, theta) -> np.ndarray:
+    """F = rho qt e(theta) and G = qt e(theta - pi/2) at the nodes, with
+    the clipped speed qt = (1 - rho_+^2)_+^(1/2): fluxes[k, j, d] is
+    component d at node j of F (k = 0) and of G (k = 1).  rho qt and the
+    trig factors are evaluated once for both."""
+    rho = np.asarray(rho, dtype=float)
+    rp = np.clip(rho, 0.0, None)
+    q = np.sqrt(np.clip(1.0 - rp * rp, 0.0, None))
+    cos, sin = np.cos(theta), np.sin(theta)
+    rho_q = rho * q
+    fluxes = np.empty((2, len(rho), 2))
+    np.multiply(rho_q, cos, out=fluxes[0, :, 0])
+    np.multiply(rho_q, sin, out=fluxes[0, :, 1])
+    np.multiply(q, sin, out=fluxes[1, :, 0])
+    np.multiply(q, cos, out=fluxes[1, :, 1])
+    np.negative(fluxes[1, :, 1], out=fluxes[1, :, 1])
+    return fluxes
 
 
 def gmres(matvec, b, atol, basis):
@@ -293,23 +293,13 @@ class PicardSolver:
 
         Returns (loads, jacobian): loads is the (2, n) array of rows
         (b_sigma, b_theta), and jacobian(dsigma, dtheta) applies J_b to
-        nodal increments, giving a (2, n) array.  rho, qt and the trig
-        factors are evaluated once for both fluxes F and G, and the
-        obstacle normal components of both are taken together; J_b reuses
-        F, G and F.n.
+        nodal increments, giving a (2, n) array.  The fluxes F and G come
+        from one `nodal_fluxes`, and the obstacle normal components of both
+        are taken together; J_b reuses F, G and F.n.
         """
         mesh = self.mesh
         rho = np.asarray(gc.rho_of_sigma(np.clip(sigma, 0.0, gc.SIGMA_CR)))
-        q = clipped_speed(rho)
-        cos, sin = np.cos(theta), np.sin(theta)
-        rho_q = rho * q
-        # fluxes[k, j, d]: component d at node j of F (k = 0), G (k = 1)
-        fluxes = np.empty((2, len(rho), 2))
-        np.multiply(rho_q, cos, out=fluxes[0, :, 0])
-        np.multiply(rho_q, sin, out=fluxes[0, :, 1])
-        np.multiply(q, sin, out=fluxes[1, :, 0])
-        np.multiply(q, cos, out=fluxes[1, :, 1])
-        np.negative(fluxes[1, :, 1], out=fluxes[1, :, 1])
+        fluxes = nodal_fluxes(rho, theta)
         # one sparse product per flux: scipy's product with a two-column
         # block costs about 1.6 times as much as two single ones
         loads = np.stack([mesh.divergence_rhs(flux) for flux in fluxes])

@@ -162,12 +162,13 @@ class CubeRootSeries:
             self.c = self.c[:n]
         return self
 
-    def compact(self, rel: float = 1e-12) -> "CubeRootSeries":
-        """Drop leading coefficients that are pure cancellation noise."""
+    def compact(self) -> "CubeRootSeries":
+        """Drop leading coefficients that are pure cancellation noise, at
+        most 1e-12 of the largest."""
         if not len(self.c):
             return self
         scale = np.max(np.abs(self.c))
-        nz = np.nonzero(np.abs(self.c) > rel * scale)[0]
+        nz = np.nonzero(np.abs(self.c) > 1e-12 * scale)[0]
         if not len(nz) or nz[0] == 0:
             return self
         j = int(nz[0])
@@ -412,16 +413,19 @@ def _load_frozen():
     return _frozen
 
 
-def characteristic_series(order: int = SERIES_ORDER):
-    """Float cube-root series (in w = nu**(1/3)) of k and rho near vacuum.
+def characteristic_series():
+    """Float cube-root series (in w = nu**(1/3)) of k and rho near vacuum,
+    to SERIES_ORDER terms.
 
     Coefficients come from the frozen rational oracle output; the t-series
     coefficient a_j maps to a_j * 3**(j/3) in w.
     """
     fr = _load_frozen()
-    scale = 3.0 ** (np.arange(order) / 3.0)
-    kc = np.array([float(Fraction(n, d)) for (n, d) in fr.K_SERIES_T[:order]])
-    rc = np.array([float(Fraction(n, d)) for (n, d) in fr.RHO_SERIES_T[:order]])
+    scale = 3.0 ** (np.arange(SERIES_ORDER) / 3.0)
+    kc = np.array([float(Fraction(n, d))
+                   for (n, d) in fr.K_SERIES_T[:SERIES_ORDER]])
+    rc = np.array([float(Fraction(n, d))
+                   for (n, d) in fr.RHO_SERIES_T[:SERIES_ORDER]])
     k = CubeRootSeries(0, kc * scale)._trim()
     rho = CubeRootSeries(0, rc * scale)._trim()
     # drop the zero constant term so lead reflects the w**1 behaviour
@@ -494,17 +498,16 @@ def _k_remainder_highprec(nu_values, dps: int = 50):
     return np.array(out)
 
 
-def fit_asymptotic_constants(nu_lo: float = 1e-8, nu_hi: float = 1e-4,
-                             npts: int = 40) -> AsymptoticConstants:
+def fit_asymptotic_constants() -> AsymptoticConstants:
     """Frozen series constants cross-checked by a least-squares fit.
 
-    Fits k(nu) against {nu^(1/3), nu, nu^(5/3)} on a log grid of
-    high-precision closed-form samples and verifies the residual stays
-    inside a C*nu^(7/3) envelope.  A violated envelope means a wrong
-    frozen constant and raises.
+    Fits k(nu) against {nu^(1/3), nu, nu^(5/3)} on 40 log-spaced nu in
+    [1e-8, 1e-4], from high-precision closed-form samples, and verifies
+    the residual stays inside a C*nu^(7/3) envelope.  A violated envelope
+    means a wrong frozen constant and raises.
     """
     fr = _load_frozen()
-    nus = np.geomspace(nu_lo, nu_hi, npts)
+    nus = np.geomspace(1e-8, 1e-4, 40)
     kv = _k_highprec(nus)
     basis = np.stack([nus ** (1 / 3), nus, nus ** (5 / 3)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, kv, rcond=None)

@@ -200,6 +200,23 @@ def test_unresolved_epsilon_is_a_usage_error(tmp_path, capsys, command):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("command", ("sweep", "check"))
+def test_epsilons_sharing_a_fields_file_are_a_usage_error(tmp_path, capsys,
+                                                          command):
+    # 0.1000001 and 0.1 both print as 0.1, so one fields file would
+    # silently overwrite the other
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "close.cfg"
+    cfg.write_text("geometry.h_mesh = 0.0625\n"
+                   "solver.epsilons = 0.2, 0.1000001, 0.1\n"
+                   f"output.dir = {run_dir}\n")
+    assert cli.main([command, "--config", str(cfg)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "0.1000001 and 0.1 would both write fields_eps_0.1.csv" in err
+    assert not run_dir.exists()
+
+
 def test_epsilon_at_h_over_2_5_is_accepted(tmp_path):
     # the default sits exactly on the bound (h = 1/32, eps down to 0.0125)
     cfg = RunConfig()

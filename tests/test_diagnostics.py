@@ -56,7 +56,7 @@ def test_obstacle_trace_is_the_discrete_wall_identity(mesh, solution):
     # T(phi_h) into the trapezoid sum of phi_h (2|F.n| - F.n) on the arc
     psi = dg.nodal_test_functions(mesh, dg.obstacle_lattice(mesh))
     trace = dg.obstacle_trace(mesh, solution, psi)
-    F = sv.mass_flux(solution.rho, solution.theta)
+    F = sv.nodal_fluxes(solution.rho, solution.theta)[0]
     Fn = mesh.obstacle_normal_flux(F)
     expected = psi.T @ (mesh.obstacle_scatter @ (2.0 * np.abs(Fn) - Fn))
     assert np.abs(trace - expected).max() <= 1e-8

@@ -231,7 +231,7 @@ class TestCoefficientRows:
 class TestGrids:
     @pytest.mark.parametrize("xi_max", (2.0, 4.0))
     def test_xi_grid_must_increase(self, xi_max):
-        # the log part starts where the linear part ends (xi_linear_factor
+        # the log part starts where the linear part ends (XI_LINEAR_FACTOR
         # = 4); an xi_max_factor at or below it folds the grid back
         with pytest.raises(ValueError, match="not strictly increasing"):
             ke.GridSpec(xi_max_factor=xi_max)
@@ -610,31 +610,45 @@ class TestAssembledKernels:
         rep = ke.verify_kernel(regular)
         assert rep["pass"], rep
 
+    def test_verify_report_gates_on_huygens_leakage(self, regular,
+                                                    monkeypatch):
+        monkeypatch.setattr(ke, "huygens_leakage", lambda tr: 2e-6)
+        rep = ke.verify_kernel(regular)
+        assert rep["huygens_leakage"] == 2e-6
+        assert rep["pass"] is False
+
+
+def _smoothed(tr):
+    """The kernel smoothed by the Gaussian of width k(nu_star)/6 that
+    entropy.kernel_generator and huygens_leakage use."""
+    return ke.SmoothedKernel(tr, ke.GaussianSmoother(
+        gc.k_of_nu(tr.nu_star) / 6.0))
+
 
 class TestSmoothing:
     def test_huygens(self, regular, singular):
         for tr in (regular, singular):
-            sk = ke.smooth_kernel(tr)
-            assert ke.huygens_leakage(sk) < 1e-6
+            assert ke.huygens_leakage(tr) < 1e-6
 
     def test_initial_data_physical(self, regular, singular):
-        sk = ke.smooth_kernel(regular)
-        tiny = np.full_like(sk.s_grid, regular.nu_min * 2)
-        prof = sk.convolved_pairs(tiny, sk.s_grid)
-        assert np.abs(prof).max() < 1e-6  # H^r * phi -> 0
-        sk = ke.smooth_kernel(singular)
-        tiny = np.full_like(sk.s_grid, singular.nu_min * 2)
-        prof = sk.convolved_pairs(tiny, sk.s_grid)
-        phi = sk.phi.phi(sk.s_grid)
-        assert np.abs(prof - phi).max() / phi.max() < 1e-2  # -> delta datum
+        for tr in (regular, singular):
+            sk = _smoothed(tr)
+            s_max = gc.k_of_nu(tr.nu_star) + 8.0 * sk.phi.width
+            s = np.linspace(-s_max, s_max, 321)
+            prof = sk.convolved_pairs(np.full_like(s, tr.nu_min * 2), s)
+            if tr is regular:
+                assert np.abs(prof).max() < 1e-6  # H^r * phi -> 0
+            else:
+                phi = sk.phi.phi(s)  # -> delta datum
+                assert np.abs(prof - phi).max() / phi.max() < 1e-2
 
     def test_smoothing_memory_is_per_block(self, regular):
         # the quadrature sums over xi a block of (nu, s) pairs at a time;
-        # one dense (n_nu, n_s, n_xi) product on the default grids takes
+        # one dense (n_nu, n_s, n_xi) product on the leakage's grid takes
         # 12 * 321 * 4097 floats (126 MB)
         tracemalloc.start()
         try:
-            ke.smooth_kernel(regular)
+            ke.huygens_leakage(regular)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -645,8 +659,8 @@ class TestSmoothing:
         # d^j/ds^j (H*phi) is even in s for even j and odd for odd j, and
         # its centred difference in s is the derivative of order j + 1
         for tr in (regular, singular):
-            phi = ke.GaussianSmoother(gc.k_of_nu(tr.nu_star) / 6.0)
-            sk = ke.SmoothedKernel(tr, phi, np.zeros(1), np.zeros(1), None)
+            sk = _smoothed(tr)
+            phi = sk.phi
             s = np.linspace(-1.5, 1.5, 41) * gc.k_of_nu(tr.nu_star)
             nu = np.full_like(s, tr.nu_star / 3.0)
             h = 2.5e-4 * phi.width
@@ -663,13 +677,6 @@ class TestSmoothing:
                       - sk.convolved_pairs(nu, s - h, j, nu_deriv)) / (2 * h)
                 nxt = sk.convolved_pairs(nu, s, j + 1, nu_deriv)
                 assert np.abs(fd - nxt).max() <= 1e-5 * np.abs(nxt).max()
-
-    def test_compactness_constants(self, regular):
-        sk = ke.smooth_kernel(regular)
-        rep = ke.smoothing_compactness_report(sk)
-        for key, val in rep.items():
-            assert np.isfinite(val), key
-        assert rep["huygens_leakage"] < 1e-6
 
 
 def _per_pair_reference(sk, nu_flat, s_flat, s_deriv=0, nu_deriv=0):
@@ -710,10 +717,10 @@ class TestQuadrature:
         # summed over xi; the values are equal bit for bit
         tr = request.getfixturevalue(kind)
         k_star = gc.k_of_nu(tr.nu_star)
-        sk = ke.smooth_kernel(tr, s_grid=np.linspace(-1.5, 1.5, 13) * k_star,
-                              nu_grid=np.geomspace(tr.nu_min * 10,
-                                                   tr.nu_star, 4))
-        NU, S = np.meshgrid(sk.nu_grid, sk.s_grid, indexing="ij")
+        sk = _smoothed(tr)
+        NU, S = np.meshgrid(np.geomspace(tr.nu_min * 10, tr.nu_star, 4),
+                            np.linspace(-1.5, 1.5, 13) * k_star,
+                            indexing="ij")
         rng = np.random.default_rng(5)
         # more distinct nu and s than _VALUE_BLOCK, with repeats, one
         # pair given twice, and unsorted
@@ -725,10 +732,6 @@ class TestQuadrature:
         cases = [(NU, S), (nu_sc, s_sc), (NU[1:2, 5:6], S[1:2, 5:6])]
         for nu_deriv in (0, 1):
             for j in range(5):
-                assert np.array_equal(
-                    sk.on_grid(j, nu_deriv),
-                    _per_pair_reference(sk, NU, S, j,
-                                        nu_deriv).reshape(NU.shape))
                 for nu, s in cases:
                     got = sk.convolved_pairs(nu, s, j, nu_deriv)
                     ref = _per_pair_reference(sk, nu, s, j, nu_deriv)
