@@ -31,6 +31,7 @@ import numpy as np
 
 from . import gaschart as gc
 from .config import ConfigError, RunConfig, dump_config, parse_config
+from .meshing import write_rows
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -53,15 +54,15 @@ def _write_json(path_or_stream, payload) -> None:
         path_or_stream.write(text + "\n")
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """CSV of numeric columns, one per header name: the header goes
+    through csv.writer, and each row is written by `write_rows` as "%.17g"
+    values joined by commas and ended by CRLF, the row csv.writer would
+    give, since no field needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+        csv.writer(fh).writerow(header)
+        write_rows(fh, ",".join(["%.17g"] * len(header)) + "\r\n",
+                   np.column_stack(columns))
 
 
 def _fields_file(eps: float) -> str:
@@ -101,15 +102,11 @@ class ArtifactStore:
             fh.write(dump_config(cfg))
 
     def save_fields(self, mesh, sol) -> None:
-        from .meshing import write_rows
-        header = ["x", "y", "sigma", "theta", "rho", "q", "Wminus", "Wplus"]
-        cols = np.column_stack([mesh.vertices, sol.sigma, sol.theta,
-                                sol.rho, sol.q, sol.W_minus, sol.W_plus])
-        path = self.path(_fields_file(sol.epsilon))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(header)
-            # the rows csv.writer would give: no field needs quoting
-            write_rows(fh, ",".join(["%.17g"] * len(header)) + "\r\n", cols)
+        _write_csv(self.path(_fields_file(sol.epsilon)),
+                   ["x", "y", "sigma", "theta", "rho", "q", "Wminus",
+                    "Wplus"],
+                   [mesh.vertices, sol.sigma, sol.theta, sol.rho, sol.q,
+                    sol.W_minus, sol.W_plus])
 
     def save_mesh(self, mesh, fields=None) -> None:
         from .meshing import write_vtk
@@ -119,23 +116,18 @@ class ArtifactStore:
         _write_json(self.path("report.json"), report_dict)
 
     def save_plotdata(self, report) -> None:
-        recs = report.records
-        rows = [(_fmt(r["epsilon"]), _fmt(r["dissipation_integral"]),
-                 _fmt(r["weak_residuals"]["mass"]),
-                 _fmt(r["weak_residuals"]["curl"]),
-                 _fmt(r["entropy_defect_star"]),
-                 _fmt(r["compactness_star"]["D1_est"]),
-                 _fmt(r["compactness_star"]["D2_L1"]))
-                for r in recs]
+        rows = [(r["epsilon"], r["dissipation_integral"],
+                 r["weak_residuals"]["mass"], r["weak_residuals"]["curl"],
+                 r["entropy_defect_star"], r["compactness_star"]["D1_est"],
+                 r["compactness_star"]["D2_L1"]) for r in report.records]
         _write_csv(self.path("plotdata", "sweep.csv"),
                    ["epsilon", "dissipation", "mass_residual",
                     "curl_residual", "entropy_defect_star", "D1_est",
-                    "D2_L1"], rows)
+                    "D2_L1"], list(zip(*rows)))
         ch = report.sweep["cauchy"]
-        rows = [(_fmt(e1), _fmt(d)) for e1, d in
-                zip(ch["epsilons"][1:], ch["l2_differences"])]
         _write_csv(self.path("plotdata", "cauchy.csv"),
-                   ["epsilon", "l2_difference"], rows)
+                   ["epsilon", "l2_difference"],
+                   [ch["epsilons"][1:], ch["l2_differences"]])
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +139,8 @@ def cmd_tables(args) -> int:
     nus = np.geomspace(args.nu_min, chart.nu_star, args.points)
     tab = chart.table(nus)
     cols = ["nu", "rho", "q", "sigma", "k", "kprime", "kdoubleprime", "M"]
-    rows = [[_fmt(tab[c][i]) for c in cols] for i in range(len(nus))]
-    _write_csv(args.out, cols, rows)
-    print(f"wrote {len(rows)} chart rows to {args.out}")
+    _write_csv(args.out, cols, [tab[c] for c in cols])
+    print(f"wrote {len(nus)} chart rows to {args.out}")
     return 0
 
 
@@ -203,10 +194,9 @@ def cmd_entropy_check(args) -> int:
     defect = np.maximum(np.abs(q1 - p1), np.abs(q2 - p2))
     ok = bool(defect.max() < 1e-9 and c1.min() >= -en.MARGIN_TOL
               and c2.min() >= -en.MARGIN_TOL)
-    rows = [[_fmt(x) for x in row] for row in zip(
-        NU.ravel(), TH.ravel(), c1.ravel(), c2.ravel(), defect.ravel())]
     _write_csv(args.out, ["nu", "theta", "margin_convexity", "margin_cross",
-                          "pair_assembly_defect"], rows)
+                          "pair_assembly_defect"],
+               [a.ravel() for a in (NU, TH, c1, c2, defect)])
     print(f"wrote entropy margins to {args.out}")
     return 0 if ok else CHECK_FAILED
 
@@ -294,30 +284,52 @@ def cmd_check(args) -> int:
     return 0 if ok else CHECK_FAILED
 
 
-def cmd_report(args) -> int:
-    with open(os.path.join(args.rundir, "report.json")) as fh:
-        payload = json.load(fh)
+def _report_summary(rundir: str, payload: dict) -> list:
+    """Lines `cavlab report` prints for a stored report."""
     sweep = payload["sweep"]
-    print(f"run: {args.rundir}")
-    print(f"  epsilons: {[r['epsilon'] for r in payload['records']]}")
-    print(f"  dissipation ratio: {sweep['dissipation_ratio']:.4g}")
-    print(f"  weak-residual sqrt(eps) fits: mass C={sweep['mass_fit']['C']:.3g} "
-          f"(violations {sweep['mass_fit']['violations']}), "
-          f"curl C={sweep['curl_fit']['C']:.3g} "
-          f"(violations {sweep['curl_fit']['violations']})")
-    print(f"  entropy defect fit: C={sweep['defect_star_fit']['C']:.3g} "
-          f"(violations {sweep['defect_star_fit']['violations']})")
-    print(f"  obstacle trace min: {sweep['trace_min']:.3g}")
-    print(f"  cauchy differences: "
-          f"{[round(d, 6) for d in sweep['cauchy']['l2_differences']]}")
+    lines = [
+        f"run: {rundir}",
+        f"  epsilons: {[r['epsilon'] for r in payload['records']]}",
+        f"  dissipation ratio: {sweep['dissipation_ratio']:.4g}",
+        f"  weak-residual sqrt(eps) fits: mass C={sweep['mass_fit']['C']:.3g} "
+        f"(violations {sweep['mass_fit']['violations']}), "
+        f"curl C={sweep['curl_fit']['C']:.3g} "
+        f"(violations {sweep['curl_fit']['violations']})",
+        f"  entropy defect fit: C={sweep['defect_star_fit']['C']:.3g} "
+        f"(violations {sweep['defect_star_fit']['violations']})",
+        f"  obstacle trace min: {sweep['trace_min']:.3g}",
+        f"  cauchy differences: "
+        f"{[round(d, 6) for d in sweep['cauchy']['l2_differences']]}"]
     for rec in payload["records"]:
         inv = rec["invariant_region"]
-        print(f"  eps={rec['epsilon']:g}: newton={rec['iterations']} "
-              f"krylov={rec['krylov_steps']} "
-              f"min-q margin={inv['min_q_margin']:+.2e} "
-              f"angle margin={inv['angle_margin']:+.2e} "
-              f"{'ok' if inv['pass'] else 'VIOLATED'}")
-    return 0
+        lines.append(f"  eps={rec['epsilon']:g}: newton={rec['iterations']} "
+                     f"krylov={rec['krylov_steps']} "
+                     f"min-q margin={inv['min_q_margin']:+.2e} "
+                     f"angle margin={inv['angle_margin']:+.2e} "
+                     f"{'ok' if inv['pass'] else 'VIOLATED'}")
+    return lines
+
+
+def cmd_report(args) -> int:
+    """Summary of a run directory's report.json; a file that does not
+    parse, lacks a key the summary reads (as reports written before
+    `krylov_steps` was recorded do) or holds a value of the wrong type is
+    a usage error."""
+    path = os.path.join(args.rundir, "report.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = _report_summary(args.rundir, json.load(fh))
+    except json.JSONDecodeError as exc:
+        problem = f"not JSON ({exc})"
+    except KeyError as exc:
+        problem = f"missing key {exc}"
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        problem = f"malformed ({exc})"
+    else:
+        print("\n".join(lines))
+        return 0
+    print(f"bad report {path}: {problem}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def make_parser() -> argparse.ArgumentParser:

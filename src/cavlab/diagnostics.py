@@ -8,12 +8,14 @@ dissipation measure, the obstacle weak-trace functionals, and the
 sqrt(eps) envelope fits across a viscosity sweep.
 
 Test functions are P1 functions in V_h,0, the solver's own test space:
-each bump enters as its nodal interpolant psi_h, zero on the FARFIELD
-(Dirichlet) nodes, and a lattice is one sparse nodal matrix Psi with a
-column per bump (`nodal_test_functions`).  Every functional is Psi.T
-applied to a load vector from the mesh operators the solver's equations
-use, so the discrete weak identities hold to solver tolerance, not to a
-second quadrature's error.
+each bump enters as its nodal interpolant psi_h, zero on the Dirichlet
+nodes the solver uses (`Mesh.dirichlet_nodes`), and a lattice is one
+sparse nodal matrix Psi with a column per bump (`nodal_test_functions`).
+Every functional is Psi.T applied to a load vector built from the mesh's
+two P1 primitives, the cell gradient G and the cell mean, as the
+solver's operators are, so the discrete weak identities hold to solver
+tolerance, not to a second quadrature's error.  Both sides of the
+special identity go through the scatter G^T |T| of `divergence_rhs`.
 
 Each solution's state is derived once: rho is inverted from sigma once
 per `Solution`, and the per-triangle states, their gradients and the
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 from . import entropy as en
 from . import gaschart as gc
-from .meshing import FARFIELD, Mesh
+from .meshing import Mesh
 from .solver import Solution, SolverConfig, nodal_fluxes
 
 DEGENERACY_FLOOR = 1e-12
@@ -86,18 +88,17 @@ def obstacle_lattice(mesh: Mesh) -> list:
 
 def nodal_test_functions(mesh: Mesh, bumps) -> sp.csc_matrix:
     """Nodal matrix Psi (n_vertices x len(bumps)) of the P1 interpolants
-    psi_h in V_h,0: column j holds bump j at the vertices, zeroed on the
-    FARFIELD nodes.  Only the supports are stored.
+    psi_h in V_h,0: column j holds bump j at the vertices, zeroed on
+    `Mesh.dirichlet_nodes`.  Only the supports are stored.
 
     For a load vector b with b_i = l(lambda_i), Psi.T @ b evaluates the
     linear functional l at every psi_h.
     """
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    far = mesh.boundary_nodes(FARFIELD)
     columns = []
     for bump in bumps:
         phi = bump(x, y)
-        phi[far] = 0.0
+        phi[mesh.dirichlet_nodes] = 0.0
         columns.append(sp.csc_matrix(phi[:, None]))
     return sp.hstack(columns, format="csc")
 
@@ -123,11 +124,13 @@ class CellStates:
 
 def cell_states(mesh: Mesh, sol: Solution) -> CellStates:
     """CellStates of a solution, f = (1 - 2 rho^2)/(1 - rho^2) floored
-    against transients."""
-    rho = sol.rho[mesh.triangles].mean(axis=1)
-    theta = sol.theta[mesh.triangles].mean(axis=1)
-    grad_rho = mesh.gradient(sol.rho)
-    grad_th = mesh.gradient(sol.theta)
+    against transients.  The cell means and the gradients of rho and
+    theta are one `Mesh.cell_mean` product and one `Mesh.gradient` call
+    on the stacked (rho, theta)."""
+    fields = np.column_stack([sol.rho, sol.theta])
+    rho, theta = (mesh.cell_mean @ fields).T
+    grads = mesh.gradient(fields)
+    grad_rho, grad_th = grads[..., 0], grads[..., 1]
     q2 = 1.0 - rho * rho
     f = np.clip((1.0 - 2.0 * rho * rho) / q2, DEGENERACY_FLOOR, None)
     density = np.sum(grad_th ** 2, axis=1) \
@@ -209,12 +212,11 @@ def compactness_decomposition(mesh: Mesh, cells: CellStates,
 
 
 def invariant_region_report(sol: Solution) -> dict:
-    """Margins of the invariant-region bounds (all should exceed -tol_inv)."""
+    """Margins of the invariant-region bounds (all should exceed -tol_inv),
+    on the Riemann invariants `Solution.W_plus` and `W_minus`."""
     cfg = sol.config
     q = sol.q
-    kq = np.asarray(gc.k_of_q(np.clip(q, gc.Q_CR, gc.Q_CAV)))
-    wp = sol.theta + kq
-    wm = sol.theta - kq
+    wp, wm = sol.W_plus, sol.W_minus
     return {
         "min_q_margin": float(q.min() - cfg.q_inf),
         "angle_margin": float(cfg.k_inf - np.abs(sol.theta).max()),
@@ -261,20 +263,18 @@ def special_identity_defect(mesh: Mesh, cells: CellStates, d_star,
                          - eps int psi (|grad th|^2 + f q^-2 |grad rho|^2)
 
     on the P1 psi_h of Psi.  The left side is the pair's defect vector
-    d_star (`entropy_dissipation`); on the right, grad(psi_h) is taken per
-    cell (`Mesh.gradient`) and psi in the last term is its cell mean, both
-    applied through their transpose as one nodal load.  This couples
-    solver, chart, and entropy machinery in one number.
+    d_star (`entropy_dissipation`), G^T |T| applied to the cell means of
+    Q*; the right side is one nodal load from the same scatter,
+    G^T (|T| V) - cell_mean^T (|T| density), with V the bracket of the
+    first term at the cell states.  This couples solver, chart, and
+    entropy machinery in one number.
     """
     rho_bar = gc.rho_of_nu(nu_bar)
     nvals = np.asarray(en.N_of_rho(cells.rho, rho_bar))
     V = -cells.theta[:, None] * cells.grad_theta \
         + (cells.f * nvals)[:, None] * cells.grad_rho
-    per_node = np.einsum("md,mid->mi", V, mesh.grads) \
-        - cells.density[:, None] / 3.0
-    load = np.bincount(mesh.triangles.ravel(),
-                       weights=(mesh.areas[:, None] * per_node).ravel(),
-                       minlength=mesh.n_vertices)
+    load = mesh.cell_gradient.T @ (mesh.areas[:, None] * V).ravel() \
+        - mesh.cell_mean.T @ (mesh.areas * cells.density)
     return float(np.abs(d_star - cells.epsilon * (psi.T @ load)).max())
 
 

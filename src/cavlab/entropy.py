@@ -235,9 +235,8 @@ def kernel_generator(regular: KernelTransform | None = None,
                      singular: KernelTransform | None = None,
                      weight_regular: float = 1.0,
                      weight_singular: float = 1.0) -> Generator:
-    """Generator H = w1 Hr*phi + w2 Hs*phi for a Gaussian test function
-    of width k(nu_star)/6, nu_star that of the first kernel of nonzero
-    weight.
+    """Generator H = w1 Hr*phi + w2 Hs*phi for the Gaussian test function
+    `GaussianSmoother.for_kernel` of the first kernel of nonzero weight.
 
     Every derivative d^i/dnu^i d^j/dtheta^j (i <= 1, j <= 4) is one call
     of SmoothedKernel.convolved_pairs per kernel on the flattened
@@ -250,12 +249,11 @@ def kernel_generator(regular: KernelTransform | None = None,
     # kernel tables
     from .kernelengine import GaussianSmoother, SmoothedKernel
     pieces = []
-    nu_star = smoothing_width = None
+    nu_star = phi = None
     for w, tr in ((weight_regular, regular), (weight_singular, singular)):
         if tr is not None and w != 0.0:
-            if smoothing_width is None:
-                smoothing_width = gc.k_of_nu(tr.nu_star) / 6.0
-            phi = GaussianSmoother(smoothing_width)
+            if phi is None:
+                phi = GaussianSmoother.for_kernel(tr.nu_star)
             pieces.append((float(w), SmoothedKernel(tr, phi)))
             nu_star = tr.nu_star if nu_star is None else min(nu_star,
                                                              tr.nu_star)

@@ -896,6 +896,13 @@ class GaussianSmoother:
     def xi_cutoff(self) -> float:   # phi_hat is below 1e-12 beyond it
         return float(np.sqrt(-2.0 * np.log(1e-12)) / self.sigma)
 
+    @classmethod
+    def for_kernel(cls, nu_star: float) -> GaussianSmoother:
+        """The test function of a kernel tabulated up to nu_star: width
+        k(nu_star)/6, as `huygens_leakage` and the kernel generators of
+        `entropy` use."""
+        return cls(gc.k_of_nu(nu_star) / 6.0)
+
 
 # Fourier quadrature of the smoothed kernels: composite Simpson on an odd
 # number of points.  Pairs are taken in blocks of at most _VALUE_BLOCK
@@ -1000,12 +1007,11 @@ class SmoothedKernel:
 
 def huygens_leakage(transform: KernelTransform) -> float:
     """Max over nu of the |H*phi| mass fraction outside |s| <= k(nu) + 3w,
-    for the Gaussian phi of width w = k(nu_star)/6 that kernel_generator
-    uses, at 12 nu log-spaced on [10 nu_min, nu_star] and 321 s evenly
-    spaced on |s| <= k(nu_star) + 8w."""
-    k_star = gc.k_of_nu(transform.nu_star)
-    phi = GaussianSmoother(k_star / 6.0)
-    s_max = k_star + 8.0 * phi.width
+    for the test function phi of `GaussianSmoother.for_kernel` (width
+    w = k(nu_star)/6), at 12 nu log-spaced on [10 nu_min, nu_star] and
+    321 s evenly spaced on |s| <= k(nu_star) + 8w."""
+    phi = GaussianSmoother.for_kernel(transform.nu_star)
+    s_max = gc.k_of_nu(transform.nu_star) + 8.0 * phi.width
     s = np.linspace(-s_max, s_max, 321)
     nus = np.geomspace(transform.nu_min * 10, transform.nu_star, 12)
     NU, S = np.meshgrid(nus, s, indexing="ij")

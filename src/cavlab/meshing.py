@@ -6,7 +6,13 @@ region above the bump.  The grid is structured: vertical mesh lines are
 kept and each column is graded between the bump surface and the lid, then
 every quad is split into two triangles.  Boundary edges carry one of two
 tags: OBSTACLE on the bump arc, FARFIELD everywhere else, with unit
-normals pointing into the fluid.
+normals pointing into the fluid; the FARFIELD nodes are the Dirichlet
+set (`Mesh.dirichlet_nodes`).
+
+The P1 cell operators derive from two sparse primitives built once per
+mesh, the cell gradient G and the cell mean: `gradient` is G f, the
+stiffness matrix G^T diag(|T|) G and the divergence load operator
+G^T diag(|T|) (cell mean x I_2); the consistent mass matrix is not.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ class DomainSpec:
     h_mesh: float = 1.0 / 32.0
 
     def __post_init__(self):
-        if min(self.half_length, self.height, self.chord, self.h_mesh) <= 0:
-            raise ValueError("all lengths must be positive")
-        if self.bump_height < 0 or self.bump_height >= self.height / 2:
+        if not all(0.0 < x < math.inf for x in (
+                self.half_length, self.height, self.chord, self.h_mesh)):
+            raise ValueError("all lengths must be finite and positive")
+        if not 0.0 <= self.bump_height < self.height / 2:
             raise ValueError("bump height must lie in [0, height/2)")
         if self.chord / 2 >= self.half_length:
             raise ValueError("bump endpoints must lie on the bottom wall")
@@ -73,12 +80,9 @@ class DomainSpec:
 
 @dataclass
 class Mesh:
-    """Conforming triangulation with tagged boundary and P1 operators.
-
-    The sparse P1 operators (stiffness, consistent mass and the
-    divergence load operator) are assembled on first use and then kept,
-    so the solver and the diagnostics share one copy of each per mesh.
-    """
+    """Conforming triangulation with tagged boundary and P1 operators,
+    each built on first use and kept, so that the solver and the
+    diagnostics share one copy per mesh."""
 
     vertices: np.ndarray       # (n, 2)
     triangles: np.ndarray      # (m, 3) positively oriented
@@ -93,14 +97,8 @@ class Mesh:
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         if np.any(self.areas <= 0):
             raise ValueError("triangulation contains degenerate/flipped cells")
-        # P1 basis gradients per triangle: grads[m, i, :] for local node i
-        inv2A = 1.0 / (2.0 * self.areas)
-        g0 = np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1)
-        g1 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1)
-        g2 = np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1)
-        self.grads = np.stack([g0, g1, g2], axis=1) * inv2A[:, None, None]
         # boundary edge geometry with inward normals (into the fluid)
-        be, v = self.boundary_edges, self.vertices
+        be = self.boundary_edges
         tang = v[be[:, 1]] - v[be[:, 0]]
         self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
         nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1) \
@@ -149,28 +147,58 @@ class Mesh:
         return self.n_vertices - self.edge_count() + len(self.triangles)
 
     def min_angle_degrees(self) -> float:
-        v, t = self.vertices, self.triangles
-        worst = 180.0
-        p = v[t]  # (m, 3, 2)
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.sum(a * b, axis=1) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            ang = np.degrees(np.arccos(np.clip(cosang, -1, 1)))
-            worst = min(worst, float(ang.min()))
-        return worst
+        p = self.vertices[self.triangles]  # (m, 3, 2)
+        a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+        cosang = np.sum(a * b, axis=2) / (
+            np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2))
+        return float(np.degrees(np.arccos(np.clip(cosang, -1, 1))).min())
 
     def boundary_nodes(self, tag: int) -> np.ndarray:
         mask = self.boundary_tags == tag
         return np.unique(self.boundary_edges[mask].ravel())
 
+    @cached_property
+    def dirichlet_nodes(self) -> np.ndarray:
+        """The FARFIELD nodes, where sigma and theta are prescribed and
+        every test function vanishes."""
+        return self.boundary_nodes(FARFIELD)
+
     # ---- P1 calculus -----------------------------------------------------
 
+    @cached_property
+    def cell_gradient(self) -> sp.csr_matrix:
+        """G (2m x n): row 2c + d holds d lambda_i / dx_d on cell c in the
+        columns of its vertices i, so (G f)[2c + d] is d f / dx_d there."""
+        x, y = np.moveaxis(self.vertices[self.triangles], 2, 0)  # (m, 3)
+        nxt, prv = [1, 2, 0], [2, 0, 1]
+        # grad lambda_i = (y_{i+1} - y_{i+2}, x_{i+2} - x_{i+1}) / 2|T|
+        grads = np.stack([y[:, nxt] - y[:, prv], x[:, prv] - x[:, nxt]],
+                         axis=1) * (1.0 / (2.0 * self.areas))[:, None, None]
+        return _three_per_row(grads.ravel(),
+                              np.repeat(self.triangles, 2, axis=0).ravel(),
+                              self.n_vertices)
+
+    @cached_property
+    def cell_mean(self) -> sp.csr_matrix:
+        """(m x n), 1/3 at each vertex of a cell: cell means of fields."""
+        return self._cell_mean_per_component(1)
+
+    def _cell_mean_per_component(self, k: int) -> sp.csr_matrix:
+        """cell_mean x I_k: row kc + d averages component d over cell c."""
+        cols = k * self.triangles[:, None, :] + np.arange(k)[:, None]
+        return _three_per_row(np.full(cols.size, 1.0 / 3.0), cols.ravel(),
+                              k * self.n_vertices)
+
     def gradient(self, field: np.ndarray) -> np.ndarray:
-        """Per-triangle gradient of a nodal field; exact for affine fields."""
-        field = np.asarray(field, dtype=float)
-        return np.einsum("mi,mid->md", field[self.triangles], self.grads)
+        """Cell gradients G f, (m, 2), or (m, 2, k) for k fields (n, k)."""
+        grads = self.cell_gradient @ field
+        return grads.reshape(-1, 2, *grads.shape[1:])
+
+    def _area_weighted_gradient_t(self) -> sp.csr_matrix:
+        """G^T diag(|T|) (n x 2m), a transient of building K and D."""
+        G = self.cell_gradient
+        return sp.csr_matrix((np.repeat(self.areas, 6) * G.data, G.indices,
+                              G.indptr), shape=G.shape).T.tocsr()
 
     def integrate(self, cell_values: np.ndarray) -> float:
         """Integral of a per-triangle quantity."""
@@ -178,26 +206,12 @@ class Mesh:
 
     def l2_norm(self, field: np.ndarray) -> float:
         """Lumped-mass L2 norm of a nodal field."""
-        field = np.asarray(field, dtype=float)
-        acc = np.sum(self.areas * (field[self.triangles] ** 2).mean(axis=1))
+        acc = self.areas @ (self.cell_mean @ np.square(field))
         return math.sqrt(max(acc, 0.0))
-
-    def boundary_flux(self, vector_nodal: np.ndarray, tag: int,
-                      inward: bool = True) -> float:
-        """Edge-midpoint quadrature of the normal flux over tagged edges."""
-        vec = np.asarray(vector_nodal, dtype=float)
-        mask = self.boundary_tags == tag
-        be = self.boundary_edges[mask]
-        mid = 0.5 * (vec[be[:, 0]] + vec[be[:, 1]])
-        nrm = self.edge_normals_in[mask]
-        sgn = 1.0 if inward else -1.0
-        return sgn * float(np.sum(np.sum(mid * nrm, axis=1)
-                                  * self.edge_lengths[mask]))
 
     @cached_property
     def _obstacle(self):
-        """Vertex pairs, inward unit normals and lengths of the OBSTACLE
-        edges."""
+        """Ends, inward unit normals and lengths of the OBSTACLE edges."""
         mask = self.boundary_tags == OBSTACLE
         return (self.boundary_edges[mask], self.edge_normals_in[mask],
                 self.edge_lengths[mask])
@@ -225,28 +239,9 @@ class Mesh:
              (e.T.ravel(), np.concatenate([edge, edge]))),
             shape=(self.n_vertices, len(half)))
 
-    def weak_divergence(self, vector_nodal: np.ndarray, test_nodal) -> float:
-        """int psi div F := boundary term - int F . grad psi (P1 weak form)."""
-        vec = np.asarray(vector_nodal, dtype=float)
-        psi = np.asarray(test_nodal, dtype=float)
-        gpsi = self.gradient(psi)
-        mean_vec = vec[self.triangles].mean(axis=1)
-        interior = np.sum(self.areas * np.sum(mean_vec * gpsi, axis=1))
-        bnd = 0.0
-        for tag in (OBSTACLE, FARFIELD):
-            mask = self.boundary_tags == tag
-            be = self.boundary_edges[mask]
-            midv = 0.5 * (vec[be[:, 0]] + vec[be[:, 1]])
-            midp = 0.5 * (psi[be[:, 0]] + psi[be[:, 1]])
-            flux_out = -np.sum(midv * self.edge_normals_in[mask], axis=1)
-            bnd += np.sum(midp * flux_out * self.edge_lengths[mask])
-        return float(bnd - interior)
-
     def stiffness_matrix(self) -> sp.csr_matrix:
-        """Assembled P1 Laplacian (no boundary conditions applied).
-
-        Built once per mesh; every call returns the same matrix.
-        """
+        """P1 Laplacian K = G^T diag(|T|) G, no boundary conditions and
+        no stored zeros; built once per mesh."""
         return self._stiffness
 
     def mass_matrix(self) -> sp.csr_matrix:
@@ -255,46 +250,20 @@ class Mesh:
 
     def divergence_rhs(self, vector_nodal: np.ndarray) -> np.ndarray:
         """Load vector b_i = int F . grad(lambda_i) dx for P1 F."""
-        vec = np.asarray(vector_nodal, dtype=float)
-        return self.divergence_operator @ vec.reshape(-1)
+        return self.divergence_operator \
+            @ np.asarray(vector_nodal, dtype=float).reshape(-1)
 
     @cached_property
     def divergence_operator(self) -> sp.csr_matrix:
-        """(n, 2n) map from a nodal field F, flattened row-major (F[j, d]
-        in column 2j + d), to the load vector of `divergence_rhs`.
-
-        Formed as S @ A: A (2m x 2n) takes each component's cell mean of
-        F, S (n x 2m) scatters |T| grad(lambda_i) of each cell into row i.
-        Rows 2c + d of A and of S^T hold one entry per vertex of cell c,
-        so both are built directly in CSR form, with no COO index
-        broadcast.  S^T is transposed and dropped before A is allocated,
-        which keeps the build's transient memory below the solver's.
-        """
-        n, m = self.n_vertices, len(self.triangles)
-        tri = self.triangles.astype(np.int32)
-        row_ptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
-        scatter = sp.csr_matrix(
-            ((self.areas[:, None, None]
-              * self.grads.transpose(0, 2, 1)).ravel(),
-             np.repeat(tri, 2, axis=0).ravel(), row_ptr),
-            shape=(2 * m, n)).T.tocsr()
-        comp = np.arange(2, dtype=np.int32)[:, None]
-        mean = sp.csr_matrix(
-            (np.full(6 * m, 1.0 / 3.0), (2 * tri[:, None, :] + comp).ravel(),
-             row_ptr), shape=(2 * m, 2 * n))
-        return scatter @ mean
+        """D = G^T diag(|T|) (cell_mean x I_2) (n x 2n), of transient
+        factors: maps a nodal field F, flattened row-major (F[j, d] in
+        column 2j + d), to the load vector of `divergence_rhs`."""
+        return self._area_weighted_gradient_t() \
+            @ self._cell_mean_per_component(2)
 
     @cached_property
     def _stiffness(self) -> sp.csr_matrix:
-        m = len(self.triangles)
-        local = np.einsum("mid,mjd->mij", self.grads, self.grads) \
-            * self.areas[:, None, None]
-        rows = np.repeat(self.triangles, 3, axis=1).reshape(m, 3, 3)
-        cols = np.tile(self.triangles, 3).reshape(m, 3, 3)
-        K = sp.coo_matrix((local.ravel(),
-                           (rows.ravel(), cols.ravel())),
-                          shape=(self.n_vertices, self.n_vertices))
-        return K.tocsr()
+        return self._area_weighted_gradient_t() @ self.cell_gradient
 
     @cached_property
     def _mass(self) -> sp.csr_matrix:
@@ -309,6 +278,14 @@ class Mesh:
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n_vertices,) * 2).tocsr()
+
+
+def _three_per_row(data, columns, n_columns) -> sp.csr_matrix:
+    """CSR matrix with data[3r:3r + 3] in columns[3r:3r + 3] of row r."""
+    return sp.csr_matrix(
+        (data, np.asarray(columns, dtype=np.int32),
+         np.arange(0, len(data) + 1, 3, dtype=np.int32)),
+        shape=(len(data) // 3, n_columns))
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:
@@ -342,21 +319,17 @@ def build_mesh(spec: DomainSpec) -> Mesh:
                           np.stack([v00, v11, v01], axis=-1)],
                          axis=2).reshape(-1, 3)
 
-    edges, tags = [], []
-    for i in range(nx):  # bottom and top walls
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        xm = 0.5 * (xs[i] + xs[i + 1])
-        on_bump = spec.bump_height > 0 and abs(xm) < c / 2
-        tags.append(OBSTACLE if on_bump else FARFIELD)
-        edges.append((vid(i, ny), vid(i + 1, ny)))
-        tags.append(FARFIELD)
-    for j in range(ny):  # inlet and outlet
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append(FARFIELD)
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append(FARFIELD)
-    return Mesh(vertices, triangles, np.asarray(edges, dtype=np.int64),
-                np.asarray(tags, dtype=np.int64), spec)
+    # boundary edges: bottom, top of each column; then inlet, outlet
+    i, j = np.arange(nx, dtype=np.int64), np.arange(ny, dtype=np.int64)
+    edges = np.concatenate([
+        np.stack([vid(i, 0), vid(i + 1, 0), vid(i, ny), vid(i + 1, ny)], 1),
+        np.stack([vid(0, j), vid(0, j + 1), vid(nx, j), vid(nx, j + 1)], 1),
+    ]).reshape(-1, 2)
+    on_bump = (spec.bump_height > 0) & (np.abs(0.5 * (xs[:-1] + xs[1:]))
+                                        < c / 2)
+    tags = np.full(len(edges), FARFIELD, dtype=np.int64)
+    tags[0:2 * nx:2][on_bump] = OBSTACLE
+    return Mesh(vertices, triangles, edges, tags, spec)
 
 
 # rows formatted per string operation by `write_rows`

@@ -16,7 +16,9 @@ the obstacle,
 degenerate diffusion factor 1 - c^2/q^2, and the clipped speed
 qt(rho) = (1 - rho_+^2)_+^(1/2) guards transients; at convergence it
 coincides with the Bernoulli speed.  The P1 operators (stiffness,
-divergence load, mass) belong to the mesh and are built once per mesh.
+divergence load, mass) belong to the mesh and are built once per mesh,
+and so does the Dirichlet set: the far-field nodes of
+`Mesh.dirichlet_nodes`, which the diagnostics' test functions vanish on.
 
 The Picard map g sends the iterate x to the solution of both Poisson
 problems with its loads b(x), as one two-column solve against one
@@ -62,7 +64,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import gaschart as gc
-from .meshing import FARFIELD, Mesh
+from .meshing import Mesh
 
 RHO_GUARD = gc.RHO_CR - 1e-6
 # Krylov steps one Newton system may take (rows of the GMRES basis - 1)
@@ -101,6 +103,13 @@ class SolverConfig:
             raise ValueError("epsilon list must be strictly decreasing")
         if not all(e > 0.0 for e in eps):
             raise ValueError("viscosities must be positive")
+        if not (0.0 < self.picard_tol < np.inf
+                and 0.0 < self.residual_tol < np.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not 0.0 <= self.tol_inv_factor < np.inf:
+            raise ValueError("tol_inv_factor must be finite and nonnegative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
     @property
     def rho_inf(self) -> float:
@@ -267,7 +276,7 @@ class PicardSolver:
     def __init__(self, mesh: Mesh, config: SolverConfig):
         self.mesh = mesh
         self.config = config
-        self.dirichlet = mesh.boundary_nodes(FARFIELD)
+        self.dirichlet = mesh.dirichlet_nodes
         self.free = np.setdiff1d(np.arange(mesh.n_vertices), self.dirichlet)
         K = mesh.stiffness_matrix()
         self.K = K

@@ -83,9 +83,9 @@ def _entropy_rows_per_state(points):
             q2 = s.rho * q * st * hn + q * ct * ht
             p1, p2 = float(pair.Q1(rho, th)), float(pair.Q2(rho, th))
             defect = max(abs(q1 - p1), abs(q2 - p2))
-            rows.append([cli._fmt(nu), cli._fmt(th),
-                         cli._fmt(margins["margin_convexity"]),
-                         cli._fmt(margins["margin_cross"]), defect])
+            rows.append([f"{nu:.17g}", f"{th:.17g}",
+                         f"{margins['margin_convexity']:.17g}",
+                         f"{margins['margin_cross']:.17g}", defect])
     return rows
 
 
@@ -114,13 +114,19 @@ OUT_OF_RANGE = {
     "solve-epsilon-zero": (["solve", "--epsilon", "0"], ""),
     "solve-epsilon-negative": (["solve", "--epsilon", "-0.1"], ""),
     "config-epsilons": (["solve"], "solver.epsilons = 0.1, -0.1\n"),
+    "config-h-mesh-nan": (["check"], "geometry.h_mesh = nan\n"),
+    "config-half-length-inf": (["check"], "geometry.half_length = inf\n"),
+    "config-bump-height-nan": (["check"], "geometry.bump_height = nan\n"),
+    "config-picard-tol-nan": (["check"], "solver.picard_tol = nan\n"),
+    "config-picard-tol-negative": (["check"], "solver.picard_tol = -1\n"),
+    "config-max-iters-zero": (["check"], "solver.max_iters = 0\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, case):
     argv, cfg_text = OUT_OF_RANGE[case]
-    if argv[0] != "solve":
+    if argv[0] not in ("solve", "check"):
         argv = argv + ["--out", str(tmp_path / "out")]
     if cfg_text is not None:
         cfg = tmp_path / "run.cfg"
@@ -307,6 +313,39 @@ def test_sweep_then_report(swept, capsys):
     assert [float(r["epsilon"]) for r in rows] == [0.2, 0.1]
 
 
+DAMAGED_REPORTS = {  # damage -> what the error line names
+    "old": "'krylov_steps'", "truncated": "not JSON", "mistyped": "malformed"}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_REPORTS))
+def test_report_on_a_damaged_report_is_a_usage_error(swept, tmp_path,
+                                                      capsys, damage):
+    # a run directory written before krylov_steps was recorded, one whose
+    # report.json was cut short, and one with a string for a number
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    text = (swept / "report.json").read_text()
+    report = json.loads(text)
+    if damage == "old":
+        for rec in report["records"]:
+            del rec["krylov_steps"]
+        text = json.dumps(report)
+    elif damage == "mistyped":
+        report["sweep"]["dissipation_ratio"] = "6.18"
+        text = json.dumps(report)
+    else:
+        text = text[:len(text) // 2]
+    (run_dir / "report.json").write_text(text)
+    capsys.readouterr()
+    assert cli.main(["report", str(run_dir)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and "Traceback" not in err
+    assert str(run_dir / "report.json") in err
+    assert DAMAGED_REPORTS[damage] in err
+
+
 RECORD_KEYS = {"epsilon", "iterations", "krylov_steps", "final_residual",
                "invariant_region", "dissipation_integral", "weak_residuals",
                "entropy_defect_star", "entropy_defect_star_all",
@@ -339,12 +378,29 @@ def test_save_fields_matches_csv_writer_text(tmp_path):
     store = cli.ArtifactStore(str(tmp_path / "run"))
     store.save_fields(mesh, sol)
     ref = tmp_path / "ref.csv"
-    rows = [[cli._fmt(x) for x in row] for row in zip(
-        mesh.vertices[:, 0], mesh.vertices[:, 1], sol.sigma, sol.theta,
-        sol.rho, sol.q, sol.W_minus, sol.W_plus)]
-    cli._write_csv(str(ref), ["x", "y", "sigma", "theta", "rho", "q",
-                              "Wminus", "Wplus"], rows)
+    _csv_writer_text(ref, ["x", "y", "sigma", "theta", "rho", "q", "Wminus",
+                           "Wplus"],
+                     zip(mesh.vertices[:, 0], mesh.vertices[:, 1], sol.sigma,
+                         sol.theta, sol.rho, sol.q, sol.W_minus, sol.W_plus))
     got = tmp_path / "run" / "fields_eps_0.2.csv"
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def _csv_writer_text(path, header, rows):
+    """Every cell through f"{float(x):.17g}" and csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{float(x):.17g}" for x in row] for row in rows)
+
+
+def test_write_csv_matches_csv_writer_text(tmp_path):
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0, 1e16, 0.1, 7]
+    columns = [np.array(special[:-1]), special[::-1][:-1],
+               np.arange(len(special) - 1)]
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    cli._write_csv(str(got), ["a", "b", "c"], columns)
+    _csv_writer_text(ref, ["a", "b", "c"], zip(*columns))
     assert got.read_bytes() == ref.read_bytes()
 
 

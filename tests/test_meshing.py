@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cavlab import meshing as mh
 
@@ -60,27 +61,52 @@ def test_gradient_exact_for_affine(mesh):
     assert np.allclose(g[:, 1], 0.0, atol=1e-12)
     g = mesh.gradient(2.0 * x - 3.0 * y + 1.0)
     assert np.allclose(g, [2.0, -3.0], atol=1e-12)
+    # a stack of fields, (n, k) -> (m, 2, k), one column per field
+    g = mesh.gradient(np.column_stack([x, 2.0 * x - 3.0 * y + 1.0]))
+    assert g.shape == (len(mesh.triangles), 2, 2)
+    assert np.allclose(g, [[1.0, 2.0], [0.0, -3.0]], atol=1e-12)
+
+
+def _affine_pair(p):
+    """F = (x - 2y + 0.5, 3x + y), whose divergence is 2, and
+    psi = 0.7x - 1.3y + 0.4, whose gradient is (0.7, -1.3), at points p."""
+    x, y = p[..., 0], p[..., 1]
+    return (np.stack([x - 2.0 * y + 0.5, 3.0 * x + y], axis=-1),
+            0.7 * x - 1.3 * y + 0.4)
 
 
 def test_weak_divergence_identity(mesh):
-    # F = (x, y): int psi div F with psi = 1 equals 2 * area
-    F = mesh.vertices.copy()
-    ones = np.ones(mesh.n_vertices)
-    val = mesh.weak_divergence(F, ones)
-    assert val == pytest.approx(2.0 * mesh.areas.sum(), rel=1e-12)
+    # for affine F and psi, psi^T D F is the exact int F . grad(psi):
+    # the cell mean of F is its centroid value
+    F, psi = _affine_pair(mesh.vertices)
+    F_c, _ = _affine_pair(mesh.vertices[mesh.triangles].mean(axis=1))
+    exact = np.sum(mesh.areas * (F_c @ np.array([0.7, -1.3])))
+    assert psi @ mesh.divergence_rhs(F) == pytest.approx(exact, rel=1e-12)
 
 
 def test_divergence_theorem(mesh):
-    # constant field: boundary fluxes cancel, interior term vanishes
-    F = np.tile([1.0, 0.0], (mesh.n_vertices, 1))
-    ones = np.ones(mesh.n_vertices)
-    assert mesh.weak_divergence(F, ones) == pytest.approx(0.0, abs=1e-12)
-    # flux of (1,0) over FARFIELD equals the x-projection sum of its edges
-    flux = mesh.boundary_flux(F, mh.FARFIELD, inward=False)
-    mask = mesh.boundary_tags == mh.FARFIELD
-    proj = -np.sum(mesh.edge_normals_in[mask][:, 0]
-                   * mesh.edge_lengths[mask])
-    assert flux == pytest.approx(proj, rel=1e-12)
+    # int F . grad(psi) = int_bdry psi F . n_out - int psi div F for
+    # affine F and psi; psi F . n is quadratic on each boundary edge, so
+    # Simpson's rule there is exact
+    F, psi = _affine_pair(mesh.vertices)
+    v, be = mesh.vertices, mesh.boundary_edges
+    a, b = v[be[:, 0]], v[be[:, 1]]
+    n_out = -mesh.edge_normals_in
+
+    def flux(p):
+        Fp, psi_p = _affine_pair(p)
+        return psi_p * np.sum(Fp * n_out, axis=1)
+    boundary = np.sum(mesh.edge_lengths * (
+        flux(a) + 4.0 * flux(0.5 * (a + b)) + flux(b)) / 6.0)
+    _, psi_c = _affine_pair(v[mesh.triangles].mean(axis=1))
+    volume = 2.0 * np.sum(mesh.areas * psi_c)
+    assert psi @ mesh.divergence_rhs(F) == pytest.approx(
+        boundary - volume, rel=1e-12)
+    # a constant field: psi = 1 sees no flux, and neither does an interior
+    # basis function, whose gradient integrates to zero
+    b = mesh.divergence_rhs(np.tile([1.0, -0.5], (mesh.n_vertices, 1)))
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), be)
+    assert abs(b.sum()) < 1e-12 and np.abs(b[interior]).max() < 1e-12
 
 
 def test_obstacle_wall_quadrature(mesh):
@@ -96,8 +122,13 @@ def test_obstacle_wall_quadrature(mesh):
     F = np.stack([np.sin(mesh.vertices[:, 0]), mesh.vertices[:, 1] ** 2],
                  axis=1)
     Fn = mesh.obstacle_normal_flux(F)
+    direct = 0.0
+    for (i, j), n, length in zip(mesh.boundary_edges[mask],
+                                 mesh.edge_normals_in[mask],
+                                 mesh.edge_lengths[mask]):
+        direct += float(0.5 * (F[i] + F[j]) @ n) * length
     assert float(np.sum(Fn * mesh.edge_lengths[mask])) == pytest.approx(
-        mesh.boundary_flux(F, mh.OBSTACLE), rel=1e-12)
+        direct, rel=1e-12)
 
 
 def test_normals_point_inward(mesh):
@@ -140,10 +171,22 @@ def test_stiffness_matrix_properties(mesh):
     assert np.abs((K @ x)[interior]).max() < 1e-12
 
 
+def _basis_gradients(mesh):
+    """grad(lambda_i) of every triangle, (m, 3, 2), from its vertices."""
+    p = mesh.vertices[mesh.triangles]
+    grads = np.empty((len(p), 3, 2))
+    for i in range(3):
+        a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+        grads[:, i, 0] = a[:, 1] - b[:, 1]
+        grads[:, i, 1] = b[:, 0] - a[:, 0]
+    return grads / (2.0 * mesh.areas)[:, None, None]
+
+
 def _divergence_reference(mesh, F):
     """b_i = sum_T |T| grad(lambda_i) . mean_T(F), assembled per triangle."""
     mean = F[mesh.triangles].mean(axis=1)
-    contrib = np.einsum("md,mid->mi", mean, mesh.grads) * mesh.areas[:, None]
+    contrib = np.einsum("md,mid->mi", mean, _basis_gradients(mesh)) \
+        * mesh.areas[:, None]
     b = np.zeros(mesh.n_vertices)
     np.add.at(b, mesh.triangles, contrib)
     return b
@@ -159,10 +202,30 @@ def test_divergence_rhs_matches_per_triangle_formula(bump_height):
         <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("bump_height", [0.05, 0.0])
+def test_stiffness_matches_per_triangle_assembly(bump_height):
+    # K = G^T diag(|T|) G against the element-by-element COO assembly;
+    # the product stores no zeros, such as the coupling across the
+    # diagonal of a rectangular cell
+    mesh = mh.build_mesh(mh.DomainSpec(bump_height=bump_height,
+                                       h_mesh=1 / 16))
+    g, t = _basis_gradients(mesh), mesh.triangles
+    local = np.einsum("mid,mjd->mij", g, g) * mesh.areas[:, None, None]
+    ref = sp.coo_matrix((local.ravel(), (np.repeat(t, 3, axis=1).ravel(),
+                                         np.tile(t, 3).ravel())),
+                        shape=(mesh.n_vertices,) * 2).tocsr()
+    K = mesh.stiffness_matrix()
+    assert np.all(K.data != 0.0)
+    assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+
+
 def test_operators_built_once(mesh):
     assert mesh.stiffness_matrix() is mesh.stiffness_matrix()
     assert mesh.mass_matrix() is mesh.mass_matrix()
     assert mesh.divergence_operator is mesh.divergence_operator
+    assert mesh.dirichlet_nodes is mesh.dirichlet_nodes
+    assert np.array_equal(mesh.dirichlet_nodes,
+                          mesh.boundary_nodes(mh.FARFIELD))
     ones = np.ones(mesh.n_vertices)
     assert ones @ (mesh.mass_matrix() @ ones) == pytest.approx(
         mesh.areas.sum(), rel=1e-13)

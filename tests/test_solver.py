@@ -176,6 +176,7 @@ def test_solve_pair_matches_single_solves():
     cfg = sv.SolverConfig(epsilons=(0.2,))
     solver = sv.PicardSolver(mesh, cfg)
     assert solver.K is mesh.stiffness_matrix()
+    assert solver.dirichlet is mesh.dirichlet_nodes
     b_sig, b_the = np.random.default_rng(3).standard_normal(
         (2, mesh.n_vertices))
     K_fd = mesh.stiffness_matrix()[solver.free][:, solver.dirichlet]
@@ -194,14 +195,16 @@ def test_stiffness_band_is_one_mesh_column_wide():
     # build_mesh numbers vertices column by column, ny + 1 per column;
     # without the far-field rows a free node's farthest neighbour is ny
     # free nodes away, or ny + 1 where the column's bottom node lies on
-    # the obstacle
+    # the obstacle.  K stores no zeros, and on a flat mesh the coupling
+    # at distance ny, across the diagonal of a rectangular cell, is zero
     for h in (1 / 16, 1 / 32):
         spec = mh.DomainSpec(h_mesh=h)
         ny = round(spec.height / h)
         solver = sv.PicardSolver(mh.build_mesh(spec), sv.SolverConfig())
         assert solver.chol.bandwidth == ny + 1
         flat = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=h))
-        assert sv.PicardSolver(flat, sv.SolverConfig()).chol.bandwidth == ny
+        assert sv.PicardSolver(flat, sv.SolverConfig()).chol.bandwidth \
+            == ny - 1
 
 
 def test_banded_cholesky_rejects_matrix_not_positive_definite():
