@@ -10,7 +10,7 @@ h_mesh/2.5, or one with two viscosities that agree to 6 significant
 digits (they would share one fields file) is a usage error.  Exit codes:
 0 success, 1 check failure (including a solve that finds no fixed
 point), 2 usage/configuration error (including a malformed kernel
-table), 3 internal error (the traceback goes to stderr).  Reports are
+table or a report.json `report` cannot read), 3 internal error (the traceback goes to stderr).  Reports are
 JSON with stable key order; tabular output is RFC-4180 CSV with a header
 row; field and mesh exports are legacy ASCII VTK.  All pipelines are
 deterministic, so identical configurations reproduce byte-identical
