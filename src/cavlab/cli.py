@@ -10,11 +10,11 @@ h_mesh/2.5, or one with two viscosities that agree to 6 significant
 digits (they would share one fields file) is a usage error.  Exit codes:
 0 success, 1 check failure (including a solve that finds no fixed
 point), 2 usage/configuration error (including a malformed kernel
-table or a report.json `report` cannot read), 3 internal error (the traceback goes to stderr).  Reports are
-JSON with stable key order; tabular output is RFC-4180 CSV with a header
-row; field and mesh exports are legacy ASCII VTK.  All pipelines are
-deterministic, so identical configurations reproduce byte-identical
-reports.
+table or a report.json `report` cannot read), 3 internal error (the
+traceback goes to stderr).  Reports are JSON with stable key order;
+tabular output is RFC-4180 CSV with a header row; field and mesh exports
+are legacy ASCII VTK.  All pipelines are deterministic, so identical
+configurations reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -156,7 +156,12 @@ def cmd_basis_check(args) -> int:
 
 
 def cmd_kernel_build(args) -> int:
-    from .kernelengine import GridSpec, build_kernel
+    from .kernelengine import NU_CALIBRATION, GridSpec, build_kernel
+    if args.nu_star < NU_CALIBRATION:
+        print(f"bad --nu-star: {args.nu_star:g} is below the calibration "
+              f"point nu = {NU_CALIBRATION:g}, which the table must reach",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         grid = GridSpec(xi_max_factor=args.xi_max)
     except ValueError as exc:

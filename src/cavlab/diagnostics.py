@@ -160,16 +160,16 @@ def weak_form_residuals(mesh: Mesh, sol: Solution, psi) -> dict:
             "curl": float(np.abs(curl).max())}
 
 
-def entropy_dissipation(mesh: Mesh, sol: Solution, pair: en.EntropyPair,
+def entropy_dissipation(mesh: Mesh, sol: Solution, pair,
                         psi) -> np.ndarray:
-    """Defect vector d_psi = int Q(u) . grad(psi_h) dx, one per column.
+    """Defect vector d_psi = int Q(u) . grad(psi_h) dx, one per column,
+    for the entropy pair `pair(rho, theta) -> (Q1, Q2)`.
 
     A distributional entropy inequality div Q >= 0 makes every d_psi
     nonpositive up to the viscous O(sqrt(eps)) excess.
     """
     rho, theta = sol.rho, sol.theta
-    Q = np.stack([np.asarray(pair.Q1(rho, theta)),
-                  np.asarray(pair.Q2(rho, theta))], axis=1)
+    Q = np.stack([np.asarray(q) for q in pair(rho, theta)], axis=1)
     if not np.all(np.isfinite(Q)):
         bad = int(np.nonzero(~np.isfinite(Q).all(axis=1))[0][0])
         raise en.GeneratorDomainError(
@@ -189,18 +189,20 @@ def compactness_decomposition(mesh: Mesh, cells: CellStates,
 
     with the first bracket's density `CellStates.density`, reported as
     the L1 norm of D2 and eps times the L2 norm of the D1 flux (whose
-    analytic bound is C sqrt(eps)).
+    analytic bound is C sqrt(eps)).  The D2 weights are -c1 and m of
+    `entropy.admissibility_terms`; they are formed here from the same six
+    derivative fields as the D1 flux, so no derivative is evaluated twice.
     """
     eps = cells.epsilon
     rho_c, th_c, f = cells.rho, cells.theta, cells.f
     grad_rho, grad_th = cells.grad_rho, cells.grad_theta
     nu_c = np.asarray(gc.nu_of_rho(rho_c))
-    H_nt = gen.d(1, 1)(nu_c, th_c)
-    H_t = gen.d(0, 1)(nu_c, th_c)
-    H_n = gen.d(1, 0)(nu_c, th_c)
-    H_tt = gen.d(0, 2)(nu_c, th_c)
-    H_ntt = gen.d(1, 2)(nu_c, th_c)
-    H_ttt = gen.d(0, 3)(nu_c, th_c)
+    H_nt = gen.d(1, 1, nu_c, th_c)
+    H_t = gen.d(0, 1, nu_c, th_c)
+    H_n = gen.d(1, 0, nu_c, th_c)
+    H_tt = gen.d(0, 2, nu_c, th_c)
+    H_ntt = gen.d(1, 2, nu_c, th_c)
+    H_ttt = gen.d(0, 3, nu_c, th_c)
     cross = np.sum(grad_th * grad_rho, axis=1)
     D2 = -eps * ((rho_c * H_ntt - H_tt) * cells.density
                  + (H_ttt + rho_c * H_nt) * (2.0 / rho_c) * f * cross)

@@ -1,8 +1,12 @@
 """Entropy generators and entropy pairs for the supersonic system.
 
 A generator is a scalar function H(nu, theta) solving the degenerate wave
-equation H_nunu - k'(nu)^2 H_thetatheta = 0; every generator produces an
-entropy pair through the Loewner-Morawetz matrix relation
+equation H_nunu - k'(nu)^2 H_thetatheta = 0.  `Generator` holds one
+function `derivative(i, j, nu, theta)` giving d^i/dnu^i d^j/dtheta^j H
+for i <= 1 and j <= 4, and the nu interval where it is valid;
+`Generator.d` checks the order and the interval, then calls it.  Every
+generator produces an entropy pair through the Loewner-Morawetz matrix
+relation
 
     (Q1, Q2) = [[rho q cos t, -q sin t], [rho q sin t, q cos t]] (H_nu, H_t),
 
@@ -14,16 +18,20 @@ distinguished generator
     H*_nu = -1/rho + N(rho),    N(rho) = atanh(rho_bar) - atanh(rho),
 
 anchored at a reference state rho_bar (normally the far-field density, so
-N vanishes there), whose pair `special_pair` gives in closed form as the
-reference for the assembly, and smoothed-kernel generators
-H = Hr*phi1 + Hs*phi2 evaluated by Fourier quadrature of the kernel
-tables.  `admissibility_margins` gives the two admissibility margins at
-every state of a grid; `convexity_check` reports their minima.
+N vanishes there), whose pair `special_pair` gives in closed form, as one
+function of the states returning (Q1, Q2), as the reference for the
+assembly; and smoothed-kernel generators H = Hr*phi + Hs*phi evaluated by
+Fourier quadrature of the kernel tables.  `admissibility_terms` owns the
+two terms of the admissibility conditions, c1 = H_tt - rho H_ntt and
+m = rho H_nt + H_ttt; `admissibility_margins` turns them into the two
+margins at every state of a grid and `convexity_check` reports their
+minima.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -49,80 +57,40 @@ def N_of_rho(rho, rho_bar: float):
     return out if out.shape else float(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Generator:
-    """Callable bundle of H and the partial derivatives the checks need.
+    """A generator as one derivative function and its nu interval.
 
-    ``table[(i, j)]`` maps nu-order i (0 or 1) and theta-order j to a
-    vectorized callable of (nu, theta).  Immutable and shareable.
+    ``derivative(i, j, nu, theta)`` returns d^i/dnu^i d^j/dtheta^j H,
+    vectorized over broadcast (nu, theta), for i <= 1 and j <= 4; it
+    checks nothing, so callers go through `d`.
     """
 
-    table: dict
-    provenance: str
+    derivative: Callable
     nu_range: tuple
 
-    def _check(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        if np.any(nu < self.nu_range[0] * (1 - 1e-12)) or np.any(
-                nu > self.nu_range[1] * (1 + 1e-12)):
+    def d(self, i: int, j: int, nu, theta):
+        """d^i/dnu^i d^j/dtheta^j H at the states (nu, theta);
+        GeneratorDomainError for another order or a nu outside nu_range."""
+        if i not in (0, 1) or j not in range(5):
+            raise GeneratorDomainError(
+                f"generator lacks derivative ({i},{j})")
+        nu_arr = np.asarray(nu, dtype=float)
+        if np.any(nu_arr < self.nu_range[0] * (1 - 1e-12)) or np.any(
+                nu_arr > self.nu_range[1] * (1 + 1e-12)):
             raise GeneratorDomainError(
                 f"nu outside generator range {self.nu_range}")
-
-    def d(self, i: int, j: int):
-        """Derivative callable d^i/dnu^i d^j/dtheta^j H."""
-        try:
-            fn = self.table[(i, j)]
-        except KeyError:
-            raise GeneratorDomainError(
-                f"generator lacks derivative ({i},{j})") from None
-
-        def wrapped(nu, theta):
-            self._check(nu)
-            return fn(nu, theta)
-        return wrapped
-
-    # named accessors for readability
-    @property
-    def H(self):
-        return self.d(0, 0)
-
-    @property
-    def H_nu(self):
-        return self.d(1, 0)
-
-    @property
-    def H_theta(self):
-        return self.d(0, 1)
-
-    @property
-    def H_thetatheta(self):
-        return self.d(0, 2)
+        return self.derivative(i, j, nu, theta)
 
     @staticmethod
-    def combination(terms, provenance: str | None = None) -> "Generator":
+    def combination(terms) -> "Generator":
         """Linear combination sum_i c_i * G_i (generators are a vector space)."""
         terms = [(float(c), g) for c, g in terms]
-        keys = set.intersection(*(set(g.table) for _, g in terms))
-        lo = max(g.nu_range[0] for _, g in terms)
-        hi = min(g.nu_range[1] for _, g in terms)
 
-        def make(key):
-            fns = [(c, g.table[key]) for c, g in terms]
-            return lambda nu, theta: sum(
-                c * fn(nu, theta) for c, fn in fns)
-        table = {key: make(key) for key in keys}
-        return Generator(table, provenance or "combination", (lo, hi))
-
-
-@dataclass(frozen=True)
-class EntropyPair:
-    """Entropy/entropy-flux pair as callables of the (rho, theta) state."""
-
-    Q1: object
-    Q2: object
-
-    def __call__(self, rho, theta):
-        return self.Q1(rho, theta), self.Q2(rho, theta)
+        def derivative(i, j, nu, theta):
+            return sum(c * g.derivative(i, j, nu, theta) for c, g in terms)
+        return Generator(derivative, (max(g.nu_range[0] for _, g in terms),
+                                      min(g.nu_range[1] for _, g in terms)))
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +107,9 @@ def special_generator(chart: gc.GasChart, nu_bar: float) -> Generator:
     """Quadratic-in-angle generator with H_thetatheta = 1 exactly.
 
     All pieces are closed forms; the inner speed integral evaluates to
-    -1/rho - atanh(rho) + const, hence H_nu = -1/rho + N(rho).
+    -1/rho - atanh(rho) + const, hence H_nu = -1/rho + N(rho).  Every
+    other derivative is 0, and the closed forms are valid on the whole
+    supersonic chart (0, nu_cr), not just up to nu_star.
     """
     if not 0.0 < nu_bar < gc.NU_CR:
         raise GeneratorDomainError("nu_bar must lie in (0, nu_cr)")
@@ -148,61 +118,42 @@ def special_generator(chart: gc.GasChart, nu_bar: float) -> Generator:
     psi_bar = float(_Psi(np.asarray(rho_bar)))
     slope = 1.0 / rho_bar + at_bar
 
-    def rho_of(nu):
-        return np.asarray(gc.rho_of_nu(nu))
+    def derivative(i, j, nu, theta):
+        if (i, j) == (0, 0):
+            nu = np.asarray(nu, dtype=float)
+            W = -(_Psi(np.asarray(gc.rho_of_nu(nu))) - psi_bar) \
+                + (nu - nu_bar) * slope
+            return np.asarray(theta) ** 2 / 2.0 - nu / rho_bar + W
+        if (i, j) == (0, 1):
+            return np.zeros(np.shape(nu)) + np.asarray(theta, dtype=float)
+        shape = np.broadcast_shapes(np.shape(nu), np.shape(theta))
+        if (i, j) == (1, 0):
+            rho = np.asarray(gc.rho_of_nu(nu))
+            return np.broadcast_to(-1.0 / rho + (at_bar - np.arctanh(rho)),
+                                   shape).copy()
+        return np.full(shape, 1.0 if (i, j) == (0, 2) else 0.0)
 
-    def H(nu, theta):
-        nu = np.asarray(nu, dtype=float)
-        rho = rho_of(nu)
-        W = -(_Psi(rho) - psi_bar) + (nu - nu_bar) * slope
-        return np.asarray(theta) ** 2 / 2.0 - nu / rho_bar + W
-
-    def H_nu(nu, theta):
-        rho = rho_of(nu)
-        return np.broadcast_to(-1.0 / rho + (at_bar - np.arctanh(rho)),
-                               np.broadcast_shapes(np.shape(nu),
-                                                   np.shape(theta))).copy()
-
-    def zero(nu, theta):
-        return np.zeros(np.broadcast_shapes(np.shape(nu), np.shape(theta)))
-
-    def one(nu, theta):
-        return np.ones(np.broadcast_shapes(np.shape(nu), np.shape(theta)))
-
-    def H_theta(nu, theta):
-        return (np.zeros(np.shape(nu)) + np.asarray(theta, dtype=float))
-
-    table = {(0, 0): H, (1, 0): H_nu, (0, 1): H_theta, (0, 2): one,
-             (1, 1): zero, (0, 3): zero, (1, 2): zero, (0, 4): zero,
-             (1, 3): zero, (1, 4): zero}
-    # closed forms are valid on the whole supersonic chart, not just nu_star
-    return Generator(table, "special", (0.0, gc.NU_CR))
+    return Generator(derivative, (0.0, gc.NU_CR))
 
 
-def special_pair(chart: gc.GasChart, nu_bar: float) -> EntropyPair:
-    """Closed-form pair generated by the quadratic generator:
+def special_pair(chart: gc.GasChart, nu_bar: float):
+    """Closed-form pair generated by the quadratic generator, as one
+    function of the states (rho, theta) returning (Q1, Q2):
 
     Q1 = -q (t sin t + cos t) + N(rho) rho q cos t,
     Q2 =  q (t cos t - sin t) + N(rho) rho q sin t.
     """
     rho_bar = gc.rho_of_nu(nu_bar)
 
-    def parts(rho, theta):
+    def pair(rho, theta):
         rho = np.asarray(rho, dtype=float)
+        theta = np.asarray(theta, dtype=float)
         q = np.sqrt(1.0 - rho * rho)
-        return q, N_of_rho(rho, rho_bar) * rho * q, np.asarray(theta, float)
-
-    def Q1(rho, theta):
-        q, nrq, theta = parts(rho, theta)
-        return -q * (theta * np.sin(theta) + np.cos(theta)) \
-            + nrq * np.cos(theta)
-
-    def Q2(rho, theta):
-        q, nrq, theta = parts(rho, theta)
-        return q * (theta * np.cos(theta) - np.sin(theta)) \
-            + nrq * np.sin(theta)
-
-    return EntropyPair(Q1, Q2)
+        nrq = N_of_rho(rho, rho_bar) * rho * q
+        ct, st = np.cos(theta), np.sin(theta)
+        return (-q * (theta * st + ct) + nrq * ct,
+                q * (theta * ct - st) + nrq * st)
+    return pair
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +170,8 @@ def loewner_morawetz(gen: Generator, rho, theta):
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     nu = gc.nu_of_rho(rho)
-    hn = gen.H_nu(nu, theta)
-    ht = gen.H_theta(nu, theta)
+    hn = gen.d(1, 0, nu, theta)
+    ht = gen.d(0, 1, nu, theta)
     q = np.sqrt(1.0 - rho * rho)
     ct, st = np.cos(theta), np.sin(theta)
     return (rho * q * ct * hn - q * st * ht,
@@ -231,12 +182,11 @@ def loewner_morawetz(gen: Generator, rho, theta):
 # Kernel-generated (smoothed) generators
 # ----------------------------------------------------------------------
 
-def kernel_generator(regular: KernelTransform | None = None,
-                     singular: KernelTransform | None = None,
-                     weight_regular: float = 1.0,
-                     weight_singular: float = 1.0) -> Generator:
+def kernel_generator(regular: KernelTransform, singular: KernelTransform,
+                     weight_regular: float,
+                     weight_singular: float) -> Generator:
     """Generator H = w1 Hr*phi + w2 Hs*phi for the Gaussian test function
-    `GaussianSmoother.for_kernel` of the first kernel of nonzero weight.
+    `GaussianSmoother.for_kernel` of the regular kernel's nu_star.
 
     Every derivative d^i/dnu^i d^j/dtheta^j (i <= 1, j <= 4) is one call
     of SmoothedKernel.convolved_pairs per kernel on the flattened
@@ -248,38 +198,37 @@ def kernel_generator(regular: KernelTransform | None = None,
     # the kernel stack is imported only by the processes that read
     # kernel tables
     from .kernelengine import GaussianSmoother, SmoothedKernel
-    pieces = []
-    nu_star = phi = None
-    for w, tr in ((weight_regular, regular), (weight_singular, singular)):
-        if tr is not None and w != 0.0:
-            if phi is None:
-                phi = GaussianSmoother.for_kernel(tr.nu_star)
-            pieces.append((float(w), SmoothedKernel(tr, phi)))
-            nu_star = tr.nu_star if nu_star is None else min(nu_star,
-                                                             tr.nu_star)
-    if not pieces:
-        raise ValueError("at least one kernel transform is required")
-    lo = max(p[1].transform.nu_min for p in pieces)
+    phi = GaussianSmoother.for_kernel(regular.nu_star)
+    pieces = [(float(weight_regular), SmoothedKernel(regular, phi)),
+              (float(weight_singular), SmoothedKernel(singular, phi))]
 
-    def make(i, j):
-        def fn(nu, theta):
-            nu_b, th_b = np.broadcast_arrays(np.asarray(nu, dtype=float),
-                                             np.asarray(theta, dtype=float))
-            shape = nu_b.shape
-            out = np.zeros(nu_b.size)
-            for w, sk in pieces:
-                out += w * sk.convolved_pairs(nu_b.ravel(), th_b.ravel(),
-                                              s_deriv=j, nu_deriv=i)
-            return out.reshape(shape)
-        return fn
+    def derivative(i, j, nu, theta):
+        nu_b, th_b = np.broadcast_arrays(np.asarray(nu, dtype=float),
+                                         np.asarray(theta, dtype=float))
+        return sum(w * sk.convolved_pairs(nu_b.ravel(), th_b.ravel(),
+                                          s_deriv=j, nu_deriv=i)
+                   for w, sk in pieces).reshape(nu_b.shape)
 
-    table = {(i, j): make(i, j) for i in (0, 1) for j in range(5)}
-    return Generator(table, "kernel", (lo, nu_star))
+    return Generator(derivative, (max(regular.nu_min, singular.nu_min),
+                                  min(regular.nu_star, singular.nu_star)))
 
 
 # ----------------------------------------------------------------------
 # Admissibility and compactness checks
 # ----------------------------------------------------------------------
+
+def admissibility_terms(gen: Generator, nu, theta, rho):
+    """The two terms of the entropy-admissibility conditions,
+
+    c1 = H_tt - rho H_ntt,    m = rho H_nt + H_ttt,
+
+    at the states (nu, theta) of density rho (broadcast together); the
+    conditions are c1 >= 0 and rho c1 >= |m|.
+    """
+    c1 = gen.d(0, 2, nu, theta) - rho * gen.d(1, 2, nu, theta)
+    m = rho * gen.d(1, 1, nu, theta) + gen.d(0, 3, nu, theta)
+    return c1, m
+
 
 def admissibility_margins(gen: Generator, nu_grid, theta_grid):
     """Margins of the entropy-admissibility conditions c1 >= 0, c2 >= 0,
@@ -289,16 +238,11 @@ def admissibility_margins(gen: Generator, nu_grid, theta_grid):
     at every state of nu_grid x theta_grid (arrays indexed [nu, theta]).
     """
     nu = np.asarray(nu_grid, dtype=float)
-    th = np.asarray(theta_grid, dtype=float)
-    NU, TH = np.meshgrid(nu, th, indexing="ij")
+    NU, TH = np.meshgrid(nu, np.asarray(theta_grid, dtype=float),
+                         indexing="ij")
     rho = np.asarray(gc.rho_of_nu(nu))[:, None]
-    Htt = gen.d(0, 2)(NU, TH)
-    Hntt = gen.d(1, 2)(NU, TH)
-    Hnt = gen.d(1, 1)(NU, TH)
-    Httt = gen.d(0, 3)(NU, TH)
-    c1 = Htt - rho * Hntt
-    c2 = rho * c1 - np.abs(rho * Hnt + Httt)
-    return c1, c2
+    c1, m = admissibility_terms(gen, NU, TH, rho)
+    return c1, rho * c1 - np.abs(m)
 
 
 def convexity_check(gen: Generator, nu_grid, theta_grid) -> dict:
@@ -329,8 +273,8 @@ def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
         NU, TH = np.meshgrid(nu, th, indexing="ij")
         rho = np.asarray(gc.rho_of_nu(np.asarray(nu)))[:, None]
         # each of the 7 distinct derivative grids is evaluated once
-        h_nu = [gen.d(1, j)(NU, TH) for j in (0, 1, 2)]
-        h_th = {j: gen.d(0, j)(NU, TH) for j in (1, 2, 3, 4)}
+        h_nu = [gen.d(1, j, NU, TH) for j in (0, 1, 2)]
+        h_th = {j: gen.d(0, j, NU, TH) for j in (1, 2, 3, 4)}
         C1 = 0.0
         C2 = 0.0
         for j in (0, 1, 2):
@@ -365,11 +309,11 @@ def generator_pde_residual(gen: Generator, nu_points, theta_points) -> float:
     for nu in np.atleast_1d(nu_points):
         for th in np.atleast_1d(theta_points):
             def D(h):
-                return float(gen.H_nu(nu + h, th)
-                             - gen.H_nu(nu - h, th)) / (2 * h)
+                return float(gen.d(1, 0, nu + h, th)
+                             - gen.d(1, 0, nu - h, th)) / (2 * h)
             h = nu * 1e-2
             hnn = (4.0 * D(h / 2) - D(h)) / 3.0
-            target = gc.kprime_of_nu(nu) ** 2 * gen.H_thetatheta(nu, th)
+            target = gc.kprime_of_nu(nu) ** 2 * gen.d(0, 2, nu, th)
             scale = max(abs(float(target)), 1.0)
             worst = max(worst, abs(float(hnn - target)) / scale)
     return worst
@@ -379,21 +323,18 @@ def admissible_kernel_mix(gen_star: Generator, gen_kernel: Generator,
                           nu_grid, theta_grid) -> tuple:
     """Largest safe admixture of a kernel generator into the quadratic one.
 
-    With K the kernel generator, H* + c K satisfies both admissibility
-    conditions whenever c <= rho_min / (M2 + rho_min M1), where M1 bounds
-    (rho K_ntt - K_tt)_+ and M2 bounds |rho K_nt + K_ttt| on the grid;
-    c is half that bound.  Returns (generator, c).
+    With K the kernel generator and c1, m its `admissibility_terms`,
+    H* + c K satisfies both admissibility conditions whenever
+    c <= rho_min / (M2 + rho_min M1), where M1 bounds (-c1)_+ and M2
+    bounds |m| on the grid; c is half that bound.  Returns (generator, c).
     """
     nu = np.asarray(nu_grid, dtype=float)
-    th = np.asarray(theta_grid, dtype=float)
-    NU, TH = np.meshgrid(nu, th, indexing="ij")
+    NU, TH = np.meshgrid(nu, np.asarray(theta_grid, dtype=float),
+                         indexing="ij")
     rho = np.asarray(gc.rho_of_nu(nu))[:, None]
-    M1 = float(np.max(np.clip(rho * gen_kernel.d(1, 2)(NU, TH)
-                              - gen_kernel.d(0, 2)(NU, TH), 0.0, None)))
-    M2 = float(np.max(np.abs(rho * gen_kernel.d(1, 1)(NU, TH)
-                             + gen_kernel.d(0, 3)(NU, TH))))
+    c1, m = admissibility_terms(gen_kernel, NU, TH, rho)
+    M1 = float(np.max(np.clip(-c1, 0.0, None)))
+    M2 = float(np.max(np.abs(m)))
     rho_min = float(rho.min())
     c = 0.5 * rho_min / (M2 + rho_min * M1 + 1e-300)
-    mix = Generator.combination([(1.0, gen_star), (c, gen_kernel)],
-                                provenance="special+kernel")
-    return mix, c
+    return Generator.combination([(1.0, gen_star), (c, gen_kernel)]), c

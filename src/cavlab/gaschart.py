@@ -191,11 +191,15 @@ def q_of_k(k):
 
 
 def k_of_nu(nu):
-    """k via the closed-form composition k(q(rho(nu)))."""
+    """k from the cube-root series up to NU_SERIES_SWITCH, where the
+    closed-form composition k(q(rho(nu))) loses digits (5e-9 relative at
+    nu = 1e-12), and from that composition above it."""
     nu = np.asarray(nu, dtype=float)
     rho = np.asarray(rho_of_nu(nu))
-    out = np.where(np.asarray(nu) > 0.0,
-                   k_of_q(np.sqrt(1.0 - rho * rho)), 0.0)
+    out = np.asarray(_K_SERIES(nu), dtype=float)
+    big = nu > NU_SERIES_SWITCH
+    if np.any(big):
+        out = np.where(big, k_of_q(np.sqrt(1.0 - rho * rho)), out)
     return out if out.shape else float(out)
 
 

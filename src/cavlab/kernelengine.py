@@ -80,6 +80,9 @@ _NODE_ORDER = 4
 _GAUSS_NODES = 16
 NU_MIN_FACTOR = 1e-8
 XI_LINEAR_FACTOR = 4.0
+# upper nu of the Richardson pair (nu, nu/8) at which limit_estimates
+# reads the vacuum data for the calibration; a table must reach it
+NU_CALIBRATION = 1e-7
 
 
 @dataclass(frozen=True)
@@ -562,7 +565,8 @@ class KernelTransform:
                 + self._remainder(nu, xi, deriv=True))
 
     def limit_estimates(self, xis=(0.5, 1.0, 5.0)):
-        """Richardson estimates (in nu^(2/3)) of the vacuum data at 1e-7.
+        """Richardson estimates (in nu^(2/3)) of the vacuum data at
+        NU_CALIBRATION.
 
         Corrections to the limits are O(nu^(2/3)) both through the
         coefficient expansions and through (xi k)^2; the two-point
@@ -571,7 +575,7 @@ class KernelTransform:
         ("H") and of rho^m Hhat_nu (KINDS' vacuum key, "Hnu" or "rhoHnu").
         """
         _, key, m = KINDS[self.kind].vacuum
-        pair = np.array([1e-7, 1e-7 / 8.0])
+        pair = np.array([NU_CALIBRATION, NU_CALIBRATION / 8.0])
         rho_m = np.asarray(gc.rho_of_nu(pair)) ** m
         out = []
         for xi in xis:

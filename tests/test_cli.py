@@ -76,12 +76,12 @@ def _entropy_rows_per_state(points):
             rho = gc.rho_of_nu(nu)
             margins = en.convexity_check(gen, [nu], [th])
             s = gc.StatePolar(rho=float(rho), theta=float(th))
-            hn = float(np.asarray(gen.H_nu(s.nu, s.theta)))
-            ht = float(np.asarray(gen.H_theta(s.nu, s.theta)))
+            hn = float(np.asarray(gen.d(1, 0, s.nu, s.theta)))
+            ht = float(np.asarray(gen.d(0, 1, s.nu, s.theta)))
             q, ct, st = s.q, math.cos(s.theta), math.sin(s.theta)
             q1 = s.rho * q * ct * hn - q * st * ht
             q2 = s.rho * q * st * hn + q * ct * ht
-            p1, p2 = float(pair.Q1(rho, th)), float(pair.Q2(rho, th))
+            p1, p2 = (float(p) for p in pair(rho, th))
             defect = max(abs(q1 - p1), abs(q2 - p2))
             rows.append([f"{nu:.17g}", f"{th:.17g}",
                          f"{margins['margin_convexity']:.17g}",
@@ -268,6 +268,22 @@ def test_kernel_build_rejects_folded_xi_grid(xi_max, tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
     assert "xi grid is not strictly increasing" in err
     assert not table.exists()
+
+
+def test_kernel_build_nu_star_bound_is_the_calibration_point(tmp_path,
+                                                            capsys):
+    # the calibration reads the table at nu = 1e-7: that nu_star builds,
+    # and a smaller one is refused before any work, naming the bound
+    table = tmp_path / "table.cavk"
+    assert cli.main(["kernel", "build", "--kind", "regular", "--nu-star",
+                     "9.9e-8", "--out", str(table)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "calibration point nu = 1e-07" in err
+    assert not table.exists()
+    assert cli.main(["kernel", "build", "--kind", "regular", "--nu-star",
+                     "1e-7", "--out", str(table)]) == 0
+    assert table.exists()
 
 
 @pytest.mark.parametrize("kind", ["regular", "singular"])

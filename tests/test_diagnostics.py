@@ -1,11 +1,14 @@
 """Diagnostics: the P1 test space, the obstacle trace identity, the
-sqrt(eps) fits and the gates of RunReport.ok."""
+entropy defect, the sqrt(eps) fits and the gates of RunReport.ok."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import cavlab.gaschart as gc
 from cavlab import diagnostics as dg
+from cavlab import entropy as en
 from cavlab import meshing as mh
 from cavlab import solver as sv
 
@@ -64,6 +67,21 @@ def test_obstacle_trace_is_the_discrete_wall_identity(mesh, solution):
 
 
 EPS = [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+
+def test_entropy_dissipation_names_a_node_without_a_pair(mesh, solution):
+    # a state where the pair is not finite is a domain error naming the
+    # first such node, not a NaN in the defect vector
+    theta = solution.theta.copy()
+    theta[7] = np.nan
+    bad = dataclasses.replace(solution, theta=theta)
+    pair = en.special_pair(gc.GasChart(), gc.nu_of_rho(bad.config.rho_inf))
+    psi = dg.nodal_test_functions(mesh, dg.interior_lattice(mesh))
+    with pytest.raises(en.GeneratorDomainError,
+                       match="not evaluable at node 7 "):
+        dg.entropy_dissipation(mesh, bad, pair, psi)
+    assert np.all(np.isfinite(dg.entropy_dissipation(mesh, solution, pair,
+                                                     psi)))
 
 
 def test_sqrt_eps_fit_exact_data():

@@ -30,15 +30,14 @@ def pair_star(chart):
 
 @pytest.fixture(scope="module")
 def gen_kernel(regular, singular):
-    return en.kernel_generator(regular=regular, singular=singular,
-                               weight_regular=0.5, weight_singular=0.5)
+    return en.kernel_generator(regular, singular, 0.5, 0.5)
 
 
 class TestSpecialGenerator:
     def test_Htt_is_one(self, gen_star):
         nus = np.geomspace(1e-5, 0.08, 7)
         ths = np.linspace(-1, 1, 5)
-        assert np.all(gen_star.H_thetatheta(nus[:, None], ths[None, :]) == 1.0)
+        assert np.all(gen_star.d(0, 2, nus[:, None], ths[None, :]) == 1.0)
 
     def test_N_properties(self):
         assert en.N_of_rho(RHO_INF, RHO_INF) == 0.0
@@ -49,7 +48,7 @@ class TestSpecialGenerator:
         # rho H_nu + H_tt = rho N(rho) exactly
         nus = np.geomspace(1e-6, 0.17, 60)
         rho = np.asarray(gc.rho_of_nu(nus))
-        lhs = rho * gen_star.H_nu(nus, 0.3) + 1.0
+        lhs = rho * gen_star.d(1, 0, nus, 0.3) + 1.0
         assert np.max(np.abs(lhs - rho * en.N_of_rho(rho, RHO_INF))) < 1e-12
 
     def test_pde_exact(self, gen_star):
@@ -59,20 +58,23 @@ class TestSpecialGenerator:
 
     def test_domain_error(self, gen_star):
         with pytest.raises(en.GeneratorDomainError):
-            gen_star.H(0.5, 0.0)
+            gen_star.d(0, 0, 0.5, 0.0)
         with pytest.raises(en.GeneratorDomainError):
             en.special_generator(gc.GasChart(), 1.0)
 
+    @pytest.mark.parametrize("i, j", [(2, 0), (0, 5), (-1, 0), (0, -1)])
+    def test_order_outside_set(self, gen_star, i, j):
+        # derivatives exist for i <= 1, j <= 4 only, whatever the state
+        with pytest.raises(en.GeneratorDomainError, match="lacks derivative"):
+            gen_star.d(i, j, 1e-3, 0.0)
+
 
 def _counting(gen, calls):
-    """gen with every table entry counting its calls in calls[(i, j)]."""
-    def counted(key, fn):
-        def wrapped(nu, theta):
-            calls[key] = calls.get(key, 0) + 1
-            return fn(nu, theta)
-        return wrapped
-    table = {key: counted(key, fn) for key, fn in gen.table.items()}
-    return en.Generator(table, gen.provenance, gen.nu_range)
+    """gen with each derivative order counting its calls in calls[(i, j)]."""
+    def derivative(i, j, nu, theta):
+        calls[(i, j)] = calls.get((i, j), 0) + 1
+        return gen.derivative(i, j, nu, theta)
+    return en.Generator(derivative, gen.nu_range)
 
 
 class TestLoewnerMorawetz:
@@ -82,8 +84,9 @@ class TestLoewnerMorawetz:
         th = rng.uniform(-0.6, 0.6, 50)
         rho = np.asarray(gc.rho_of_q(q))
         q1, q2 = en.loewner_morawetz(gen_star, rho, th)
-        assert np.abs(q1 - pair_star.Q1(rho, th)).max() <= 1e-9
-        assert np.abs(q2 - pair_star.Q2(rho, th)).max() <= 1e-9
+        p1, p2 = pair_star(rho, th)
+        assert np.abs(q1 - p1).max() <= 1e-9
+        assert np.abs(q2 - p2).max() <= 1e-9
 
     def test_grid_against_special_pair_one_evaluation(self, gen_star,
                                                       pair_star):
@@ -105,29 +108,24 @@ class TestLoewnerMorawetz:
         assert q1 == pytest.approx(-Q_INF, abs=1e-14)
         assert q2 == 0.0
         # theta = 0 forces Q2 = 0 for any density
-        assert pair_star.Q2(0.3, 0.0) == 0.0
+        assert pair_star(0.3, 0.0)[1] == 0.0
 
     def test_constant_generator_gives_zero(self, chart):
-        zero = lambda nu, th: np.zeros(np.broadcast_shapes(np.shape(nu),
-                                                           np.shape(th)))
-        table = {(i, j): zero for i in (0, 1) for j in range(5)}
-        table[(0, 0)] = lambda nu, th: np.ones(
-            np.broadcast_shapes(np.shape(nu), np.shape(th)))
-        g = en.Generator(table, "const", (0.0, gc.NU_CR))
+        def derivative(i, j, nu, th):
+            return np.full(np.broadcast_shapes(np.shape(nu), np.shape(th)),
+                           1.0 if (i, j) == (0, 0) else 0.0)
+        g = en.Generator(derivative, (0.0, gc.NU_CR))
         q1, q2 = en.loewner_morawetz(g, gc.rho_of_q(0.85), 0.4)
         assert q1 == 0.0 and q2 == 0.0
 
     def test_angle_generator(self, chart):
         # H = theta: Q = q e(theta + pi/2)
-        zero = lambda nu, th: np.zeros(np.broadcast_shapes(np.shape(nu),
-                                                           np.shape(th)))
-        one = lambda nu, th: np.ones(np.broadcast_shapes(np.shape(nu),
-                                                         np.shape(th)))
-        table = {(i, j): zero for i in (0, 1) for j in range(5)}
-        table[(0, 0)] = lambda nu, th: np.broadcast_to(
-            th, np.broadcast_shapes(np.shape(nu), np.shape(th))).copy()
-        table[(0, 1)] = one
-        g = en.Generator(table, "angle", (0.0, gc.NU_CR))
+        def derivative(i, j, nu, th):
+            shape = np.broadcast_shapes(np.shape(nu), np.shape(th))
+            if (i, j) == (0, 0):
+                return np.broadcast_to(th, shape).copy()
+            return np.full(shape, 1.0 if (i, j) == (0, 1) else 0.0)
+        g = en.Generator(derivative, (0.0, gc.NU_CR))
         q1, q2 = en.loewner_morawetz(g, gc.rho_of_q(0.85), 0.4)
         assert q1 == pytest.approx(-0.85 * math.sin(0.4), abs=1e-14)
         assert q2 == pytest.approx(0.85 * math.cos(0.4), abs=1e-14)
@@ -236,8 +234,7 @@ def test_divergence_chain_rule(chart, gen_star, pair_star):
         return fx + fy
 
     def Q_of(x, y):
-        return np.array([pair_star.Q1(rho_f(x, y), th_f(x, y)),
-                         pair_star.Q2(rho_f(x, y), th_f(x, y))])
+        return np.array(pair_star(rho_f(x, y), th_f(x, y)))
 
     rng = np.random.default_rng(5)
     for _ in range(12):
@@ -250,6 +247,6 @@ def test_divergence_chain_rule(chart, gen_star, pair_star):
         r = rho_f(x, y)
         nu = gc.nu_of_rho(r)
         t = th_f(x, y)
-        rhs = (r * gen_star.d(1, 1)(nu, t) - gen_star.H_theta(nu, t)) * V2 \
-            + (gen_star.H_nu(nu, t) + gen_star.H_thetatheta(nu, t) / r) * V1
+        rhs = (r * gen_star.d(1, 1, nu, t) - gen_star.d(0, 1, nu, t)) * V2 \
+            + (gen_star.d(1, 0, nu, t) + gen_star.d(0, 2, nu, t) / r) * V1
         assert divQ == pytest.approx(float(rhs), rel=2e-5, abs=1e-8)

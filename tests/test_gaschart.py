@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavlab.gaschart as gc
+from cavlab.vacuum import _k_highprec
 
 
 def test_constants():
@@ -104,6 +105,14 @@ def test_k_of_nu_vacuum_limits():
                        rtol=1e-3)
     assert np.allclose(gc.kprime_of_nu(nus) * nus ** (2 / 3), 3 ** (-2 / 3),
                        rtol=1e-3)
+
+
+def test_k_of_nu_full_precision_near_vacuum():
+    # the closed-form composition k(q(rho(nu))) loses digits as q -> 1
+    # (5e-9 relative at nu = 1e-12); k_of_nu keeps all of them
+    nus = np.geomspace(1e-12, 1e-3, 25)
+    ref = _k_highprec(nus)
+    assert np.max(np.abs(gc.k_of_nu(nus) / ref - 1.0)) <= 1e-14
 
 
 def test_kprime_identity():
