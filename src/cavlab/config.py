@@ -2,8 +2,9 @@
 
 Unknown and repeated keys are rejected so that a stored copy of the
 configuration reproduces the run exactly, and every accepted key reaches
-the code it configures.  Lines starting with '#' and blank lines are
-ignored; values are parsed by key-specific converters.
+the code it configures.  Lines whose first non-blank character is '#'
+and blank lines are ignored; a '#' anywhere else is part of the value.
+Values are parsed by key-specific converters.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse key = value text into a validated RunConfig."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")

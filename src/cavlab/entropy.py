@@ -297,28 +297,6 @@ def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
             "stable": bool(drift1 < 0.10 and drift2 < 0.10)}
 
 
-def generator_pde_residual(gen: Generator, nu_points, theta_points) -> float:
-    """Sup residual of H_nunu = k'(nu)^2 H_thetatheta at sample points.
-
-    H_nunu comes from Richardson-extrapolated centered differences of
-    H_nu (the one derivative not provided analytically), with steps nu/100
-    and nu/200; the achievable tolerance is the generator evaluation noise
-    divided by the step.
-    """
-    worst = 0.0
-    for nu in np.atleast_1d(nu_points):
-        for th in np.atleast_1d(theta_points):
-            def D(h):
-                return float(gen.d(1, 0, nu + h, th)
-                             - gen.d(1, 0, nu - h, th)) / (2 * h)
-            h = nu * 1e-2
-            hnn = (4.0 * D(h / 2) - D(h)) / 3.0
-            target = gc.kprime_of_nu(nu) ** 2 * gen.d(0, 2, nu, th)
-            scale = max(abs(float(target)), 1.0)
-            worst = max(worst, abs(float(hnn - target)) / scale)
-    return worst
-
-
 def admissible_kernel_mix(gen_star: Generator, gen_kernel: Generator,
                           nu_grid, theta_grid) -> tuple:
     """Largest safe admixture of a kernel generator into the quadratic one.

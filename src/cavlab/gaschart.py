@@ -7,11 +7,12 @@ All closures are algebraic for this exponent:
     nu(rho)  = atanh(rho) - rho             (renormalized density)
     sigma(rho) = 2 rho - atanh(rho)         (solver potential, sigma' = 1 - c^2/q^2)
     k(q)     = sqrt(2) acos(sqrt(2q^2-1)) - acos(sqrt(2-1/q^2))
-    k'(q)    = -(1/q) sqrt((2q^2-1)/(1-q^2))
 
 The critical (sonic) speed is q_cr = 1/sqrt(2) and cavitation sits at
 q_cav = 1.  In the renormalized density the characteristic speed satisfies
-k'(nu)^2 = (M^2-1)/rho^2 = (1-2 rho^2)/rho^4 with k(0) = 0.
+k'(nu)^2 = (M^2-1)/rho^2 = (1-2 rho^2)/rho^4 with k(0) = 0.  The Riemann
+invariants theta -/+ k(q) of a solution are `solver.Solution.W_minus` and
+`W_plus`.
 """
 
 from __future__ import annotations
@@ -49,14 +50,6 @@ def rho_of_q(q):
     q = np.asarray(q, dtype=float)
     _check(bool(np.all((q >= 0.0) & (q <= 1.0))), f"speed outside [0,1]: {q}")
     out = np.sqrt(1.0 - q * q)
-    return out if out.shape else float(out)
-
-
-def q_of_rho(rho):
-    """Inverse Bernoulli speed sqrt(1 - rho^2) on 0 <= rho <= 1."""
-    rho = np.asarray(rho, dtype=float)
-    _check(bool(np.all((rho >= 0.0) & (rho <= 1.0))), "density outside [0,1]")
-    out = np.sqrt(1.0 - rho * rho)
     return out if out.shape else float(out)
 
 
@@ -157,39 +150,6 @@ def k_of_q(q):
     return out if out.shape else float(out)
 
 
-def kprime_of_q(q):
-    """dk/dq = -(1/q) sqrt((2q^2-1)/(1-q^2)); -0.0 at q_cr, -inf at q_cav."""
-    q = np.asarray(q, dtype=float)
-    _check(bool(np.all((q >= Q_CR * (1 - 1e-12)) & (q <= 1.0))),
-           "speed outside [q_cr, q_cav]")
-    num = np.clip(2.0 * q * q - 1.0, 0.0, None)
-    den = 1.0 - q * q
-    with np.errstate(divide="ignore"):
-        out = -np.sqrt(num / np.where(den > 0, den, np.inf)) / q
-        out = np.where(den <= 0.0, np.where(num > 0, -np.inf, -0.0), out)
-    return out if out.shape else float(out)
-
-
-def q_of_k(k):
-    """Invert k(q) on [q_cr, q_cav]; endpoints resolved exactly."""
-    # imported here so that modules using the chart do not load
-    # scipy.optimize
-    from scipy.optimize import brentq
-    karr = np.atleast_1d(np.asarray(k, dtype=float))
-    _check(bool(np.all((karr >= -1e-14) & (karr <= K_AT_QCR * (1 + 1e-12)))),
-           "characteristic value outside [0, k(q_cr)]")
-    out = np.empty_like(karr)
-    for i, kv in enumerate(karr):
-        if kv <= 1e-15:
-            out[i] = Q_CAV
-        elif kv >= K_AT_QCR * (1 - 1e-15):
-            out[i] = Q_CR
-        else:
-            out[i] = brentq(lambda q: k_of_q(q) - kv, Q_CR, Q_CAV,
-                            xtol=1e-15, rtol=8.9e-16)
-    return out if np.asarray(k).shape else float(out[0])
-
-
 def k_of_nu(nu):
     """k from the cube-root series up to NU_SERIES_SWITCH, where the
     closed-form composition k(q(rho(nu))) loses digits (5e-9 relative at
@@ -222,130 +182,6 @@ def kdoubleprime_of_nu(nu):
         out = -2.0 * q2 * q2 / (rho ** 5 * np.sqrt(np.clip(1.0 - 2 * rho * rho,
                                                            1e-300, None)))
     return out if out.shape else float(out)
-
-
-# ----------------------------------------------------------------------
-# States
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StatePolar:
-    """Flow state in (density, angle) coordinates."""
-    rho: float
-    theta: float
-
-    @property
-    def q(self) -> float:
-        return q_of_rho(self.rho)
-
-    @property
-    def nu(self) -> float:
-        return nu_of_rho(self.rho)
-
-    @property
-    def sigma(self) -> float:
-        return sigma_of_rho(self.rho)
-
-    @property
-    def M(self) -> float:
-        return mach(self.rho, self.q)
-
-    @property
-    def W_minus(self) -> float:
-        return self.theta - k_of_q(self.q)
-
-    @property
-    def W_plus(self) -> float:
-        return self.theta + k_of_q(self.q)
-
-    @classmethod
-    def from_speed(cls, q: float, theta: float) -> "StatePolar":
-        return cls(rho=rho_of_q(q), theta=theta)
-
-
-@dataclass(frozen=True)
-class ConservedState:
-    """Conservative variables Z = (rho*u, v)."""
-    Z1: float
-    Z2: float
-
-
-def riemann_invariants(state: StatePolar):
-    """(W_minus, W_plus) = theta -/+ k(q) for supersonic states."""
-    k = k_of_q(state.q)
-    return state.theta - k, state.theta + k
-
-
-def state_from_invariants(w_minus: float, w_plus: float) -> StatePolar:
-    """Invert the Riemann map: q = k^{-1}((W+-W-)/2), theta = (W++W-)/2."""
-    half = 0.5 * (w_plus - w_minus)
-    _check(-1e-14 <= half <= K_AT_QCR * (1 + 1e-12),
-           "W_+ - W_- outside [0, 2 k(q_cr)]")
-    q = q_of_k(max(half, 0.0))
-    return StatePolar.from_speed(q, 0.5 * (w_plus + w_minus))
-
-
-def conserved_of_state(state: StatePolar) -> ConservedState:
-    """Z = (rho q cos(theta), q sin(theta))."""
-    q = state.q
-    return ConservedState(Z1=state.rho * q * math.cos(state.theta),
-                          Z2=q * math.sin(state.theta))
-
-
-def state_of_conserved(z: ConservedState) -> StatePolar:
-    """Invert Z -> u for strictly supersonic non-vacuum states.
-
-    rho = sqrt((1-Z2^2) - sqrt((1-Z2^2)^2 - 4 Z1^2)) / sqrt(2); at the
-    vacuum the sign of u is unrecoverable and the inversion is rejected.
-
-    The radical picks the root with 2 rho^2 <= 1 - Z2^2.  A second
-    supersonic preimage with the larger density exists once
-    q^2 (1 + cos^2 theta) < 1 (large flow angles near the sonic speed);
-    on that branch this function returns the other preimage of Z.  All
-    states with |theta| <= k(q_inf) and q >= q_inf > q_cr produced by the
-    viscous solver satisfy the branch condition.
-    """
-    a = 1.0 - z.Z2 * z.Z2
-    disc = a * a - 4.0 * z.Z1 * z.Z1
-    _check(disc > 0.0, "conserved state not strictly supersonic/non-vacuum")
-    rho = math.sqrt(max(a - math.sqrt(disc), 0.0) / 2.0)
-    _check(0.0 < rho < RHO_CR, "recovered density outside (0, rho_cr)")
-    u = z.Z1 / rho
-    theta = math.atan2(z.Z2, u)
-    q = math.hypot(u, z.Z2)
-    _check(Q_CR < q < Q_CAV, "recovered speed not strictly supersonic")
-    return StatePolar(rho=rho, theta=theta)
-
-
-def eigenstructure(state: StatePolar):
-    """Wave speeds and the genuine-nonlinearity factor of the 2x2 system.
-
-    Returns (lambda_minus, lambda_plus, gn_factor, strictly_hyperbolic).
-    The wave slopes are
-
-        lambda_pm = -(cos t pm s/c sin t) / (sin t mp s/c cos t),
-        s = sqrt(q^2 - c^2),
-
-    infinite where the denominator vanishes (characteristic aligned with
-    the y-axis).  gn_factor = q^3/sqrt((1 + q^2 - c^2)(q^2 - c^2)) is the
-    state-dependent factor multiplying the directional derivative of each
-    wave speed along its own eigenvector; positivity on the closed
-    supersonic region (vacuum included) is genuine nonlinearity.
-    """
-    rho, theta = state.rho, state.theta
-    _check(0.0 <= rho <= RHO_CR, "density outside [0, rho_cr]")
-    q = state.q
-    c = rho  # gamma = 3
-    s = math.sqrt(max(q * q - c * c, 0.0))
-    st, ct = math.sin(theta), math.cos(theta)
-    lams = []
-    for sign in (-1.0, +1.0):
-        den = c * st - sign * s * ct
-        num = c * ct + sign * s * st
-        lams.append(-num / den if den != 0.0 else math.copysign(
-            math.inf, -num))
-    gn = q ** 3 / math.sqrt((1.0 + s * s) * s * s) if s > 0 else math.inf
-    return lams[0], lams[1], gn, rho > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,11 @@ rescaling f_lam = k^(-2 lam) G_lam(nu, k*.) their transforms are nu-free:
     fhat_2  = 16 (3 sin x/x^2 - 3 cos x/x - sin x)/x^3
     fhat_{-3} = (3 cos x + 3 x sin x - x^2 cos x)/8
 
-and Ghat_n(nu, xi) = k^(1+2n) fhat_n(xi k).  The trig forms cancel
-catastrophically near x = 0 for the nonnegative orders, so evaluation
-switches to exact-rational Taylor series below |x| = 1/2, and below
-|x| = 2 for orders 1 and 2, whose closed forms lose digits further out
-(_SERIES_CUT).  First and second derivatives are hand-differentiated
+and the transform of G_n(nu, .) at xi is k^(1+2n) fhat_n(xi k).  The
+trig forms cancel catastrophically near x = 0 for the nonnegative orders,
+so evaluation switches to exact-rational Taylor series below |x| = 1/2,
+and below |x| = 2 for orders 1 and 2, whose closed forms lose digits
+further out (_SERIES_CUT).  First and second derivatives are hand-differentiated
 closed forms (never finite differences), with the same series switch.
 
 Every fhat is even in x, so fhat and fhat'' are series in x^2 and fhat'
@@ -24,12 +24,9 @@ per term on the point array, with one temporary of the size of x.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
-
-from .gaschart import k_of_nu
 
 ORDERS = (-3, -2, -1, 0, 1, 2)
 
@@ -187,47 +184,6 @@ def fhat_d2(lam: int, xi):
     _check_order(lam)
     return _eval_switch(xi, _SERIES_CUT[lam], _CLOSED_D2[lam],
                         _SERIES[lam][2])
-
-
-def fhat_bessel(lam: int, xi):
-    """Independent half-integer Bessel form c_lam |x|^(-lam-1/2) J_(lam+1/2).
-
-    Test oracle only; c_lam = sqrt(pi) 2^(lam+1/2) Gamma(lam+1) for
-    lam >= 0 and c_{-n} = (-1)^(n-1)/(n-1)! sqrt(pi) 2^(1/2-n).
-    """
-    from scipy.special import gamma, jv
-    xi = np.abs(np.asarray(xi, dtype=float))
-    if lam >= 0:
-        c = math.sqrt(math.pi) * 2.0 ** (lam + 0.5) * gamma(lam + 1)
-    else:
-        n = -lam
-        c = (-1.0) ** (n - 1) / gamma(n) * math.sqrt(math.pi) * 2.0 ** (0.5 - n)
-    out = c * xi ** (-lam - 0.5) * jv(lam + 0.5, xi)
-    return out if out.shape else float(out)
-
-
-def G_physical(lam: int, nu, s):
-    """Physical cone profile [k(nu)^2 - s^2]_+^lam for lam in {0, 1, 2}.
-
-    Negative orders exist only as distributions; request the smoothed
-    kernel machinery for those.
-    """
-    if lam not in (0, 1, 2):
-        raise ValueError("physical-space evaluation only for lam in {0,1,2}")
-    k = np.asarray(k_of_nu(nu), dtype=float)
-    s = np.asarray(s, dtype=float)
-    base = np.clip(k * k - s * s, 0.0, None)
-    if lam == 0:
-        out = (np.abs(s) <= k).astype(float)
-    else:
-        out = base ** lam
-    return out if out.shape else float(out)
-
-
-def Ghat(lam: int, nu, xi):
-    """Ghat_lam(nu, xi) = k^(1+2 lam) fhat_lam(xi k)."""
-    k = np.asarray(k_of_nu(nu), dtype=float)
-    return k ** (1 + 2 * lam) * fhat(lam, np.asarray(xi) * k)
 
 
 def check_recurrences() -> dict:

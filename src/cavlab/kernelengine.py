@@ -888,11 +888,6 @@ class GaussianSmoother:
     def sigma(self) -> float:
         return self.width / 2.0
 
-    def phi(self, s):
-        s = np.asarray(s, dtype=float)
-        sig = self.sigma
-        return np.exp(-0.5 * (s / sig) ** 2) / (sig * np.sqrt(2.0 * np.pi))
-
     def phi_hat(self, xi):
         xi = np.asarray(xi, dtype=float)
         return np.exp(-0.5 * (self.sigma * xi) ** 2)

@@ -72,11 +72,6 @@ class DomainSpec:
                      yc + np.sqrt(np.clip(R * R - x * x, 0.0, None)), 0.0)
         return np.clip(y, 0.0, None)
 
-    def boundary_length(self) -> float:
-        """Perimeter: rectangle with the chord replaced by the arc."""
-        return (2.0 * (2.0 * self.half_length) + 2.0 * self.height
-                + (self.arc_length - self.chord))
-
 
 @dataclass
 class Mesh:
@@ -139,19 +134,6 @@ class Mesh:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    def edge_count(self) -> int:
-        return len(np.unique(self._triangle_edge_keys()))
-
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.edge_count() + len(self.triangles)
-
-    def min_angle_degrees(self) -> float:
-        p = self.vertices[self.triangles]  # (m, 3, 2)
-        a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
-        cosang = np.sum(a * b, axis=2) / (
-            np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2))
-        return float(np.degrees(np.arccos(np.clip(cosang, -1, 1))).min())
 
     def boundary_nodes(self, tag: int) -> np.ndarray:
         mask = self.boundary_tags == tag

@@ -4,21 +4,18 @@ Everything here rests on one structural fact: with w = nu**(1/3), every
 quantity built from the characteristic speed k(nu) is an analytic function
 of w near w = 0.  The module provides
 
-* an exact (rational-arithmetic) derivation of the cube-root series of the
-  density and of k itself, which is the oracle behind the frozen constants
-  C_FLAT and C_L,
+* ``characteristic_series``, the cube-root series of the density and of k
+  itself, from the exact rational coefficients frozen in ``_frozen``
+  together with the constants C_FLAT and C_L,
 * ``CubeRootSeries``, a small Puiseux-series type in powers of nu**(1/3)
   used to evaluate kernel coefficient functions without cancellation for
   small nu,
 * ``TaylorJet``, truncated Taylor arithmetic used to differentiate the
-  closed-form coefficient expressions away from the vacuum,
-* ``fit_asymptotic_constants``, the public check that the frozen constants
-  reproduce the closed-form k(nu) to the stated remainder order.
+  closed-form coefficient expressions away from the vacuum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,114 +23,14 @@ import numpy as np
 # k(nu) = C_SHARP*nu**(1/3) + C_FLAT*nu + C_L*nu**(5/3) + O(nu**(7/3))
 C_SHARP = 3.0 ** (1.0 / 3.0)
 
-# Series order kept by the rational oracle and the float series (powers of
-# w = nu**(1/3) up to w**(SERIES_ORDER-1)).
+# Series order of the frozen rational coefficients and of the float series
+# (powers of w = nu**(1/3) up to w**(SERIES_ORDER-1)).
 SERIES_ORDER = 24
 
 # Below this nu the cube-root series are used instead of the closed forms;
 # the closed forms lose digits to cancellation as nu -> 0 while the series
 # truncation error at the switch point is ~1e-20.
 NU_SERIES_SWITCH = (0.1) ** 3  # w_switch = 0.1
-
-
-# ----------------------------------------------------------------------
-# Exact rational power-series helpers (coefficient lists, ascending).
-# ----------------------------------------------------------------------
-
-def _pmul(a, b, n):
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        if i >= n or ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _psqrt_unit(a, n):
-    # sqrt(a) with a[0] == 1, Newton iteration on series
-    out = [Fraction(0)] * n
-    out[0] = Fraction(1)
-    for i in range(1, n):
-        acc = a[i] if i < len(a) else Fraction(0)
-        for j in range(1, i):
-            acc -= out[j] * out[i - j]
-        out[i] = acc / 2
-    return out
-
-
-def rational_chart_series(order: int = SERIES_ORDER):
-    """Exact series, in t = (3*nu)**(1/3), of the density and of k.
-
-    Returns (rho_t, k_t): coefficient lists of Fractions, ascending powers
-    of t, both odd series.  rho solves  sum_{j>=1} rho**(2j+1)/(2j+1) = nu
-    = t**3/3;  k is the speed integral  int_0^rho sqrt(1-2s^2)/(1-s^2) ds
-    composed with rho(t).
-    """
-    n = order
-    # nu(rho)*3 = rho^3 * (1 + 3/5 rho^2 + 3/7 rho^4 + ...) =: rho^3 * S(rho^2)
-    # Solve rho(t) from rho * S(rho^2)^(1/3) = t by Newton on series.
-    # Work with the odd series rho(t) = t*(1 + correction in t^2).
-    m = n // 2 + 2  # order in the squared variable
-    S = [Fraction(3, 2 * j + 3) for j in range(m)]  # S[0]=1, S[1]=3/5, ...
-    # cube root of S via Newton: R^3 = S, R[0]=1
-    R = [Fraction(0)] * m
-    R[0] = Fraction(1)
-    for i in range(1, m):
-        # (R^3)[i] = S[i]; isolate 3*R[i]
-        acc = S[i]
-        R3 = _pmul(_pmul(R, R, i + 1), R, i + 1)
-        acc -= R3[i]
-        R[i] = acc / 3
-    # Now t = rho * R(rho^2); invert for rho = t * U(t^2):
-    # t/rho = R(rho^2) with rho^2 = t^2*U^2 -> U * R(t^2 U^2) = 1.
-    U = [Fraction(0)] * m
-    U[0] = Fraction(1)
-    for i in range(1, m):
-        # coefficient i of U*R(x*U^2) must vanish (x = t^2)
-        U2 = _pmul(U, U, m)
-        xU2 = [Fraction(0)] + U2[: m - 1]
-        # R(y) = 1 + sum_{j>=1} R[j] y^j with y = xU2
-        Rfull = [Fraction(1)] + [Fraction(0)] * (m - 1)
-        ypow = [Fraction(1)] + [Fraction(0)] * (m - 1)
-        for j in range(1, m):
-            ypow = _pmul(ypow, xU2, m)
-            for idx in range(m):
-                Rfull[idx] += R[j] * ypow[idx]
-        prod = _pmul(U, Rfull, m)
-        # prod must equal [1,0,0,...]; correct U[i] (prod[i] depends on U[i]
-        # linearly with unit coefficient at this order)
-        U[i] -= prod[i]
-    rho_sq = _pmul(U, U, m)
-    # k as a function of rho: integrand sqrt(1-2s^2)/(1-s^2), even in s
-    A = [Fraction(0)] * m
-    A[0] = Fraction(1)
-    A[1] = Fraction(-2)  # 1 - 2 s^2  in the squared variable
-    B = [Fraction(1)] * m  # 1/(1-s^2) = sum s^(2j)
-    integrand_sq = _pmul(_psqrt_unit(A, m), B, m)
-    # k(rho) = sum_j integrand_sq[j] * rho^(2j+1) / (2j+1)
-    kq = [integrand_sq[j] / (2 * j + 1) for j in range(m)]
-    # compose with rho(t) = t*U(t^2):  rho^(2j+1) = t^(2j+1) U^(2j+1)(t^2)
-    # k(t) = t*U(t^2) * sum_j kq[j] * (t^2 U(t^2)^2)^j
-    xU2 = _pmul([Fraction(0), Fraction(1)] + [Fraction(0)] * (m - 2), rho_sq, m)
-    acc = [Fraction(0)] * m
-    ypow = [Fraction(1)] + [Fraction(0)] * (m - 1)
-    acc[0] = kq[0]
-    for j in range(1, m):
-        ypow = _pmul(ypow, xU2, m)
-        for idx in range(m):
-            acc[idx] += kq[j] * ypow[idx]
-    k_even = _pmul(U, acc, m)
-    # expand back to odd series in t
-    rho_t = [Fraction(0)] * n
-    k_t = [Fraction(0)] * n
-    for j in range(m):
-        if 2 * j + 1 < n:
-            rho_t[2 * j + 1] = U[j]
-            k_t[2 * j + 1] = k_even[j]
-    return rho_t, k_t
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +302,7 @@ def speed_coefficient_jets(rho0, k0, order: int):
 
 
 # ----------------------------------------------------------------------
-# Frozen constants and their oracle
+# Frozen constants
 # ----------------------------------------------------------------------
 
 def _load_frozen():
@@ -417,7 +314,7 @@ def characteristic_series():
     """Float cube-root series (in w = nu**(1/3)) of k and rho near vacuum,
     to SERIES_ORDER terms.
 
-    Coefficients come from the frozen rational oracle output; the t-series
+    Coefficients come from the frozen rational series; the t-series
     coefficient a_j maps to a_j * 3**(j/3) in w.
     """
     fr = _load_frozen()
@@ -432,134 +329,3 @@ def characteristic_series():
     k = CubeRootSeries(1, k.c[1:], hi=k.hi)
     rho = CubeRootSeries(1, rho.c[1:], hi=rho.hi)
     return k, rho
-
-
-@dataclass
-class AsymptoticConstants:
-    """Leading coefficients of k(nu) = c_sharp nu^(1/3) + c_flat nu + c_l nu^(5/3) + L."""
-    c_sharp: float
-    c_flat: float
-    c_l: float
-    fit_c_sharp: float
-    fit_c_flat: float
-    fit_c_l: float
-    max_rel_residual: float
-    envelope_C: float
-
-
-def _chart_highprec(nu, dps: int = 50):
-    """(rho, k, k', k'') at one nu via mpmath; test oracle precision."""
-    import mpmath as mp
-    nu = mp.mpf(repr(float(nu)))
-    rho = mp.cbrt(3 * nu) - mp.mpf(3) / 5 * nu
-    for _ in range(60):
-        f = mp.atanh(rho) - rho - nu
-        fp = rho ** 2 / (1 - rho ** 2)
-        step = f / fp
-        rho -= step
-        if abs(step) < mp.mpf(10) ** (-dps + 5) * rho:
-            break
-    q2 = 1 - rho ** 2
-    k = mp.sqrt(2) * mp.acos(mp.sqrt(2 * q2 - 1)) - mp.acos(mp.sqrt(2 - 1 / q2))
-    kp = mp.sqrt(1 - 2 * rho ** 2) / rho ** 2
-    kpp = -2 * q2 ** 2 / (rho ** 5 * mp.sqrt(1 - 2 * rho ** 2))
-    return rho, k, kp, kpp
-
-
-def _k_highprec(nu_values, dps: int = 50):
-    """High-precision k(nu) via mpmath; test oracle for the asymptotics."""
-    import mpmath as mp
-    with mp.workdps(dps):
-        return np.array([float(_chart_highprec(nu, dps)[1])
-                         for nu in nu_values])
-
-
-def _k_remainder_highprec(nu_values, dps: int = 50):
-    """L(nu) = k - c_sharp nu^(1/3) - c_flat nu - c_l nu^(5/3), all in mp.
-
-    The subtraction must happen before rounding: near nu = 1e-8 the
-    remainder is ~1e-19 while k itself is ~1e-3.
-    """
-    import mpmath as mp
-    fr = _load_frozen()
-    out = []
-    with mp.workdps(dps):
-        c_sharp = mp.cbrt(3)
-        c_flat = mp.mpf(Fraction(fr.C_FLAT).numerator) / Fraction(
-            fr.C_FLAT).denominator
-        num, den = fr.K_SERIES_T[5]
-        c_l = mp.mpf(num) / den * mp.cbrt(3) ** 5
-        for nu in nu_values:
-            nu_m = mp.mpf(repr(float(nu)))
-            k = _chart_highprec(nu_m, dps)[1]
-            L = k - c_sharp * mp.cbrt(nu_m) - c_flat * nu_m \
-                - c_l * mp.cbrt(nu_m) ** 5
-            out.append(float(L))
-    return np.array(out)
-
-
-def fit_asymptotic_constants() -> AsymptoticConstants:
-    """Frozen series constants cross-checked by a least-squares fit.
-
-    Fits k(nu) against {nu^(1/3), nu, nu^(5/3)} on 40 log-spaced nu in
-    [1e-8, 1e-4], from high-precision closed-form samples, and verifies
-    the residual stays inside a C*nu^(7/3) envelope.  A violated envelope
-    means a wrong frozen constant and raises.
-    """
-    fr = _load_frozen()
-    nus = np.geomspace(1e-8, 1e-4, 40)
-    kv = _k_highprec(nus)
-    basis = np.stack([nus ** (1 / 3), nus, nus ** (5 / 3)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, kv, rcond=None)
-    resid = kv - basis @ coef
-    # envelope test against the frozen constants, not the fitted ones
-    L = _k_remainder_highprec(nus)
-    envelope_C = float(np.max(np.abs(L) / nus ** (7 / 3)))
-    # the next series term bounds the envelope constant; allow a safe factor
-    c7 = abs(fr.C_SERIES_NEXT)
-    if envelope_C > 10.0 * c7 + 1e-6:
-        raise ArithmeticError(
-            f"remainder envelope violated: C={envelope_C:.3e} vs "
-            f"next-order coefficient {c7:.3e}")
-    return AsymptoticConstants(
-        c_sharp=C_SHARP, c_flat=fr.C_FLAT, c_l=fr.C_L,
-        fit_c_sharp=float(coef[0]), fit_c_flat=float(coef[1]),
-        fit_c_l=float(coef[2]),
-        max_rel_residual=float(np.max(np.abs(resid / kv))),
-        envelope_C=envelope_C)
-
-
-def regenerate_frozen(path: str) -> None:
-    """Re-derive the rational series and rewrite the frozen constants file."""
-    rho_t, k_t = rational_chart_series(SERIES_ORDER)
-    assert k_t[1] == 1, "leading k coefficient must be exactly 1"
-    c_flat = 3 * k_t[3]
-    c_l = float(k_t[5]) * 3.0 ** (5.0 / 3.0)
-    c_next = float(k_t[7]) * 3.0 ** (7.0 / 3.0)
-    lines = [
-        '"""Frozen near-vacuum series constants (generated; do not edit).',
-        "",
-        "Derived by cavlab.vacuum.regenerate_frozen from exact rational",
-        "series inversion of the renormalized density followed by",
-        "term-by-term integration of the characteristic-speed derivative.",
-        '"""',
-        "",
-        f"C_FLAT = {float(c_flat)!r}  # exactly {c_flat}",
-        f"C_L = {c_l!r}  # exactly {k_t[5]} * 3**(5/3)",
-        f"C_SERIES_NEXT = {c_next!r}  # nu**(7/3) coefficient, exactly {k_t[7]} * 3**(7/3)",
-        "",
-        "# k(t) = sum_j a_j t**j with t = (3 nu)**(1/3); (numerator, denominator)",
-        "K_SERIES_T = [",
-    ]
-    for a in k_t:
-        lines.append(f"    ({a.numerator}, {a.denominator}),")
-    lines.append("]")
-    lines.append("")
-    lines.append("# rho(t) likewise")
-    lines.append("RHO_SERIES_T = [")
-    for a in rho_t:
-        lines.append(f"    ({a.numerator}, {a.denominator}),")
-    lines.append("]")
-    lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))

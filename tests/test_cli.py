@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes and the entropy-check output."""
 
+import ast
 import csv
 import json
 import math
@@ -75,12 +76,12 @@ def _entropy_rows_per_state(points):
         for th in np.linspace(-1.0, 1.0, points):
             rho = gc.rho_of_nu(nu)
             margins = en.convexity_check(gen, [nu], [th])
-            s = gc.StatePolar(rho=float(rho), theta=float(th))
-            hn = float(np.asarray(gen.d(1, 0, s.nu, s.theta)))
-            ht = float(np.asarray(gen.d(0, 1, s.nu, s.theta)))
-            q, ct, st = s.q, math.cos(s.theta), math.sin(s.theta)
-            q1 = s.rho * q * ct * hn - q * st * ht
-            q2 = s.rho * q * st * hn + q * ct * ht
+            nu_s = gc.nu_of_rho(rho)
+            hn = float(np.asarray(gen.d(1, 0, nu_s, th)))
+            ht = float(np.asarray(gen.d(0, 1, nu_s, th)))
+            q, ct, st = math.sqrt(1.0 - rho * rho), math.cos(th), math.sin(th)
+            q1 = rho * q * ct * hn - q * st * ht
+            q2 = rho * q * st * hn + q * ct * ht
             p1, p2 = (float(p) for p in pair(rho, th))
             defect = max(abs(q1 - p1), abs(q2 - p2))
             rows.append([f"{nu:.17g}", f"{th:.17g}",
@@ -467,3 +468,38 @@ print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',
                if m in sys.modules))
 """
     assert _fresh_interpreter(code).strip() == ""
+
+
+def _imported_modules(tree):
+    """Absolute module names that the import statements of a module's
+    syntax tree name, at any depth: `from scipy import special` names
+    both scipy and scipy.special."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_package_imports_no_test_only_dependency():
+    # the runtime dependencies are numpy and scipy's sparse and linear
+    # algebra: no module of the package imports mpmath or scipy's special
+    # functions, root finders, integrators or interpolators, not even
+    # inside a function
+    banned = ("mpmath", "scipy.special", "scipy.optimize", "scipy.integrate",
+              "scipy.interpolate")
+    package = os.path.dirname(os.path.abspath(cavlab.__file__))
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            hits = sorted(m for m in _imported_modules(tree)
+                          if any(m == b or m.startswith(b + ".")
+                                 for b in banned))
+            if hits:
+                found[name] = hits
+    assert found == {}

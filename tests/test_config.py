@@ -16,7 +16,7 @@ CUSTOM = RunConfig(
                         picard_tol=2e-8, residual_tol=3e-7, max_iters=123,
                         tol_inv_factor=2e-3),
     kernel=KernelConfig(nu_star=0.03),
-    output_dir="elsewhere")
+    output_dir="runs/#3")
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), CUSTOM],

@@ -639,7 +639,9 @@ class TestSmoothing:
             if tr is regular:
                 assert np.abs(prof).max() < 1e-6  # H^r * phi -> 0
             else:
-                phi = sk.phi.phi(s)  # -> delta datum
+                sig = sk.phi.sigma  # -> delta datum, the Gaussian density
+                phi = np.exp(-0.5 * (s / sig) ** 2) \
+                    / (sig * np.sqrt(2.0 * np.pi))
                 assert np.abs(prof - phi).max() / phi.max() < 1e-2
 
     def test_smoothing_memory_is_per_block(self, regular):

@@ -20,6 +20,28 @@ def mesh(spec):
     return mh.build_mesh(spec)
 
 
+def edge_count(mesh):
+    return len(np.unique(mesh._triangle_edge_keys()))
+
+
+def euler_characteristic(mesh):
+    return mesh.n_vertices - edge_count(mesh) + len(mesh.triangles)
+
+
+def min_angle_degrees(mesh):
+    p = mesh.vertices[mesh.triangles]  # (m, 3, 2)
+    a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    cosang = np.sum(a * b, axis=2) / (
+        np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2))
+    return float(np.degrees(np.arccos(np.clip(cosang, -1, 1))).min())
+
+
+def boundary_length(spec):
+    """Perimeter: rectangle with the chord replaced by the arc."""
+    return (2.0 * (2.0 * spec.half_length) + 2.0 * spec.height
+            + (spec.arc_length - spec.chord))
+
+
 def test_no_bump_is_rectangle():
     spec = mh.DomainSpec(bump_height=0.0)
     mesh = mh.build_mesh(spec)
@@ -29,11 +51,11 @@ def test_no_bump_is_rectangle():
 
 
 def test_euler_characteristic(mesh):
-    assert mesh.euler_characteristic() == 1
+    assert euler_characteristic(mesh) == 1
 
 
 def test_min_angle(mesh):
-    assert mesh.min_angle_degrees() >= 20.0
+    assert min_angle_degrees(mesh) >= 20.0
 
 
 def test_bump_resolution(mesh):
@@ -43,7 +65,7 @@ def test_bump_resolution(mesh):
 def test_boundary_length(mesh, spec):
     total = mesh.edge_lengths.sum()
     # straight edges are exact; the polyline under-resolves the arc at O(h^2)
-    assert total == pytest.approx(spec.boundary_length(), rel=1e-3)
+    assert total == pytest.approx(boundary_length(spec), rel=1e-3)
 
 
 def test_area_excludes_bump(mesh, spec):
@@ -275,7 +297,7 @@ def test_vectorised_build_matches_loops(monkeypatch):
                  "edge_normals_in"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert mesh.edge_count() == len(_loop_edges(mesh))
+    assert edge_count(mesh) == len(_loop_edges(mesh))
 
 
 def test_vtk_export(mesh, tmp_path):
