@@ -7,7 +7,11 @@ and `check` share one loop over the configured viscosities,
 `solver.sweep`; a configuration file with an unknown or repeated key, an
 argument outside its range, a sweep whose smallest viscosity is below
 h_mesh/2.5, or one with two viscosities that agree to 6 significant
-digits (they would share one fields file) is a usage error.  Exit codes:
+digits (they would share one fields file) is a usage error, and so is a
+path that cannot be used: one that is missing, a directory where a file
+is read, a file where the run directory goes, or one without permission.
+The run directory is made before the mesh is built, so a sweep never
+solves for a directory it cannot write.  Exit codes:
 0 success, 1 check failure (including a solve that finds no fixed
 point), 2 usage/configuration error (including a malformed kernel
 table or a report.json `report` cannot read), 3 internal error (the
@@ -108,7 +112,7 @@ class ArtifactStore:
                    [mesh.vertices, sol.sigma, sol.theta, sol.rho, sol.q,
                     sol.W_minus, sol.W_plus])
 
-    def save_mesh(self, mesh, fields=None) -> None:
+    def save_mesh(self, mesh, fields) -> None:
         from .meshing import write_vtk
         write_vtk(self.path("mesh.vtk"), mesh, point_fields=fields)
 
@@ -187,7 +191,7 @@ def cmd_entropy_check(args) -> int:
     chart = gc.GasChart(nu_star=cfg.kernel.nu_star)
     nu_bar = gc.nu_of_rho(gc.rho_of_q(cfg.solver.q_inf))
     gen = en.special_generator(chart, nu_bar)
-    pair = en.special_pair(chart, nu_bar)
+    pair = en.special_pair(nu_bar)
     nus = np.geomspace(1e-4, chart.nu_star * 0.99, args.points)
     ths = np.linspace(-1.0, 1.0, args.points)
     # one row per (nu, theta) state, theta varying fastest
@@ -238,16 +242,17 @@ def _run_sweep(cfg: RunConfig):
     """Warm-started solutions of the configured sweep and their report:
     (mesh, solutions, report, store), config.cfg and report.json saved.
     A sweep the mesh does not resolve, or whose viscosities share a fields
-    file, is a configuration error."""
+    file, is a configuration error; the run directory is made before the
+    mesh is built."""
     _check_resolution(cfg)
     _check_fields_files(cfg)
     from .diagnostics import run_report
     from .meshing import build_mesh
     from .solver import sweep
+    store = ArtifactStore(cfg.output_dir)
     mesh = build_mesh(cfg.geometry)
     solutions = sweep(cfg.solver, mesh)
     report = run_report(mesh, cfg.solver, solutions)
-    store = ArtifactStore(cfg.output_dir)
     store.save_config(cfg)
     store.save_report(report.to_dict())
     return mesh, solutions, report, store
@@ -258,9 +263,9 @@ def cmd_solve(args) -> int:
     from .solver import PicardSolver
     cfg = _load_config(args.config)
     eps = cfg.solver.epsilons[0] if args.epsilon is None else args.epsilon
+    store = ArtifactStore(cfg.output_dir)
     mesh = build_mesh(cfg.geometry)
     sol = PicardSolver(mesh, cfg.solver).solve_epsilon(eps)
-    store = ArtifactStore(cfg.output_dir)
     store.save_config(cfg)
     store.save_mesh(mesh, fields={"rho": sol.rho, "theta": sol.theta})
     store.save_fields(mesh, sol)
@@ -409,6 +414,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError) as exc:
+        print(f"unusable path: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:
         # solver and kernelengine are imported lazily; only a loaded

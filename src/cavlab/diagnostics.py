@@ -343,9 +343,8 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
     once and serves both the entropy defect and the special identity.
     """
     nu_bar = gc.nu_of_rho(config.rho_inf)
-    chart = gc.GasChart()
-    gen_star = en.special_generator(chart, nu_bar)
-    pair_star = en.special_pair(chart, nu_bar)
+    gen_star = en.special_generator(gc.GasChart(), nu_bar)
+    pair_star = en.special_pair(nu_bar)
     interior = interior_lattice(mesh)
     psi = nodal_test_functions(mesh, interior + obstacle_lattice(mesh))
     psi_in, psi_obs = psi[:, :len(interior)], psi[:, len(interior):]

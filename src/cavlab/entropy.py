@@ -136,7 +136,7 @@ def special_generator(chart: gc.GasChart, nu_bar: float) -> Generator:
     return Generator(derivative, (0.0, gc.NU_CR))
 
 
-def special_pair(chart: gc.GasChart, nu_bar: float):
+def special_pair(nu_bar: float):
     """Closed-form pair generated by the quadratic generator, as one
     function of the states (rho, theta) returning (Q1, Q2):
 
@@ -254,8 +254,8 @@ def convexity_check(gen: Generator, nu_grid, theta_grid) -> dict:
             "admissible": bool(m1 >= -MARGIN_TOL and m2 >= -MARGIN_TOL)}
 
 
-def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
-                             nu_grid=None, theta_grid=None) -> dict:
+def compactness_bounds_check(gen: Generator, chart: gc.GasChart, nu_grid,
+                             theta_grid) -> dict:
     """Fitted constants of the compactness hypotheses, j = 0, 1, 2:
 
     |d_t^j (rho H_nu + H_tt)| <= C1 rho,
@@ -263,11 +263,6 @@ def compactness_bounds_check(gen: Generator, chart: gc.GasChart,
 
     reported with their stability under one grid refinement.
     """
-    if nu_grid is None:
-        nu_grid = np.geomspace(gen.nu_range[0] * 1.001,
-                               gen.nu_range[1] * 0.999, 24)
-    if theta_grid is None:
-        theta_grid = np.linspace(-1.0, 1.0, 17)
 
     def fit(nu, th):
         NU, TH = np.meshgrid(nu, th, indexing="ij")

@@ -53,11 +53,9 @@ def rho_of_q(q):
     return out if out.shape else float(out)
 
 
-def mach(rho, q=None):
+def mach(rho, q):
     """Mach number q/rho; +inf at the vacuum rho = 0."""
     rho = np.asarray(rho, dtype=float)
-    if q is None:
-        q = np.sqrt(1.0 - rho * rho)
     with np.errstate(divide="ignore"):
         out = np.where(rho > 0.0, np.asarray(q) / np.where(rho > 0, rho, 1.0),
                        np.inf)

@@ -413,18 +413,6 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
                               .reshape(shape) for i in range(n_parts)))
 
 
-def build_remainder_table(kind: str, coeffs: CoefficientTable,
-                          xi_grid: np.ndarray):
-    """Remainder, nu-, xi- and mixed derivatives on (nu_grid, xi_grid >= 0).
-
-    All columns come from one stacked integration (integrate_remainder);
-    returns (ghat, ghat_nu, ghat_xi, ghat_nuxi), each (n_nu, n_xi).
-    """
-    _, *tables = integrate_remainder(kind, coeffs, xi_grid,
-                                     with_xi_derivative=True)
-    return tuple(tables)
-
-
 # ----------------------------------------------------------------------
 # Assembled transform
 # ----------------------------------------------------------------------
@@ -706,7 +694,10 @@ def build_kernel(kind: str, chart: gc.GasChart = gc.GasChart(),
     # looked up by name at call time, so a wrapper set on the module sees it
     coeffs = globals()[f"build_{kind}_coeffs"](chart, grid)
     xi_grid = grid.xi_grid(gc.k_of_nu(chart.nu_star))
-    tables = build_remainder_table(kind, coeffs, xi_grid)
+    # the remainder and its nu-, xi- and mixed derivatives on
+    # (nu_grid, xi_grid), from one stacked integration
+    _, *tables = integrate_remainder(kind, coeffs, xi_grid,
+                                     with_xi_derivative=True)
     tr = assemble(kind, coeffs, xi_grid, *tables)
     factor = 1.0 / tr.limit_estimates(xis=(0.5,))[0][spec.calibrate_on]
     return assemble(kind, coeffs.scaled(factor), xi_grid,

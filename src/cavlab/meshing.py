@@ -5,14 +5,18 @@ chord c and height h_b centered on the bottom wall; the fluid fills the
 region above the bump.  The grid is structured: vertical mesh lines are
 kept and each column is graded between the bump surface and the lid, then
 every quad is split into two triangles.  Boundary edges carry one of two
-tags: OBSTACLE on the bump arc, FARFIELD everywhere else, with unit
-normals pointing into the fluid; the FARFIELD nodes are the Dirichlet
-set (`Mesh.dirichlet_nodes`).
+tags: OBSTACLE on the bump arc, FARFIELD everywhere else; the FARFIELD
+nodes are the Dirichlet set (`Mesh.dirichlet_nodes`).
+
+Orientation contract: `build_mesh` lists every boundary edge (a, b) with
+the fluid on its left, so the boundary runs counterclockwise around the
+fluid and the unit normal into the fluid is the edge tangent b - a turned
+by +90 degrees, which is how `Mesh` computes it.
 
 The P1 cell operators derive from two sparse primitives built once per
 mesh, the cell gradient G and the cell mean: `gradient` is G f, the
 stiffness matrix G^T diag(|T|) G and the divergence load operator
-G^T diag(|T|) (cell mean x I_2); the consistent mass matrix is not.
+G^T diag(|T|) (cell mean x I_2).
 """
 
 from __future__ import annotations
@@ -77,11 +81,16 @@ class DomainSpec:
 class Mesh:
     """Conforming triangulation with tagged boundary and P1 operators,
     each built on first use and kept, so that the solver and the
-    diagnostics share one copy per mesh."""
+    diagnostics share one copy per mesh.
+
+    Each boundary edge (a, b) has the fluid on its left, as `build_mesh`
+    lists them: `edge_normals_in` is the unit tangent (t_x, t_y) of
+    b - a turned to (-t_y, t_x), the normal into the fluid, and nothing
+    checks an edge list given in another orientation."""
 
     vertices: np.ndarray       # (n, 2)
     triangles: np.ndarray      # (m, 3) positively oriented
-    boundary_edges: np.ndarray  # (b, 2) vertex pairs
+    boundary_edges: np.ndarray  # (b, 2) vertex pairs, fluid on the left
     boundary_tags: np.ndarray   # (b,) OBSTACLE | FARFIELD
     spec: DomainSpec
 
@@ -92,42 +101,13 @@ class Mesh:
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         if np.any(self.areas <= 0):
             raise ValueError("triangulation contains degenerate/flipped cells")
-        # boundary edge geometry with inward normals (into the fluid)
+        # the fluid lies left of each boundary edge: the inward normal is
+        # the tangent turned by +90 degrees
         be = self.boundary_edges
         tang = v[be[:, 1]] - v[be[:, 0]]
         self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
-        nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=1) \
+        self.edge_normals_in = np.stack([-tang[:, 1], tang[:, 0]], axis=1) \
             / self.edge_lengths[:, None]
-        self.edge_midpoints = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
-        # orient towards the domain interior using the centroid of an
-        # adjacent triangle
-        adj = self._adjacent_triangle_centroids()
-        flip = np.sum(nrm * (adj - self.edge_midpoints), axis=1) < 0
-        nrm[flip] *= -1.0
-        self.edge_normals_in = nrm
-
-    def _edge_keys(self, a, b):
-        """Key lo * n + hi of each edge (a[i], b[i]), lo < hi its ends."""
-        return np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
-
-    def _triangle_edge_keys(self):
-        """Keys of the three edges of every triangle, in triangle order."""
-        t = self.triangles
-        return self._edge_keys(t.ravel(), t[:, [1, 2, 0]].ravel())
-
-    def _adjacent_triangle_centroids(self):
-        # a boundary edge lies on exactly one triangle
-        keys = self._triangle_edge_keys()
-        order = np.argsort(keys)
-        be = self.boundary_edges
-        bkeys = self._edge_keys(be[:, 0], be[:, 1])
-        pos = np.minimum(np.searchsorted(keys, bkeys, sorter=order),
-                         len(keys) - 1)
-        hit = order[pos]
-        if not np.array_equal(keys[hit], bkeys):
-            raise ValueError("boundary edge on no triangle")
-        cents = self.vertices[self.triangles].mean(axis=1)
-        return cents[hit // 3]
 
     # ---- topology ------------------------------------------------------
 
@@ -226,10 +206,6 @@ class Mesh:
         no stored zeros; built once per mesh."""
         return self._stiffness
 
-    def mass_matrix(self) -> sp.csr_matrix:
-        """Consistent P1 mass matrix; built once per mesh."""
-        return self._mass
-
     def divergence_rhs(self, vector_nodal: np.ndarray) -> np.ndarray:
         """Load vector b_i = int F . grad(lambda_i) dx for P1 F."""
         return self.divergence_operator \
@@ -246,20 +222,6 @@ class Mesh:
     @cached_property
     def _stiffness(self) -> sp.csr_matrix:
         return self._area_weighted_gradient_t() @ self.cell_gradient
-
-    @cached_property
-    def _mass(self) -> sp.csr_matrix:
-        tris, a = self.triangles, self.areas
-        rows, cols, vals = [], [], []
-        for i in range(3):
-            for j in range(3):
-                rows.append(tris[:, i])
-                cols.append(tris[:, j])
-                vals.append(a / 12.0 * (2.0 if i == j else 1.0))
-        return sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_vertices,) * 2).tocsr()
 
 
 def _three_per_row(data, columns, n_columns) -> sp.csr_matrix:
@@ -301,11 +263,12 @@ def build_mesh(spec: DomainSpec) -> Mesh:
                           np.stack([v00, v11, v01], axis=-1)],
                          axis=2).reshape(-1, 3)
 
-    # boundary edges: bottom, top of each column; then inlet, outlet
+    # boundary edges, fluid on the left: bottom, top of each column; then
+    # inlet, outlet of each row
     i, j = np.arange(nx, dtype=np.int64), np.arange(ny, dtype=np.int64)
     edges = np.concatenate([
-        np.stack([vid(i, 0), vid(i + 1, 0), vid(i, ny), vid(i + 1, ny)], 1),
-        np.stack([vid(0, j), vid(0, j + 1), vid(nx, j), vid(nx, j + 1)], 1),
+        np.stack([vid(i, 0), vid(i + 1, 0), vid(i + 1, ny), vid(i, ny)], 1),
+        np.stack([vid(0, j + 1), vid(0, j), vid(nx, j), vid(nx, j + 1)], 1),
     ]).reshape(-1, 2)
     on_bump = (spec.bump_height > 0) & (np.abs(0.5 * (xs[:-1] + xs[1:]))
                                         < c / 2)
@@ -332,8 +295,7 @@ def write_rows(fh, row_format: str, rows) -> None:
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_vtk(path: str, mesh: Mesh, point_fields: dict | None = None,
-              cell_fields: dict | None = None) -> None:
+def write_vtk(path: str, mesh: Mesh, point_fields: dict) -> None:
     """Legacy ASCII VTK polydata export (POINTS/POLYGONS + data sections).
 
     Rows are written by `write_rows`, so no copy of the file is held in
@@ -351,12 +313,8 @@ def write_vtk(path: str, mesh: Mesh, point_fields: dict | None = None,
         write_rows(fh, "%.17g %.17g 0.0\n", v)
         fh.write(f"POLYGONS {len(t)} {4 * len(t)}\n")
         write_rows(fh, "3 %d %d %d\n", t)
-        if point_fields:
-            fh.write(f"POINT_DATA {len(v)}\n")
-            for name, vals in point_fields.items():
-                scalars(fh, name, vals)
+        fh.write(f"POINT_DATA {len(v)}\n")
+        for name, vals in point_fields.items():
+            scalars(fh, name, vals)
         fh.write(f"CELL_DATA {len(t)}\n")
         scalars(fh, "area", mesh.areas)
-        if cell_fields:
-            for name, vals in cell_fields.items():
-                scalars(fh, name, vals)

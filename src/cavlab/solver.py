@@ -4,8 +4,8 @@ map.
 For each viscosity eps the mixed Dirichlet-Neumann system is solved in
 the potential form
 
-    lap(sigma) = (1/eps) div(rho(sigma) qt(sigma) e(theta)) + s_sigma,
-    lap(theta) = (1/eps) div(qt(sigma) e(theta - pi/2)) + s_theta,
+    lap(sigma) = (1/eps) div(rho(sigma) qt(sigma) e(theta)),
+    lap(theta) = (1/eps) div(qt(sigma) e(theta - pi/2)),
 
 with (sigma, theta) = (sigma_inf, 0) on the far-field boundary and, on
 the obstacle,
@@ -16,8 +16,8 @@ the obstacle,
 degenerate diffusion factor 1 - c^2/q^2, and the clipped speed
 qt(rho) = (1 - rho_+^2)_+^(1/2) guards transients; at convergence it
 coincides with the Bernoulli speed.  The P1 operators (stiffness,
-divergence load, mass) belong to the mesh and are built once per mesh,
-and so does the Dirichlet set: the far-field nodes of
+divergence load) belong to the mesh and are built once per mesh, and so
+does the Dirichlet set: the far-field nodes of
 `Mesh.dirichlet_nodes`, which the diagnostics' test functions vanish on.
 
 The Picard map g sends the iterate x to the solution of both Poisson
@@ -26,9 +26,10 @@ prefactored stiffness matrix: g(x) = K^-1 (b(x) - lift) on the free
 nodes.  With the far-field Dirichlet rows and columns removed, the P1
 Laplacian K is symmetric positive definite, and `build_mesh` numbers
 the vertices column by column, so its nonzeros lie within one mesh
-column plus two of the diagonal (33 at h = 1/32): it is factored once by
-a banded Cholesky factorisation (LAPACK dpbtrf), whose storage and solve
-cost are n times that narrow band.
+column plus two of the diagonal (33 at h = 1/32): it is factored once,
+in place in its lower band storage, by scipy.linalg.cholesky_banded
+(LAPACK dpbtrf), and every solve is one scipy.linalg.cho_solve_banded
+(dpbtrs), so storage and solve cost are n times that narrow band.
 
 The contraction factor of g degrades roughly like 1/eps, so g(x) - x = 0
 is solved by inexact Newton iteration with g as its preconditioner
@@ -224,41 +225,18 @@ def gmres(matvec, b, atol, basis):
     return y @ basis[:k + 1], k + 1
 
 
-class BandedCholesky:
-    """Cholesky factor L L^T of a sparse symmetric positive definite
-    matrix, in LAPACK's lower band storage: row d of `factor` holds the
-    d-th subdiagonal, so its size is (bandwidth + 1) x n."""
-
-    def __init__(self, A):
-        # imported here, so that importing the solver (as the config does)
-        # does not load scipy.linalg
-        from scipy.linalg.lapack import dpbtrf, dpbtrs
-        A = A.tocoo()
-        A.sum_duplicates()
-        lower = A.row >= A.col
-        cols = A.col[lower]
-        offset = A.row[lower] - cols
-        band = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]),
-                        order="F")
-        band[offset, cols] = A.data[lower]
-        self.factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                "matrix is not positive definite: banded Cholesky breaks "
-                f"down at leading minor {info}")
-        if info < 0:
-            raise ValueError(f"dpbtrf: argument {-info} is invalid")
-        self._dpbtrs = dpbtrs
-
-    @property
-    def bandwidth(self) -> int:
-        return self.factor.shape[0] - 1
-
-    def solve(self, b):
-        """A^{-1} b for a vector or for each column of an (n, k) array."""
-        b = np.asarray(b, dtype=float)
-        x, _ = self._dpbtrs(self.factor, b.reshape(len(b), -1), lower=1)
-        return x.reshape(b.shape)
+def _lower_band(A) -> np.ndarray:
+    """LAPACK's lower band storage of a sparse symmetric matrix, in
+    Fortran order: row d holds the d-th subdiagonal, so its shape is
+    (bandwidth + 1, n)."""
+    A = A.tocoo()
+    A.sum_duplicates()
+    lower = A.row >= A.col
+    cols = A.col[lower]
+    offset = A.row[lower] - cols
+    band = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]), order="F")
+    band[offset, cols] = A.data[lower]
+    return band
 
 
 class PicardSolver:
@@ -269,8 +247,10 @@ class PicardSolver:
     removed) is symmetric positive definite, and `build_mesh` numbers the
     vertices column by column, ny + 1 to a column, so a free node's
     farthest neighbour is ny + 1 free nodes away at most: its Cholesky
-    factor is kept as a band of that width (`BandedCholesky`), about
-    (ny + 2) n_free floats, and each solve costs O(ny n_free).
+    factor is kept as a band of that width, about (ny + 2) n_free floats
+    (`factor`, LAPACK's lower band storage).  scipy.linalg.cholesky_banded
+    factors the band in place, so the band and its factor are one array,
+    and each solve is one scipy.linalg.cho_solve_banded, O(ny n_free).
     """
 
     def __init__(self, mesh: Mesh, config: SolverConfig):
@@ -281,7 +261,13 @@ class PicardSolver:
         K = mesh.stiffness_matrix()
         self.K = K
         K_free = K[self.free]
-        self.chol = BandedCholesky(K_free[:, self.free])
+        # imported here, so that importing the solver (as the config does)
+        # does not load scipy.linalg
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+        self.factor = cholesky_banded(_lower_band(K_free[:, self.free]),
+                                      overwrite_ab=True, lower=True,
+                                      check_finite=False)
+        self._cho_solve_banded = cho_solve_banded
         # per-step constants: far-field sigma, its lift into the free
         # rows (theta is 0 on the far field), the sigma guard, and the
         # scales of sigma and theta in the Newton unknowns
@@ -296,7 +282,7 @@ class PicardSolver:
         # the GMRES basis; a row's memory is touched only once it is used
         self.basis = np.empty((KRYLOV_MAX + 1, 2 * n_free))
 
-    def rhs(self, sigma, theta, eps, source_sigma=None, source_theta=None):
+    def rhs(self, sigma, theta, eps):
         """Load vectors of both Poisson problems for the current iterate,
         and their Jacobian J_b there.
 
@@ -318,10 +304,6 @@ class PicardSolver:
         loads[0] += mesh.obstacle_scatter @ (Fn - np.abs(Fn))
         loads[1] += mesh.obstacle_scatter @ Gn
         loads /= eps
-        if source_sigma is not None:
-            loads[0] -= mesh.mass_matrix() @ np.asarray(source_sigma)
-        if source_theta is not None:
-            loads[1] -= mesh.mass_matrix() @ np.asarray(source_theta)
         F, G = fluxes
         return loads, partial(
             self._load_jacobian,
@@ -345,24 +327,28 @@ class PicardSolver:
         loads /= eps
         return loads
 
+    def _solve(self, b):
+        """K_free^-1 b for a vector or for each column of an (n_free, k)
+        array, through the band factor."""
+        return self._cho_solve_banded((self.factor, True), b,
+                                      check_finite=False)
+
     def _solve_pair(self, b_sig, b_the):
         """Free-node values of both Poisson problems, in one solve."""
         rhs_f = np.empty((len(self.free), 2), order="F")
         np.subtract(b_sig[self.free], self.lift[:, 0], out=rhs_f[:, 0])
         np.subtract(b_the[self.free], self.lift[:, 1], out=rhs_f[:, 1])
-        out = self.chol.solve(rhs_f)
+        out = self._solve(rhs_f)
         return out[:, 0], out[:, 1]
 
-    def residual_norms(self, sigma, theta, eps, source_sigma=None,
-                       source_theta=None):
+    def residual_norms(self, sigma, theta, eps):
         """Nonlinear weak residuals of the current fields (free nodes).
 
         Returns ((r_sigma, r_theta), loads, jacobian): the relative
         residual norms, and the load vectors and load Jacobian of `rhs`
         they were computed from.
         """
-        loads, jacobian = self.rhs(sigma, theta, eps, source_sigma,
-                                   source_theta)
+        loads, jacobian = self.rhs(sigma, theta, eps)
         b_sig, b_the = loads
         r1 = (self.K @ sigma - b_sig)[self.free]
         r2 = (self.K @ theta - b_the)[self.free]
@@ -391,15 +377,14 @@ class PicardSolver:
             # (2, n) array at once is several times slower
             increment[0, free], increment[1, free] = \
                 (v * scale).reshape(2, -1)
-            w = self.chol.solve(np.take(jacobian(*increment), free, axis=1).T)
+            w = self._solve(np.take(jacobian(*increment), free, axis=1).T)
             return v - w.T.ravel() / scale
         return matvec
 
     def _in_range(self, sigma):
         return bool(np.all((sigma >= -1e-12) & (sigma <= self.sigma_hi)))
 
-    def solve_epsilon(self, eps: float, warm_start=None,
-                      source_sigma=None, source_theta=None) -> Solution:
+    def solve_epsilon(self, eps: float, warm_start=None) -> Solution:
         """Newton-Krylov iteration to the fixed point at one viscosity.
 
         Converged means that at the current iterate the scaled update
@@ -436,8 +421,7 @@ class PicardSolver:
         def evaluate(sigma, theta):
             nonlocal solves
             solves += 1
-            res, loads, jacobian = self.residual_norms(
-                sigma, theta, eps, source_sigma, source_theta)
+            res, loads, jacobian = self.residual_norms(sigma, theta, eps)
             return max(res), self.picard_step(sigma, theta, *loads), jacobian
 
         def failure(reason):

@@ -70,7 +70,7 @@ def _entropy_rows_per_state(points):
     chart = gc.GasChart(nu_star=cfg.kernel.nu_star)
     nu_bar = gc.nu_of_rho(gc.rho_of_q(cfg.solver.q_inf))
     gen = en.special_generator(chart, nu_bar)
-    pair = en.special_pair(chart, nu_bar)
+    pair = en.special_pair(nu_bar)
     rows = []
     for nu in np.geomspace(1e-4, chart.nu_star * 0.99, points):
         for th in np.linspace(-1.0, 1.0, points):
@@ -137,6 +137,54 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "run").exists()
+
+
+UNUSABLE_PATHS = ["config-is-a-directory", "output-dir-is-a-file",
+                  "report-json-is-a-directory", "table-is-a-directory"]
+
+
+def _taken_output_dir(tmp_path):
+    """(config path, output.dir): a one-viscosity run whose output.dir
+    names an existing file."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry.h_mesh = 0.25\nsolver.epsilons = 0.2\n"
+                   f"output.dir = {taken}\n")
+    return cfg, taken
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_path_is_a_usage_error(tmp_path, capsys, case):
+    # a directory where a file is read, or a file where the run directory
+    # goes: one line naming the path, and no traceback
+    if case == "config-is-a-directory":
+        path, argv = tmp_path, ["check", "--config", str(tmp_path)]
+    elif case == "output-dir-is-a-file":
+        cfg, path = _taken_output_dir(tmp_path)
+        argv = ["sweep", "--config", str(cfg)]
+    elif case == "report-json-is-a-directory":
+        path = tmp_path / "report.json"
+        path.mkdir()
+        argv = ["report", str(tmp_path)]
+    else:
+        path, argv = tmp_path, ["kernel", "verify", str(tmp_path)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "Traceback" not in err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "sweep"])
+def test_output_dir_is_checked_before_any_solve(tmp_path, monkeypatch,
+                                                command):
+    cfg, _ = _taken_output_dir(tmp_path)
+    calls = []
+    monkeypatch.setattr(sv, "sweep", lambda *args: calls.append(args))
+    monkeypatch.setattr(sv.PicardSolver, "solve_epsilon",
+                        lambda *args: calls.append(args))
+    assert cli.main([command, "--config", str(cfg)]) == cli.USAGE_ERROR
+    assert calls == []
 
 
 def test_workers_option_is_gone(tmp_path):

@@ -75,7 +75,7 @@ def test_entropy_dissipation_names_a_node_without_a_pair(mesh, solution):
     theta = solution.theta.copy()
     theta[7] = np.nan
     bad = dataclasses.replace(solution, theta=theta)
-    pair = en.special_pair(gc.GasChart(), gc.nu_of_rho(bad.config.rho_inf))
+    pair = en.special_pair(gc.nu_of_rho(bad.config.rho_inf))
     psi = dg.nodal_test_functions(mesh, dg.interior_lattice(mesh))
     with pytest.raises(en.GeneratorDomainError,
                        match="not evaluable at node 7 "):

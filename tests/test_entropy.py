@@ -46,8 +46,8 @@ def gen_star(chart):
 
 
 @pytest.fixture(scope="module")
-def pair_star(chart):
-    return en.special_pair(chart, NU_BAR)
+def pair_star():
+    return en.special_pair(NU_BAR)
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,10 @@ class TestKernelGenerator:
         assert res < 5e-3  # limited by the finite-difference probe
 
     def test_compactness_bounds(self, gen_kernel, chart):
-        rep = en.compactness_bounds_check(gen_kernel, chart)
+        lo, hi = gen_kernel.nu_range
+        rep = en.compactness_bounds_check(
+            gen_kernel, chart, np.geomspace(lo * 1.001, hi * 0.999, 24),
+            np.linspace(-1.0, 1.0, 17))
         assert rep["stable"], rep
         assert np.isfinite(rep["C_combination"])
 

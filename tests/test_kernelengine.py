@@ -325,18 +325,21 @@ class TestRemainderODE:
                 assert err <= 1e-8 * np.max(np.abs(want)), (kind, xi)
 
     def test_table_is_one_integration(self, chart, monkeypatch):
-        coeffs = ke.build_regular_coeffs(chart, grid=ke.GridSpec(n_nu=81))
-        xi_grid = np.array([0.0, 1.0, 4.0, 9.0])
+        # build_kernel takes the remainder and its nu-, xi- and mixed
+        # derivatives from one stacked integration, looked up by its
+        # module name
+        grid = ke.GridSpec(n_nu=81, n_xi_linear=3, n_xi_log=1)
         calls = []
         integrate = ke.integrate_remainder
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs)
             return integrate(*args, **kwargs)
         monkeypatch.setattr(ke, "integrate_remainder", counting)
-        tables = ke.build_remainder_table("regular", coeffs, xi_grid)
-        assert len(calls) == 1
-        assert [t.shape for t in tables] == [(81, 4)] * 4
+        tr = ke.build_kernel("regular", chart, grid=grid)
+        assert calls == [{"with_xi_derivative": True}]
+        assert [t.shape for t in (tr.ghat, tr.ghat_nu, tr.ghat_xi,
+                                  tr.ghat_nuxi)] == [(81, 4)] * 4
 
 
 def _hand_expanded(tr, nu, xi, deriv):

@@ -20,8 +20,20 @@ def mesh(spec):
     return mh.build_mesh(spec)
 
 
+def _edge_keys(mesh, a, b):
+    """Key lo * n + hi of each edge (a[i], b[i]), lo < hi its ends."""
+    return np.minimum(a, b) * mesh.n_vertices + np.maximum(a, b)
+
+
+def _triangle_edge_keys(mesh):
+    """Keys of the three edges of every triangle: entry 3c + k is the edge
+    from vertex k to vertex k + 1 (mod 3) of triangle c."""
+    t = mesh.triangles
+    return _edge_keys(mesh, t.ravel(), t[:, [1, 2, 0]].ravel())
+
+
 def edge_count(mesh):
-    return len(np.unique(mesh._triangle_edge_keys()))
+    return len(np.unique(_triangle_edge_keys(mesh)))
 
 
 def euler_characteristic(mesh):
@@ -155,7 +167,8 @@ def test_obstacle_wall_quadrature(mesh):
 
 def test_normals_point_inward(mesh):
     spec = mesh.spec
-    mids = mesh.edge_midpoints
+    v, be = mesh.vertices, mesh.boundary_edges
+    mids = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
     n = mesh.edge_normals_in
     bottom = np.abs(mids[:, 1] - spec.bump_profile(mids[:, 0])) < 1e-3
     top = mids[:, 1] > spec.height - 1e-12
@@ -165,6 +178,33 @@ def test_normals_point_inward(mesh):
     assert np.all(n[top, 1] < -0.99)
     assert np.all(n[left, 0] > 0.99)
     assert np.all(n[right, 0] < -0.99)
+
+
+@pytest.mark.parametrize("bump_height", [0.05, 0.0])
+@pytest.mark.parametrize("cells_per_unit", [4, 32, 96])
+def test_boundary_edges_have_the_fluid_on_their_left(cells_per_unit,
+                                                     bump_height):
+    # the orientation contract of build_mesh: the third vertex of the
+    # triangle a boundary edge (a, b) lies on is strictly left of a -> b,
+    # and the inward normal is the unit tangent turned by +90 degrees
+    mesh = mh.build_mesh(mh.DomainSpec(bump_height=bump_height,
+                                       h_mesh=1 / cells_per_unit))
+    v, be = mesh.vertices, mesh.boundary_edges
+    keys = _triangle_edge_keys(mesh)
+    order = np.argsort(keys)
+    bkeys = _edge_keys(mesh, be[:, 0], be[:, 1])
+    hit = order[np.minimum(np.searchsorted(keys, bkeys, sorter=order),
+                           len(keys) - 1)]
+    assert np.array_equal(keys[hit], bkeys)
+    third = mesh.triangles[hit // 3, (hit % 3 + 2) % 3]
+    a, b, c = v[be[:, 0]], v[be[:, 1]], v[third]
+    t, r = b - a, c - a
+    assert np.all(t[:, 0] * r[:, 1] - t[:, 1] * r[:, 0] > 0.0)
+    length = np.hypot(t[:, 0], t[:, 1])
+    rotated = np.stack([-t[:, 1], t[:, 0]], axis=1) / length[:, None]
+    assert mesh.edge_normals_in.dtype == rotated.dtype
+    assert mesh.edge_normals_in.tobytes() == rotated.tobytes()
+    assert mesh.edge_lengths.tobytes() == length.tobytes()
 
 
 def test_refinement_quadruples(spec):
@@ -243,14 +283,10 @@ def test_stiffness_matches_per_triangle_assembly(bump_height):
 
 def test_operators_built_once(mesh):
     assert mesh.stiffness_matrix() is mesh.stiffness_matrix()
-    assert mesh.mass_matrix() is mesh.mass_matrix()
     assert mesh.divergence_operator is mesh.divergence_operator
     assert mesh.dirichlet_nodes is mesh.dirichlet_nodes
     assert np.array_equal(mesh.dirichlet_nodes,
                           mesh.boundary_nodes(mh.FARFIELD))
-    ones = np.ones(mesh.n_vertices)
-    assert ones @ (mesh.mass_matrix() @ ones) == pytest.approx(
-        mesh.areas.sum(), rel=1e-13)
 
 
 def _loop_triangles(mesh):
@@ -276,20 +312,26 @@ def _loop_edges(mesh):
     return edge_map
 
 
-def _loop_adjacent_centroids(mesh):
+def _loop_inward_normals(mesh):
+    """Unit normal of every boundary edge, turned towards the centroid of
+    the triangle the edge lies on (found by `_loop_edges`): inward
+    whatever the edge's orientation."""
     edge_map = _loop_edges(mesh)
     cents = mesh.vertices[mesh.triangles].mean(axis=1)
-    return np.array([cents[edge_map[frozenset((a, b))]]
-                     for a, b in mesh.boundary_edges])
+    normals = []
+    for a, b in mesh.boundary_edges:
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        t = pb - pa
+        n = np.array([-t[1], t[0]]) / np.hypot(t[0], t[1])
+        if n @ (cents[edge_map[frozenset((a, b))]] - 0.5 * (pa + pb)) < 0:
+            n = -n
+        normals.append(n)
+    return np.array(normals)
 
 
-def test_vectorised_build_matches_loops(monkeypatch):
+def test_vectorised_build_matches_loops():
     spec = mh.DomainSpec(h_mesh=1 / 32)
     mesh = mh.build_mesh(spec)
-    assert np.array_equal(mesh._adjacent_triangle_centroids(),
-                          _loop_adjacent_centroids(mesh))
-    monkeypatch.setattr(mh.Mesh, "_adjacent_triangle_centroids",
-                        _loop_adjacent_centroids)
     ref = mh.Mesh(mesh.vertices.copy(), _loop_triangles(mesh),
                   mesh.boundary_edges.copy(), mesh.boundary_tags.copy(),
                   spec)
@@ -297,6 +339,9 @@ def test_vectorised_build_matches_loops(monkeypatch):
                  "edge_normals_in"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+    normals = _loop_inward_normals(mesh)
+    assert normals.dtype == mesh.edge_normals_in.dtype
+    assert np.array_equal(mesh.edge_normals_in, normals)
     assert edge_count(mesh) == len(_loop_edges(mesh))
 
 
@@ -313,10 +358,9 @@ def test_vtk_export(mesh, tmp_path):
 def test_vtk_export_text(tmp_path):
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 4))
     rho = np.linspace(0.1, 0.5, mesh.n_vertices)
-    cell = np.arange(len(mesh.triangles)) / 7.0
+    theta = np.arange(mesh.n_vertices) / 7.0
     path = tmp_path / "mesh.vtk"
-    mh.write_vtk(str(path), mesh, point_fields={"rho": rho},
-                 cell_fields={"c": cell})
+    mh.write_vtk(str(path), mesh, point_fields={"rho": rho, "theta": theta})
     nv, nt = mesh.n_vertices, len(mesh.triangles)
     lines = ["# vtk DataFile Version 3.0", "cavlab mesh", "ASCII",
              "DATASET POLYDATA", f"POINTS {nv} double"]
@@ -324,8 +368,8 @@ def test_vtk_export_text(tmp_path):
     lines.append(f"POLYGONS {nt} {4 * nt}")
     lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
     for section, name, vals in ((f"POINT_DATA {nv}", "rho", rho),
-                                (f"CELL_DATA {nt}", "area", mesh.areas),
-                                (None, "c", cell)):
+                                (None, "theta", theta),
+                                (f"CELL_DATA {nt}", "area", mesh.areas)):
         if section:
             lines.append(section)
         lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
@@ -361,7 +405,7 @@ def test_write_rows_matches_per_number_text(n_rows):
         assert fh.getvalue() == "".join(line(r) for r in rows)
 
 
-def _per_number_vtk(path, mesh, point_fields, cell_fields):
+def _per_number_vtk(path, mesh, point_fields):
     """The VTK writer as one f-string per number, for byte comparison."""
     v, t = mesh.vertices, mesh.triangles
     with open(path, "w") as fh:
@@ -375,9 +419,8 @@ def _per_number_vtk(path, mesh, point_fields, cell_fields):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             fh.writelines(f"{float(x):.17g}\n" for x in vals)
         fh.write(f"CELL_DATA {len(t)}\n")
-        for name, vals in [("area", mesh.areas), *cell_fields.items()]:
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.writelines(f"{float(x):.17g}\n" for x in vals)
+        fh.write("SCALARS area double 1\nLOOKUP_TABLE default\n")
+        fh.writelines(f"{float(x):.17g}\n" for x in mesh.areas)
 
 
 def test_vtk_export_matches_per_number_writer(monkeypatch, tmp_path):
@@ -388,8 +431,7 @@ def test_vtk_export_matches_per_number_writer(monkeypatch, tmp_path):
     assert mesh.n_vertices % 11 and len(mesh.triangles) % 11
     x = mesh.vertices[:, 0]
     point = {"rho": np.exp(x) / 3.0, "theta": np.sin(7.0 * x)}
-    cell = {"c": np.arange(len(mesh.triangles)) / 7.0}
     got, ref = tmp_path / "got.vtk", tmp_path / "ref.vtk"
-    mh.write_vtk(str(got), mesh, point_fields=point, cell_fields=cell)
-    _per_number_vtk(str(ref), mesh, point, cell)
+    mh.write_vtk(str(got), mesh, point_fields=point)
+    _per_number_vtk(str(ref), mesh, point)
     assert got.read_bytes() == ref.read_bytes()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import cavlab.gaschart as gc
 from cavlab import meshing as mh
@@ -89,6 +90,39 @@ def _manufactured_sources(mesh, cfg, eps):
     return (sigma_ex(x, y), theta_ex(x, y)), (s_sigma, s_theta)
 
 
+def _mass_matrix(mesh):
+    """Consistent P1 mass matrix, |T| (1 + delta_ij) / 12 on each cell."""
+    tris, a = mesh.triangles, mesh.areas
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(tris[:, i])
+            cols.append(tris[:, j])
+            vals.append(a / 12.0 * (2.0 if i == j else 1.0))
+    M = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_vertices,) * 2).tocsr()
+    ones = np.ones(mesh.n_vertices)
+    assert ones @ (M @ ones) == pytest.approx(mesh.areas.sum(), rel=1e-13)
+    return M
+
+
+class _SourcedSolver(sv.PicardSolver):
+    """PicardSolver for lap(u) = (1/eps) div(flux) + s: its loads subtract
+    the consistent-mass load M s of the volume sources s = (s_sigma,
+    s_theta)."""
+
+    def __init__(self, mesh, config, sources):
+        super().__init__(mesh, config)
+        M = _mass_matrix(mesh)
+        self.source_loads = np.stack([M @ np.asarray(s) for s in sources])
+
+    def rhs(self, sigma, theta, eps):
+        loads, jacobian = super().rhs(sigma, theta, eps)
+        loads -= self.source_loads
+        return loads, jacobian
+
+
 @pytest.mark.parametrize("eps", [0.1])
 def test_manufactured_convergence_order(eps):
     cfg = sv.SolverConfig(epsilons=(eps,), picard_tol=1e-11,
@@ -97,9 +131,7 @@ def test_manufactured_convergence_order(eps):
     for h in (1 / 16, 1 / 32):
         mesh = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=h))
         exact, sources = _manufactured_sources(mesh, cfg, eps)
-        solver = sv.PicardSolver(mesh, cfg)
-        sol = solver.solve_epsilon(eps, source_sigma=sources[0],
-                                   source_theta=sources[1])
+        sol = _SourcedSolver(mesh, cfg, sources).solve_epsilon(eps)
         err = math.sqrt(mesh.l2_norm(sol.sigma - exact[0]) ** 2
                         + mesh.l2_norm(sol.theta - exact[1]) ** 2)
         errors.append(err)
@@ -161,8 +193,8 @@ def test_nonconvergence_reports_history():
     cfg = sv.SolverConfig(epsilons=(0.05,), max_iters=3)
     solver = sv.PicardSolver(mesh, cfg)
     calls = []
-    solve = solver.chol.solve
-    solver.chol.solve = lambda b: calls.append(1) or solve(b)
+    solve = solver._solve
+    solver._solve = lambda b: calls.append(1) or solve(b)
     with pytest.raises(sv.ConvergenceError) as exc:
         solver.solve_epsilon(0.05)
     assert len(calls) == 3
@@ -186,7 +218,7 @@ def test_solve_pair_matches_single_solves():
     for got, b, bdry in zip(pair, (b_sig, b_the),
                             (np.full(n_d, cfg.sigma_inf), np.zeros(n_d))):
         rhs = b[solver.free] - K_fd @ bdry
-        ref = solver.chol.solve(rhs)  # one column through the same factor
+        ref = solver._solve(rhs)  # one column through the same factor
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.abs(K_ff @ got - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
@@ -201,21 +233,32 @@ def test_stiffness_band_is_one_mesh_column_wide():
         spec = mh.DomainSpec(h_mesh=h)
         ny = round(spec.height / h)
         solver = sv.PicardSolver(mh.build_mesh(spec), sv.SolverConfig())
-        assert solver.chol.bandwidth == ny + 1
+        # the factor keeps the band's storage: one row per subdiagonal
+        assert solver.factor.shape == (ny + 2, len(solver.free))
         flat = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=h))
-        assert sv.PicardSolver(flat, sv.SolverConfig()).chol.bandwidth \
-            == ny - 1
+        assert sv.PicardSolver(flat, sv.SolverConfig()).factor.shape[0] \
+            == ny
 
 
-def test_banded_cholesky_rejects_matrix_not_positive_definite():
-    import scipy.sparse as sp
+def test_banded_cholesky_rejects_matrix_not_positive_definite(monkeypatch):
     A = sp.diags([[-1.0] * 5, [2.0] * 6, [-1.0] * 5], [-1, 0, 1])
-    assert np.allclose(A @ sv.BandedCholesky(A).solve(np.ones(6)), 1.0)
+    band = sv._lower_band(A)
+    assert band.flags.f_contiguous
+    assert np.array_equal(band, [[2.0] * 6, [-1.0] * 5 + [0.0]])
+    # the solver factors its free-node Laplacian through that band, and
+    # one that is not positive definite is refused when it is built
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 4))
+    K = mesh.stiffness_matrix()
+    solver = sv.PicardSolver(mesh, sv.SolverConfig())
+    b = np.ones(len(solver.free))
+    assert np.allclose(K[solver.free][:, solver.free] @ solver._solve(b), 1.0)
+    monkeypatch.setattr(mesh, "stiffness_matrix", lambda: -K)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        sv.BandedCholesky(-A)
-    indefinite = A - 3.0 * sp.eye(6)
-    with pytest.raises(np.linalg.LinAlgError, match="leading minor 1"):
-        sv.BandedCholesky(indefinite)
+        sv.PicardSolver(mesh, sv.SolverConfig())
+    indefinite = K - 2.0 * K.diagonal().max() * sp.eye(mesh.n_vertices)
+    monkeypatch.setattr(mesh, "stiffness_matrix", lambda: indefinite)
+    with pytest.raises(np.linalg.LinAlgError, match="1-th leading minor"):
+        sv.PicardSolver(mesh, sv.SolverConfig())
 
 
 def test_one_rhs_evaluation_per_iteration(monkeypatch):
