@@ -11,7 +11,10 @@ digits (they would share one fields file) is a usage error, and so is a
 path that cannot be used: one that is missing, a directory where a file
 is read, a file where the run directory goes, or one without permission.
 The run directory is made before the mesh is built, so a sweep never
-solves for a directory it cannot write.  Exit codes:
+solves for a directory it cannot write.  `solve` is a one-viscosity
+sweep as far as checks go: the epsilon it solves (the first configured
+one, or --epsilon) is the only one its config.cfg records, and it must
+be resolved by the mesh.  Only `sweep` writes plotdata/.  Exit codes:
 0 success, 1 check failure (including a solve that finds no fixed
 point), 2 usage/configuration error (including a malformed kernel
 table or a report.json `report` cannot read), 3 internal error (the
@@ -30,6 +33,7 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,7 +100,6 @@ class ArtifactStore:
     def __init__(self, run_dir: str):
         self.root = run_dir
         os.makedirs(run_dir, exist_ok=True)
-        os.makedirs(os.path.join(run_dir, "plotdata"), exist_ok=True)
 
     def path(self, *parts) -> str:
         return os.path.join(self.root, *parts)
@@ -124,6 +127,7 @@ class ArtifactStore:
                  r["weak_residuals"]["mass"], r["weak_residuals"]["curl"],
                  r["entropy_defect_star"], r["compactness_star"]["D1_est"],
                  r["compactness_star"]["D2_L1"]) for r in report.records]
+        os.makedirs(self.path("plotdata"), exist_ok=True)
         _write_csv(self.path("plotdata", "sweep.csv"),
                    ["epsilon", "dissipation", "mass_residual",
                     "curl_residual", "entropy_defect_star", "D1_est",
@@ -259,10 +263,14 @@ def _run_sweep(cfg: RunConfig):
 
 
 def cmd_solve(args) -> int:
-    from .meshing import build_mesh
-    from .solver import PicardSolver
+    """One viscosity, checked and recorded as a one-entry sweep: the
+    first configured epsilon or --epsilon."""
     cfg = _load_config(args.config)
     eps = cfg.solver.epsilons[0] if args.epsilon is None else args.epsilon
+    cfg = replace(cfg, solver=replace(cfg.solver, epsilons=(eps,)))
+    _check_resolution(cfg)
+    from .meshing import build_mesh
+    from .solver import PicardSolver
     store = ArtifactStore(cfg.output_dir)
     mesh = build_mesh(cfg.geometry)
     sol = PicardSolver(mesh, cfg.solver).solve_epsilon(eps)

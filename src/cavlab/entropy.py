@@ -20,9 +20,10 @@ distinguished generator
 anchored at a reference state rho_bar (normally the far-field density, so
 N vanishes there), whose pair `special_pair` gives in closed form, as one
 function of the states returning (Q1, Q2), as the reference for the
-assembly; and smoothed-kernel generators H = Hr*phi + Hs*phi evaluated by
-Fourier quadrature of the kernel tables.  `admissibility_terms` owns the
-two terms of the admissibility conditions, c1 = H_tt - rho H_ntt and
+assembly; and smoothed-kernel generators H = Hr*phi + Hs*phi, the
+`Generator.combination` of one smoothed generator per kernel table, each
+evaluated by Fourier quadrature of its table.  `admissibility_terms` owns
+the two terms of the admissibility conditions, c1 = H_tt - rho H_ntt and
 m = rho H_nt + H_ttt; `admissibility_margins` turns them into the two
 margins at every state of a grid and `convexity_check` reports their
 minima.
@@ -186,10 +187,11 @@ def kernel_generator(regular: KernelTransform, singular: KernelTransform,
                      weight_regular: float,
                      weight_singular: float) -> Generator:
     """Generator H = w1 Hr*phi + w2 Hs*phi for the Gaussian test function
-    `GaussianSmoother.for_kernel` of the regular kernel's nu_star.
+    `GaussianSmoother.for_kernel` of the regular kernel's nu_star: the
+    `Generator.combination` of one smoothed generator per kernel.
 
-    Every derivative d^i/dnu^i d^j/dtheta^j (i <= 1, j <= 4) is one call
-    of SmoothedKernel.convolved_pairs per kernel on the flattened
+    Each smoothed generator's derivative d^i/dnu^i d^j/dtheta^j (i <= 1,
+    j <= 4) is one SmoothedKernel.convolved_pairs call on the flattened
     (nu, theta) pairs, theta taking the place of s: a Fourier quadrature
     with the angle derivatives falling on the test function, so
     third-order angle derivatives are as accurate as the tables (never
@@ -199,18 +201,17 @@ def kernel_generator(regular: KernelTransform, singular: KernelTransform,
     # kernel tables
     from .kernelengine import GaussianSmoother, SmoothedKernel
     phi = GaussianSmoother.for_kernel(regular.nu_star)
-    pieces = [(float(weight_regular), SmoothedKernel(regular, phi)),
-              (float(weight_singular), SmoothedKernel(singular, phi))]
 
-    def derivative(i, j, nu, theta):
-        nu_b, th_b = np.broadcast_arrays(np.asarray(nu, dtype=float),
-                                         np.asarray(theta, dtype=float))
-        return sum(w * sk.convolved_pairs(nu_b.ravel(), th_b.ravel(),
-                                          s_deriv=j, nu_deriv=i)
-                   for w, sk in pieces).reshape(nu_b.shape)
+    def smoothed(tr):
+        sk = SmoothedKernel(tr, phi)
 
-    return Generator(derivative, (max(regular.nu_min, singular.nu_min),
-                                  min(regular.nu_star, singular.nu_star)))
+        def derivative(i, j, nu, theta):
+            nu_b, th_b = np.broadcast_arrays(nu, theta)
+            return sk.convolved_pairs(nu_b, th_b, j, i).reshape(nu_b.shape)
+        return Generator(derivative, (tr.nu_min, tr.nu_star))
+
+    return Generator.combination([(weight_regular, smoothed(regular)),
+                                  (weight_singular, smoothed(singular))])
 
 
 # ----------------------------------------------------------------------

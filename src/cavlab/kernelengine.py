@@ -55,7 +55,7 @@ from __future__ import annotations
 import os
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -444,6 +444,10 @@ class KernelTransform:
     ghat_nuxi: np.ndarray
 
     def __post_init__(self):
+        shape = (len(self.coeffs.nu_grid), len(self.xi_grid))
+        if any(t.shape != shape for t in (self.ghat, self.ghat_nu,
+                                          self.ghat_xi, self.ghat_nuxi)):
+            raise ValueError("remainder table shape does not match the grids")
         # cubic splines in log nu, one per group of columns read together:
         # the expansion's coefficients A and their derivatives A', and the
         # remainder's values and slopes, each with its xi-derivative
@@ -671,14 +675,8 @@ class KernelTransform:
                    *(r.reshape(n_nu, n_xi) for r in rem))
 
 
-def assemble(kind: str, coeffs: CoefficientTable, xi_grid: np.ndarray,
-             ghat: np.ndarray, ghat_nu: np.ndarray, ghat_xi: np.ndarray,
-             ghat_nuxi: np.ndarray) -> KernelTransform:
-    """Bundle tables into the callable transform; grids must match."""
-    if ghat.shape != (len(coeffs.nu_grid), len(xi_grid)):
-        raise ValueError("remainder table shape does not match the grids")
-    return KernelTransform(kind, coeffs, xi_grid, ghat, ghat_nu, ghat_xi,
-                           ghat_nuxi)
+# the name perfbench's self-tests build a transform by
+assemble = KernelTransform
 
 
 def build_kernel(kind: str, chart: gc.GasChart = gc.GasChart(),
@@ -698,10 +696,10 @@ def build_kernel(kind: str, chart: gc.GasChart = gc.GasChart(),
     # (nu_grid, xi_grid), from one stacked integration
     _, *tables = integrate_remainder(kind, coeffs, xi_grid,
                                      with_xi_derivative=True)
-    tr = assemble(kind, coeffs, xi_grid, *tables)
+    tr = KernelTransform(kind, coeffs, xi_grid, *tables)
     factor = 1.0 / tr.limit_estimates(xis=(0.5,))[0][spec.calibrate_on]
-    return assemble(kind, coeffs.scaled(factor), xi_grid,
-                    *(t * factor for t in tables))
+    return KernelTransform(kind, coeffs.scaled(factor), xi_grid,
+                           *(t * factor for t in tables))
 
 
 # ----------------------------------------------------------------------
@@ -894,24 +892,14 @@ class GaussianSmoother:
         return cls(gc.k_of_nu(nu_star) / 6.0)
 
 
-# Fourier quadrature of the smoothed kernels: composite Simpson on an odd
-# number of points.  Pairs are taken in blocks of at most _VALUE_BLOCK
-# distinct nu; within a block the trig factor is evaluated for at most
-# _VALUE_BLOCK distinct s at a time and pairs are summed _PAIR_BLOCK at a
-# time, so memory stays O((2 _VALUE_BLOCK + 2 _PAIR_BLOCK) * _N_XI)
-# whatever the number of pairs.
+# Fourier quadrature of the smoothed kernels: composite Simpson on _N_XI
+# nodes, one matrix product per block of _S_BLOCK distinct s.  Every
+# product has _S_BLOCK columns and a multiple of _NU_BLOCK rows (padded),
+# so BLAS sums each value by one kernel whatever the size of the call,
+# and a pair's value does not depend on the other pairs asked for.
 _N_XI = 4097
-_VALUE_BLOCK = 32
-_PAIR_BLOCK = 64
-
-
-def _id_blocks(ids, n_ids: int, size: int):
-    """Group positions by blocks of `size` consecutive ids in range(n_ids):
-    yields (first id of the block, positions of its ids in id order)."""
-    order = np.argsort(ids, kind="stable")
-    cuts = np.searchsorted(ids[order], np.arange(0, n_ids + size, size))
-    for first, lo, hi in zip(range(0, n_ids, size), cuts[:-1], cuts[1:]):
-        yield first, order[lo:hi]
+_S_BLOCK = 64
+_NU_BLOCK = 16
 
 
 @dataclass
@@ -923,34 +911,40 @@ class SmoothedKernel:
     test function, so derivatives up to any order are exact images of
     the transform.
 
-    Cost model of convolved_pairs: Hhat (or Hhat_nu) is evaluated once
-    per distinct nu on the _N_XI quadrature nodes, and the trig factor
-    once per distinct s among the pairs of each block of _VALUE_BLOCK
-    distinct nu; a tensor grid with at most _VALUE_BLOCK nu values and
-    n_s s values costs n_nu transform rows, n_s trig rows and one
-    product-and-sum per pair.  The unweighted rows of the last block of
-    distinct nu are kept, one set for Hhat and one for Hhat_nu (at most
-    _VALUE_BLOCK rows each), for as long as this object lives: later calls
-    on the same nu, for any s-derivative order and any s, reuse them
-    until a call on other nu replaces them.
+    Cost of convolved_pairs: Hhat (or Hhat_nu) once per distinct nu on
+    the quadrature nodes, the trig factor once per distinct s, and one
+    product per block of _S_BLOCK distinct s giving the values of every
+    (distinct nu, distinct s) pair, which is what a tensor grid asks
+    for.  The block bounds memory: on the kernel-tables benchmark's
+    tables, a `cavlab kernel verify` process peaks at 61.1 MB and the
+    read-back process at 65.6 MB, against 70.6 and 76.4 MB with one
+    block for all 321 s of huygens_leakage.  The unweighted rows of the
+    last set of distinct nu are kept, one set for Hhat and one for
+    Hhat_nu, for as long as this object lives: later calls on the same
+    nu, for any s-derivative order and any s, reuse them until a call on
+    other nu replaces them.
     """
 
     transform: KernelTransform
     phi: GaussianSmoother
-    # nu_deriv -> (quadrature nodes, distinct nu, unweighted rows)
-    _rows_kept: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
-    def _rows(self, nu, xi, nu_deriv: int) -> np.ndarray:
+    def __post_init__(self):
+        self._rows_kept = {}   # nu_deriv -> (distinct nu, unweighted rows)
+        xi_top = min(self.phi.xi_cutoff(), 2.0 * self.transform.xi_grid[-1])
+        self.xi = np.linspace(0.0, xi_top, _N_XI)
+        simpson = np.full(_N_XI, 2.0)
+        simpson[1::2] = 4.0
+        simpson[0] = simpson[-1] = 1.0
+        self._simpson_phi = simpson * self.phi.phi_hat(self.xi)
+
+    def _rows(self, nu, nu_deriv: int) -> np.ndarray:
         """Hhat or Hhat_nu at the distinct nu (sorted) on the nodes xi."""
         kept = self._rows_kept.get(nu_deriv)
-        if kept is not None and np.array_equal(kept[0], xi) \
-                and np.array_equal(kept[1], nu):
-            return kept[2]
-        tr = self.transform
-        rows = (tr.Hhat_nu if nu_deriv else tr.Hhat)(nu[:, None], xi[None, :])
-        self._rows_kept[nu_deriv] = (xi, nu, rows)
-        return rows
+        if kept is None or not np.array_equal(kept[0], nu):
+            tr = self.transform
+            rows = (tr.Hhat_nu if nu_deriv else tr.Hhat)(nu[:, None], self.xi)
+            kept = self._rows_kept[nu_deriv] = (nu, rows)
+        return kept[1]
 
     def convolved_pairs(self, nu_flat, s_flat, s_deriv: int = 0,
                         nu_deriv: int = 0):
@@ -962,37 +956,32 @@ class SmoothedKernel:
                 = (1/pi) int_0^inf Hhat(nu, xi) phi_hat(xi) xi^j
                   cos(s xi + j pi/2) dxi,
 
-        where cos(x + j pi/2) is one of cos, -sin, -cos, sin.  Each pair's
-        value is the sum over the xi nodes of trig(s xi) times the
-        weighted row of its nu; rows and trig factors are each evaluated
-        once per distinct nu and s (see the class docstring).
+        where cos(x + j pi/2) is one of cos, -sin, -cos, sin.  The weighted
+        rows of the distinct nu times the trig factors of the distinct s
+        give every distinct pair's value, gathered to the pairs asked for
+        (see the class docstring).
         """
-        xi_top = min(self.phi.xi_cutoff(), 2.0 * self.transform.xi_grid[-1])
-        xi = np.linspace(0.0, xi_top, _N_XI)
-        simpson = np.full(_N_XI, 2.0)
-        simpson[1::2] = 4.0
-        simpson[0] = simpson[-1] = 1.0
+        xi = self.xi
         sign = (1.0, -1.0, -1.0, 1.0)[s_deriv % 4]
         trig = np.sin if s_deriv % 2 else np.cos
-        weight = simpson * self.phi.phi_hat(xi) * xi ** s_deriv \
+        weight = self._simpson_phi * xi ** s_deriv \
             * (sign * (xi[1] - xi[0]) / (3.0 * np.pi))
-        nu_flat = np.asarray(nu_flat, dtype=float).ravel()
-        s_flat = np.asarray(s_flat, dtype=float).ravel()
-        out = np.empty(nu_flat.size)
-        nu_u, nu_inv = np.unique(nu_flat, return_inverse=True)
-        for first, idx in _id_blocks(nu_inv, nu_u.size, _VALUE_BLOCK):
-            rows = self._rows(nu_u[first:first + _VALUE_BLOCK], xi,
-                              nu_deriv) * weight
-            s_u, s_inv = np.unique(s_flat[idx], return_inverse=True)
-            for s0, sel in _id_blocks(s_inv, s_u.size, _VALUE_BLOCK):
-                osc_s = np.multiply.outer(s_u[s0:s0 + _VALUE_BLOCK], xi)
-                trig(osc_s, out=osc_s)
-                for p in range(0, sel.size, _PAIR_BLOCK):
-                    chunk = sel[p:p + _PAIR_BLOCK]
-                    osc = osc_s[s_inv[chunk] - s0]
-                    osc *= rows[nu_inv[idx[chunk]] - first]
-                    out[idx[chunk]] = osc.sum(axis=1)
-        return out
+        nu_u, nu_inv = np.unique(np.asarray(nu_flat, dtype=float).ravel(),
+                                 return_inverse=True)
+        s_u, s_inv = np.unique(np.asarray(s_flat, dtype=float).ravel(),
+                               return_inverse=True)
+        rows = np.pad(self._rows(nu_u, nu_deriv) * weight,
+                      ((0, -nu_u.size % _NU_BLOCK), (0, 0)))
+        values = np.empty((rows.shape[0],
+                           -(-s_u.size // _S_BLOCK) * _S_BLOCK))
+        # trig(s xi), a row per s of the block; rows past the last s unused
+        osc = np.zeros((_S_BLOCK, _N_XI))
+        for b in range(0, s_u.size, _S_BLOCK):
+            s_b = s_u[b:b + _S_BLOCK]
+            block = np.multiply.outer(s_b, xi, out=osc[:s_b.size])
+            trig(block, out=block)
+            np.matmul(rows, osc.T, out=values[:, b:b + _S_BLOCK])
+        return values[nu_inv, s_inv]
 
 
 def huygens_leakage(transform: KernelTransform) -> float:

@@ -17,7 +17,7 @@ from cavlab import cli
 from cavlab import entropy as en
 from cavlab import meshing as mh
 from cavlab import solver as sv
-from cavlab.config import RunConfig
+from cavlab.config import RunConfig, parse_config
 
 
 def _raise(exc):
@@ -253,6 +253,54 @@ def test_unresolved_epsilon_is_a_usage_error(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "smallest epsilon 0.0125" in err and "h_mesh/2.5 = 0.025" in err
     assert not run_dir.exists()
+
+
+def test_solve_applies_the_sweep_resolution_check(tmp_path, capsys,
+                                                  monkeypatch):
+    # at the default h = 1/32, eps = 0.00625 is h/5: refused as `sweep`
+    # refuses it, before any solver exists
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output.dir = {run_dir}\n")
+    made = []
+    monkeypatch.setattr(sv, "PicardSolver", lambda *args: made.append(args))
+    assert cli.main(["solve", "--config", str(cfg), "--epsilon",
+                     "0.00625"]) == cli.USAGE_ERROR
+    assert made == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "smallest epsilon 0.00625" in err and "h_mesh/2.5 = 0.0125" in err
+    assert not run_dir.exists()
+
+
+def test_solve_config_reproduces_the_run(tmp_path):
+    # config.cfg records the one epsilon solved, not the configured sweep,
+    # so solving from it again writes the same fields file
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"geometry.h_mesh = 0.25\noutput.dir = {run_dir}\n")
+    assert cli.main(["solve", "--config", str(cfg), "--epsilon", "0.1"]) == 0
+    saved = run_dir / "config.cfg"
+    assert parse_config(saved.read_text()).solver.epsilons == (0.1,)
+    fields = (run_dir / "fields_eps_0.1.csv").read_bytes()
+    assert cli.main(["solve", "--config", str(saved)]) == 0
+    assert (run_dir / "fields_eps_0.1.csv").read_bytes() == fields
+    assert sorted(os.listdir(run_dir)) == [
+        "config.cfg", "fields_eps_0.1.csv", "mesh.vtk"]
+
+
+@pytest.mark.parametrize("command", ("solve", "sweep", "check"))
+def test_only_sweep_writes_plotdata(tmp_path, command):
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry.h_mesh = 0.25\nsolver.epsilons = 0.2\n"
+                   f"output.dir = {run_dir}\n")
+    assert cli.main([command, "--config", str(cfg)]) in (0, cli.CHECK_FAILED)
+    plotdata = run_dir / "plotdata"
+    if command == "sweep":
+        assert sorted(os.listdir(plotdata)) == ["cauchy.csv", "sweep.csv"]
+    else:
+        assert not plotdata.exists()
 
 
 @pytest.mark.parametrize("command", ("sweep", "check"))

@@ -487,9 +487,9 @@ class TestAssembledKernels:
         tr = request.getfixturevalue(kind)
         cols = dict(tr.coeffs.columns)
         cols[column] = cols[column] * 1.01
-        bad = ke.assemble(kind, dataclasses.replace(tr.coeffs, columns=cols),
-                          tr.xi_grid, tr.ghat, tr.ghat_nu, tr.ghat_xi,
-                          tr.ghat_nuxi)
+        bad = ke.KernelTransform(
+            kind, dataclasses.replace(tr.coeffs, columns=cols), tr.xi_grid,
+            tr.ghat, tr.ghat_nu, tr.ghat_xi, tr.ghat_nuxi)
         assert ke.verify_pde_residual(bad)["max_relative_residual"] > 1e-3
 
     def test_hhat_nu_consistency(self, regular, singular):
@@ -562,6 +562,17 @@ class TestAssembledKernels:
     def test_domain_error(self, regular):
         with pytest.raises(ValueError):
             regular.Hhat(regular.nu_star * 2.0, 1.0)
+
+    def test_remainder_shape_must_match_the_grids(self, regular):
+        # build_kernel and load construct through the one constructor,
+        # which checks every remainder table against the grids
+        names = ("ghat", "ghat_nu", "ghat_xi", "ghat_nuxi")
+        for bad in names:
+            tables = [getattr(regular, name) for name in names]
+            tables[names.index(bad)] = tables[names.index(bad)][:, :-1]
+            with pytest.raises(ValueError, match="does not match the grids"):
+                ke.KernelTransform("regular", regular.coeffs,
+                                   regular.xi_grid, *tables)
 
     def test_save_load_round_trip(self, regular, tmp_path):
         path = str(tmp_path / "table.bin")
@@ -687,7 +698,8 @@ class TestSmoothing:
 def _per_pair_reference(sk, nu_flat, s_flat, s_deriv=0, nu_deriv=0):
     """The quadrature as a per-pair block loop: blocks of 256 pairs sorted
     by nu, Hhat rows for the distinct nu of each block, and cos/sin of
-    every (pair, xi) product."""
+    every (pair, xi) product.  Returns the values and, per pair, the sum
+    over xi of |weight x row|, the scale of the sum's rounding."""
     tr = sk.transform
     xi_top = min(sk.phi.xi_cutoff(), 2.0 * tr.xi_grid[-1])
     xi = np.linspace(0.0, xi_top, ke._N_XI)
@@ -702,24 +714,27 @@ def _per_pair_reference(sk, nu_flat, s_flat, s_deriv=0, nu_deriv=0):
     nu_flat = np.asarray(nu_flat, dtype=float).ravel()
     s_flat = np.asarray(s_flat, dtype=float).ravel()
     out = np.empty(nu_flat.size)
+    scale = np.empty(nu_flat.size)
     order = np.argsort(nu_flat, kind="stable")
     for start in range(0, nu_flat.size, 256):
         idx = order[start:start + 256]
         uniq, inv = np.unique(nu_flat[idx], return_inverse=True)
         rows = transform(uniq[:, None], xi[None, :]) * weight
+        scale[idx] = np.abs(rows).sum(axis=1)[inv]
         osc = np.multiply.outer(s_flat[idx], xi)
         trig(osc, out=osc)
         osc *= rows[inv]
         out[idx] = osc.sum(axis=1)
-    return out
+    return out, scale
 
 
 class TestQuadrature:
     @pytest.mark.parametrize("kind", ("regular", "singular"))
     def test_equals_per_pair_loop(self, request, kind):
         # rows once per distinct nu and trig once per distinct s leave each
-        # pair's arithmetic as it was: trig(s xi) times the weighted row,
-        # summed over xi; the values are equal bit for bit
+        # pair's terms as they were, trig(s xi) times the weighted row; the
+        # matrix product sums them over xi in another order, so each value
+        # is the reference's to within the rounding of that sum
         tr = request.getfixturevalue(kind)
         k_star = gc.k_of_nu(tr.nu_star)
         sk = _smoothed(tr)
@@ -727,20 +742,68 @@ class TestQuadrature:
                             np.linspace(-1.5, 1.5, 13) * k_star,
                             indexing="ij")
         rng = np.random.default_rng(5)
-        # more distinct nu and s than _VALUE_BLOCK, with repeats, one
-        # pair given twice, and unsorted
+        # more distinct nu than _NU_BLOCK and distinct s than _S_BLOCK,
+        # with repeats, one pair given twice, and unsorted
         nu_set = np.geomspace(tr.nu_min * 2, tr.nu_star, 40)
-        s_set = np.linspace(-2.0, 2.0, 45) * k_star
+        s_set = np.linspace(-2.0, 2.0, 90) * k_star
         nu_sc = rng.choice(nu_set, 150)
         s_sc = rng.choice(s_set, 150)
         nu_sc[7], s_sc[7] = nu_sc[3], s_sc[3]
+        assert np.unique(nu_sc).size > ke._NU_BLOCK
+        assert np.unique(s_sc).size > ke._S_BLOCK
         cases = [(NU, S), (nu_sc, s_sc), (NU[1:2, 5:6], S[1:2, 5:6])]
         for nu_deriv in (0, 1):
             for j in range(5):
                 for nu, s in cases:
                     got = sk.convolved_pairs(nu, s, j, nu_deriv)
-                    ref = _per_pair_reference(sk, nu, s, j, nu_deriv)
-                    assert np.array_equal(got, ref), (j, nu_deriv, nu.size)
+                    ref, scale = _per_pair_reference(sk, nu, s, j, nu_deriv)
+                    assert np.all(np.abs(got - ref) <= 1e-14 * scale), \
+                        (j, nu_deriv, nu.size)
+
+    def test_pair_value_does_not_depend_on_the_call(self, regular):
+        # every product has the same block shape, so a pair's value is the
+        # same bit for bit alone, in a grid and in a sub-grid of it
+        sk = _smoothed(regular)
+        nus = np.geomspace(regular.nu_min * 10, regular.nu_star, 23)
+        s = np.linspace(-1.5, 1.5, 70) * gc.k_of_nu(regular.nu_star)
+        NU, S = np.meshgrid(nus, s, indexing="ij")
+        for j, nu_deriv in ((0, 0), (3, 1)):
+            grid = sk.convolved_pairs(NU, S, j, nu_deriv).reshape(NU.shape)
+            for a, b in ((0, 0), (7, 65), (22, 13)):
+                one = sk.convolved_pairs(nus[a:a + 1], s[b:b + 1], j,
+                                         nu_deriv)
+                assert one[0] == grid[a, b]
+            sub = sk.convolved_pairs(NU[::2, ::3], S[::2, ::3], j, nu_deriv)
+            assert np.array_equal(sub, grid[::2, ::3].ravel())
+
+    def test_kernel_generator_is_the_weighted_sum(self, regular, singular):
+        # one smoothed generator per kernel, combined: every derivative is
+        # w_r (Hr*phi) + w_s (Hs*phi) bit for bit, on the intersection of
+        # the tables' nu ranges
+        def restricted(tr, lo, hi):
+            """tr on its nu-grid rows lo:hi, nu_star the last of them."""
+            c = tr.coeffs
+            coeffs = dataclasses.replace(
+                c, nu_star=float(c.nu_grid[hi - 1]), nu_grid=c.nu_grid[lo:hi],
+                columns={k: v[lo:hi] for k, v in c.columns.items()})
+            return ke.KernelTransform(tr.kind, coeffs, tr.xi_grid,
+                                      tr.ghat[lo:hi], tr.ghat_nu[lo:hi],
+                                      tr.ghat_xi[lo:hi], tr.ghat_nuxi[lo:hi])
+        n = len(regular.coeffs.nu_grid)
+        reg, sing = restricted(regular, 0, n - 30), restricted(singular, 20, n)
+        gen = en.kernel_generator(reg, sing, 0.3, 0.7)
+        assert gen.nu_range == (sing.nu_min, reg.nu_star)
+        assert reg.nu_min < sing.nu_min and reg.nu_star < sing.nu_star
+        phi = ke.GaussianSmoother.for_kernel(reg.nu_star)
+        NU, TH = np.meshgrid(np.geomspace(*gen.nu_range, 5),
+                             np.linspace(-1.0, 1.0, 4), indexing="ij")
+        for i in (0, 1):
+            for j in range(5):
+                r, s = (ke.SmoothedKernel(tr, phi).convolved_pairs(
+                    NU, TH, j, i).reshape(NU.shape) for tr in (reg, sing))
+                assert np.array_equal(gen.d(i, j, NU, TH), 0.3 * r + 0.7 * s)
+        with pytest.raises(en.GeneratorDomainError):
+            gen.d(0, 0, reg.nu_star * 1.01, 0.0)
 
     def test_rows_once_per_nu_set(self, regular, singular, monkeypatch):
         # compactness_bounds_check fits on a grid and on its refinement;
