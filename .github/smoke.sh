@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Every command of the installed `cavlab` console script, once, with the
+# exit code each must give.  Run from the root of a checkout after
+# `pip install`:
+#
+#     bash .github/smoke.sh WORK_DIR
+#
+# Tables, runs and configs are written under WORK_DIR.
+set -euo pipefail
+unset PYTHONPATH
+work=$1
+
+cavlab basis-check
+for kind in regular singular; do
+  cavlab kernel build --kind "$kind" --out "$work/$kind.cavk"
+  cavlab kernel verify "$work/$kind.cavk"
+done
+# generator derivatives, Loewner-Morawetz pairs and admissibility margins
+cavlab entropy check --out "$work/entropy_margins.csv"
+# a nu_star below the calibration point nu = 1e-7 is a usage error
+# (exit 2), refused before the build
+status=0
+cavlab kernel build --kind regular --nu-star 1e-8 \
+  --out "$work/low.cavk" || status=$?
+test "$status" -eq 2
+# the default check is a pre-asymptotic case that fails six gates: it
+# must exit 1 (a failed check), not 2 or 3
+cd "$work"
+status=0
+cavlab check || status=$?
+test "$status" -eq 1
+# the stored run reads back
+cavlab report run
+# a non-finite length is a configuration error (exit 2), not an internal
+# error
+printf 'geometry.h_mesh = nan\noutput.dir = nan-run\n' > nan.cfg
+status=0
+cavlab check --config nan.cfg || status=$?
+test "$status" -eq 2
+# the viscous commands on one viscosity: each must exit 0, and the swept
+# run reads back
+cavlab tables --out chart.csv
+printf 'solver.epsilons = 0.2\noutput.dir = one-eps\n' > one-eps.cfg
+cavlab solve --config one-eps.cfg
+# only sweep writes plotdata/
+test ! -e one-eps/plotdata
+# solve applies the sweep's resolution check: eps = h/5 at the default
+# h = 1/32 is a usage error (exit 2)
+status=0
+cavlab solve --config one-eps.cfg --epsilon 0.00625 || status=$?
+test "$status" -eq 2
+cavlab sweep --config one-eps.cfg
+cavlab report one-eps
+# a directory where a kernel table is read is a usage error
+status=0
+cavlab kernel verify "$work" || status=$?
+test "$status" -eq 2

@@ -230,6 +230,23 @@ def _check_resolution(cfg: RunConfig) -> None:
             "or drop that epsilon")
 
 
+def _check_lattice(cfg: RunConfig) -> None:
+    """ConfigError unless the interior test lattice fits in the channel:
+    its bumps' supports must stay off the walls."""
+    from .diagnostics import INTERIOR_MARGIN
+    g = cfg.geometry
+    least_height = g.bump_height + 2.0 * INTERIOR_MARGIN
+    if g.height < least_height:
+        raise ConfigError(
+            f"geometry.height {g.height:g} leaves no room for the interior "
+            f"test lattice: it needs at least bump_height + "
+            f"{2.0 * INTERIOR_MARGIN:g} = {least_height:g}")
+    if g.half_length < INTERIOR_MARGIN:
+        raise ConfigError(
+            f"geometry.half_length {g.half_length:g} leaves no room for the "
+            f"interior test lattice: it needs at least {INTERIOR_MARGIN:g}")
+
+
 def _check_fields_files(cfg: RunConfig) -> None:
     """ConfigError if two viscosities would write one fields file."""
     seen = {}
@@ -245,10 +262,12 @@ def _check_fields_files(cfg: RunConfig) -> None:
 def _run_sweep(cfg: RunConfig):
     """Warm-started solutions of the configured sweep and their report:
     (mesh, solutions, report, store), config.cfg and report.json saved.
-    A sweep the mesh does not resolve, or whose viscosities share a fields
-    file, is a configuration error; the run directory is made before the
-    mesh is built."""
+    A sweep the mesh does not resolve, whose channel has no room for the
+    interior test lattice, or whose viscosities share a fields file, is a
+    configuration error; the run directory is made before the mesh is
+    built."""
     _check_resolution(cfg)
+    _check_lattice(cfg)
     _check_fields_files(cfg)
     from .diagnostics import run_report
     from .meshing import build_mesh

@@ -38,6 +38,10 @@ from .meshing import Mesh
 from .solver import Solution, SolverConfig, nodal_fluxes
 
 DEGENERACY_FLOOR = 1e-12
+# radius of the interior lattice's bumps, in physical units, and the
+# least distance of a bump centre from a wall
+INTERIOR_RADIUS = 0.125
+INTERIOR_MARGIN = 1.05 * INTERIOR_RADIUS
 
 
 @dataclass(frozen=True)
@@ -59,16 +63,16 @@ def interior_lattice(mesh: Mesh) -> list:
     boundary.
 
     The radius is fixed in physical units, so every mesh of one domain
-    gets the same test functions and fits at two h can be compared.
+    gets the same test functions and fits at two h can be compared.  The
+    lattice fits when height - bump_height >= 2 INTERIOR_MARGIN and
+    half_length >= INTERIOR_MARGIN, which the sweep checks first.
     """
     spec = mesh.spec
-    radius = 0.125
-    margin = radius * 1.05
-    ymin = spec.bump_height + margin
+    margin = INTERIOR_MARGIN
     xs = np.linspace(-spec.half_length + margin, spec.half_length - margin,
                      5)
-    ys = np.linspace(ymin, spec.height - margin, 3)
-    return [BumpFunction((float(x), float(y)), radius)
+    ys = np.linspace(spec.bump_height + margin, spec.height - margin, 3)
+    return [BumpFunction((float(x), float(y)), INTERIOR_RADIUS)
             for x in xs for y in ys]
 
 

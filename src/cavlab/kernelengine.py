@@ -898,7 +898,7 @@ class GaussianSmoother:
 # so BLAS sums each value by one kernel whatever the size of the call,
 # and a pair's value does not depend on the other pairs asked for.
 _N_XI = 4097
-_S_BLOCK = 64
+_S_BLOCK = 32
 _NU_BLOCK = 16
 
 
@@ -915,10 +915,12 @@ class SmoothedKernel:
     the quadrature nodes, the trig factor once per distinct s, and one
     product per block of _S_BLOCK distinct s giving the values of every
     (distinct nu, distinct s) pair, which is what a tensor grid asks
-    for.  The block bounds memory: on the kernel-tables benchmark's
-    tables, a `cavlab kernel verify` process peaks at 61.1 MB and the
-    read-back process at 65.6 MB, against 70.6 and 76.4 MB with one
-    block for all 321 s of huygens_leakage.  The unweighted rows of the
+    for.  The block bounds memory, and 32 columns pad the 9- and 17-point
+    theta grids of the entropy checks less than 64 do: on the
+    kernel-tables benchmark's tables, a `cavlab kernel verify` process
+    peaks at 60.6 MB and the read-back process at 64.8 MB, against 61.2
+    and 65.9 MB at 64 s to a block and 70.6 and 76.4 MB with one block
+    for all 321 s of huygens_leakage.  The unweighted rows of the
     last set of distinct nu are kept, one set for Hhat and one for
     Hhat_nu, for as long as this object lives: later calls on the same
     nu, for any s-derivative order and any s, reuse them until a call on

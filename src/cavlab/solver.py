@@ -22,11 +22,16 @@ does the Dirichlet set: the far-field nodes of
 
 The Picard map g sends the iterate x to the solution of both Poisson
 problems with its loads b(x), as one two-column solve against one
-prefactored stiffness matrix: g(x) = K^-1 (b(x) - lift) on the free
-nodes.  With the far-field Dirichlet rows and columns removed, the P1
-Laplacian K is symmetric positive definite, and `build_mesh` numbers
-the vertices column by column, so its nonzeros lie within one mesh
-column plus two of the diagonal (33 at h = 1/32): it is factored once,
+prefactored matrix.  The unknowns are whole-mesh vectors.  K_D is the P1
+Laplacian K with its Dirichlet rows and columns replaced by those of the
+identity, so it is symmetric positive definite; with the residual
+r = K x - b(x), zeroed on the Dirichlet nodes,
+
+    g(x) - x = -K_D^-1 r,
+
+which is zero on the Dirichlet nodes.  `build_mesh` numbers the vertices
+column by column, ny + 1 to a column, so the nonzeros of K_D lie within
+ny + 2 of the diagonal, a band over all vertices: it is factored once,
 in place in its lower band storage, by scipy.linalg.cholesky_banded
 (LAPACK dpbtrf), and every solve is one scipy.linalg.cho_solve_banded
 (dpbtrs), so storage and solve cost are n times that narrow band.
@@ -35,7 +40,7 @@ The contraction factor of g degrades roughly like 1/eps, so g(x) - x = 0
 is solved by inexact Newton iteration with g as its preconditioner
 (Knoll & Keyes, J. Comput. Phys. 193, 2004).  Each Newton step solves
 
-    (I - K^-1 J_b) delta = g(x) - x
+    (I - K_D^-1 J_b) delta = g(x) - x
 
 by `gmres`, to the Eisenstat-Walker forcing term (choice 2 of SIAM J.
 Sci. Comput. 17, 1996, at most ETA_MAX).  J_b, the Jacobian of the
@@ -47,22 +52,25 @@ d sigma / d rho = (1 - 2 rho^2) / (1 - rho^2),
     dF/dsigma = (-G_y, G_x),   dF/dtheta = (-F_y, F_x),
     dG/dsigma = c G,           dG/dtheta = (-G_y, G_x),
 
-and the obstacle load S(F.n - |F.n|) of sigma differentiates to
-S((1 - sign F.n) d(F.n)).  One Krylov step is one J_b product and one
-two-column solve.  The step is halved while it leaves the invertible
+and the obstacle load S(F.n - |F.n|) = S((1 - sign F.n) F.n) of sigma
+differentiates to S((1 - sign F.n) d(F.n)), so the loads and J_b are
+one assembly.  One Krylov step is one J_b product, its Dirichlet rows
+dropped, and one two-column solve, so every Krylov vector stays zero on
+the Dirichlet nodes.  The step is halved while it leaves the invertible
 sigma range, and then while |g(x) - x| does not decrease.  The unknowns
-are the free-node values of sigma and theta divided by their scales,
-so that both fields weigh alike in every norm.  Each trial iterate costs
-one evaluation of the loads (rho, qt and the trig factors once for both
+are the values of sigma and theta divided by their scales, so that both
+fields weigh alike in every norm.  Each trial iterate costs one
+evaluation of the loads (rho, qt and the trig factors once for both
 fluxes) and one two-column solve for g(x) - x (`picard_step`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gaschart as gc
 from .meshing import Mesh
@@ -240,47 +248,40 @@ def _lower_band(A) -> np.ndarray:
 
 
 class PicardSolver:
-    """Both Poisson problems of a step in one solve against one
-    prefactored Laplacian.
+    """Both Poisson problems of a step in one solve against K_D, on
+    whole-mesh vectors: g(x) - x = -K_D^-1 r.
 
-    The free-node Laplacian (far-field Dirichlet rows and columns
-    removed) is symmetric positive definite, and `build_mesh` numbers the
-    vertices column by column, ny + 1 to a column, so a free node's
-    farthest neighbour is ny + 1 free nodes away at most: its Cholesky
-    factor is kept as a band of that width, about (ny + 2) n_free floats
-    (`factor`, LAPACK's lower band storage).  scipy.linalg.cholesky_banded
-    factors the band in place, so the band and its factor are one array,
-    and each solve is one scipy.linalg.cho_solve_banded, O(ny n_free).
+    The Dirichlet set is the 0/1 mask `keep`, and the Dirichlet rows and
+    columns of K_D are those of the identity.  Its Cholesky factor is a
+    band of ny + 3 rows over all n vertices (`factor`, LAPACK's lower
+    band storage, factored in place by scipy.linalg.cholesky_banded), and
+    each solve is one scipy.linalg.cho_solve_banded, O(ny n).
     """
 
     def __init__(self, mesh: Mesh, config: SolverConfig):
         self.mesh = mesh
         self.config = config
         self.dirichlet = mesh.dirichlet_nodes
-        self.free = np.setdiff1d(np.arange(mesh.n_vertices), self.dirichlet)
-        K = mesh.stiffness_matrix()
-        self.K = K
-        K_free = K[self.free]
+        n = mesh.n_vertices
+        self.keep = np.ones(n)
+        self.keep[self.dirichlet] = 0.0
+        self.K = mesh.stiffness_matrix()
         # imported here, so that importing the solver (as the config does)
         # does not load scipy.linalg
         from scipy.linalg import cho_solve_banded, cholesky_banded
-        self.factor = cholesky_banded(_lower_band(K_free[:, self.free]),
-                                      overwrite_ab=True, lower=True,
-                                      check_finite=False)
+        keep = sp.diags(self.keep)
+        K_D = keep @ self.K @ keep + sp.diags(1.0 - self.keep)
+        self.factor = cholesky_banded(_lower_band(K_D), overwrite_ab=True,
+                                      lower=True, check_finite=False)
         self._cho_solve_banded = cho_solve_banded
-        # per-step constants: far-field sigma, its lift into the free
-        # rows (theta is 0 on the far field), the sigma guard, and the
+        # per-step constants: far-field sigma, the sigma guard, and the
         # scales of sigma and theta in the Newton unknowns
         self.sigma_inf = config.sigma_inf
         self.sigma_hi = gc.sigma_of_rho(RHO_GUARD)
-        n_free = len(self.free)
-        self.scale = np.repeat([max(abs(self.sigma_inf), 0.1),
-                                max(config.k_inf, 0.1)], n_free)
-        sigma_d = np.full(len(self.dirichlet), self.sigma_inf)
-        self.lift = np.column_stack([K_free[:, self.dirichlet] @ sigma_d,
-                                     np.zeros(n_free)])
+        self.scale = np.array([[max(abs(self.sigma_inf), 0.1)],
+                               [max(config.k_inf, 0.1)]])
         # the GMRES basis; a row's memory is touched only once it is used
-        self.basis = np.empty((KRYLOV_MAX + 1, 2 * n_free))
+        self.basis = np.empty((KRYLOV_MAX + 1, 2 * n))
 
     def rhs(self, sigma, theta, eps):
         """Load vectors of both Poisson problems for the current iterate,
@@ -288,97 +289,79 @@ class PicardSolver:
 
         Returns (loads, jacobian): loads is the (2, n) array of rows
         (b_sigma, b_theta), and jacobian(dsigma, dtheta) applies J_b to
-        nodal increments, giving a (2, n) array.  The fluxes F and G come
-        from one `nodal_fluxes`, and the obstacle normal components of both
-        are taken together; J_b reuses F, G and F.n.
+        nodal increments, giving a (2, n) array.  Both are `_loads`, of
+        the fluxes F and G of one `nodal_fluxes` and of their derivatives,
+        with one obstacle factor wall = 1 - sign F.n.
         """
-        mesh = self.mesh
         rho = np.asarray(gc.rho_of_sigma(np.clip(sigma, 0.0, gc.SIGMA_CR)))
         fluxes = nodal_fluxes(rho, theta)
+        F, G = fluxes
+        # sigma's obstacle load is minus the inflow defect |F.n| - F.n,
+        # which vanishes where F.n >= 0: F.n - |F.n| = wall F.n exactly
+        wall = 1.0 - np.sign(self.mesh.obstacle_normal_flux(F))
+        q_e = np.column_stack([-G[:, 1], G[:, 0]])  # qt e(theta)
+        f_theta = np.column_stack([-F[:, 1], F[:, 0]])
+        g_sigma = (-rho / (1.0 - 2.0 * rho * rho))[:, None] * G
+
+        def jacobian(dsigma, dtheta):
+            ds, dt = dsigma[:, None], dtheta[:, None]
+            return self._loads(np.stack([q_e * ds + f_theta * dt,
+                                         g_sigma * ds + q_e * dt]),
+                               wall, eps)
+        return self._loads(fluxes, wall, eps), jacobian
+
+    def _loads(self, fluxes, wall, eps):
+        """(2, n) load rows of the nodal fluxes (F, G): the divergence
+        loads of both, plus S(wall F.n) for sigma and S(G.n) for theta on
+        the obstacle, all divided by eps."""
+        mesh = self.mesh
         # one sparse product per flux: scipy's product with a two-column
         # block costs about 1.6 times as much as two single ones
         loads = np.stack([mesh.divergence_rhs(flux) for flux in fluxes])
         Fn, Gn = mesh.obstacle_normal_flux(fluxes)
-        # sigma: minus the inflow defect |F.n| - F.n, which vanishes where
-        # F.n >= 0; theta: plus G.n
-        loads[0] += mesh.obstacle_scatter @ (Fn - np.abs(Fn))
+        loads[0] += mesh.obstacle_scatter @ (wall * Fn)
         loads[1] += mesh.obstacle_scatter @ Gn
-        loads /= eps
-        F, G = fluxes
-        return loads, partial(
-            self._load_jacobian,
-            np.column_stack([-G[:, 1], G[:, 0]]),  # qt e(theta)
-            np.column_stack([-F[:, 1], F[:, 0]]),
-            (-rho / (1.0 - 2.0 * rho * rho))[:, None] * G,
-            1.0 - np.sign(Fn), eps)
-
-    def _load_jacobian(self, q_e, f_theta, g_sigma, wall, eps, dsigma,
-                       dtheta):
-        """J_b (dsigma, dtheta) from the nodal flux derivatives of an
-        iterate, q_e = dF/dsigma = dG/dtheta, f_theta = dF/dtheta and
-        g_sigma = dG/dsigma, and wall = 1 - sign F.n on the obstacle."""
-        mesh = self.mesh
-        ds, dt = dsigma[:, None], dtheta[:, None]
-        d = np.stack([q_e * ds + f_theta * dt, g_sigma * ds + q_e * dt])
-        loads = np.stack([mesh.divergence_rhs(flux) for flux in d])
-        dFn, dGn = mesh.obstacle_normal_flux(d)
-        loads[0] += mesh.obstacle_scatter @ (wall * dFn)
-        loads[1] += mesh.obstacle_scatter @ dGn
         loads /= eps
         return loads
 
     def _solve(self, b):
-        """K_free^-1 b for a vector or for each column of an (n_free, k)
-        array, through the band factor."""
+        """K_D^-1 b for a vector or for each column of an (n, k) array,
+        through the band factor."""
         return self._cho_solve_banded((self.factor, True), b,
                                       check_finite=False)
 
-    def _solve_pair(self, b_sig, b_the):
-        """Free-node values of both Poisson problems, in one solve."""
-        rhs_f = np.empty((len(self.free), 2), order="F")
-        np.subtract(b_sig[self.free], self.lift[:, 0], out=rhs_f[:, 0])
-        np.subtract(b_the[self.free], self.lift[:, 1], out=rhs_f[:, 1])
-        out = self._solve(rhs_f)
-        return out[:, 0], out[:, 1]
-
     def residual_norms(self, sigma, theta, eps):
-        """Nonlinear weak residuals of the current fields (free nodes).
+        """Nonlinear weak residuals of the current fields.
 
-        Returns ((r_sigma, r_theta), loads, jacobian): the relative
-        residual norms, and the load vectors and load Jacobian of `rhs`
-        they were computed from.
+        Returns ((r_sigma, r_theta), residual, jacobian): the relative
+        residual norms, the (2, n) residual rows K x - b(x), zero on the
+        Dirichlet nodes, and the load Jacobian of `rhs`.
         """
         loads, jacobian = self.rhs(sigma, theta, eps)
-        b_sig, b_the = loads
-        r1 = (self.K @ sigma - b_sig)[self.free]
-        r2 = (self.K @ theta - b_the)[self.free]
-        s1 = max(float(np.linalg.norm(b_sig[self.free])), 1.0)
-        s2 = max(float(np.linalg.norm(b_the[self.free])), 1.0)
-        return ((float(np.linalg.norm(r1)) / s1,
-                 float(np.linalg.norm(r2)) / s2), loads, jacobian)
+        residual = np.stack([self.K @ sigma, self.K @ theta])
+        residual -= loads
+        residual *= self.keep
+        loads *= self.keep
+        norms = np.linalg.norm(residual, axis=1) \
+            / np.maximum(np.linalg.norm(loads, axis=1), 1.0)
+        return tuple(norms.tolist()), residual, jacobian
 
-    def picard_step(self, sigma, theta, b_sig, b_the):
-        """g(x) - x for the iterate x = (sigma, theta) with the load
-        vectors (b_sig, b_the): one two-column solve.  Free-node values,
-        sigma's then theta's, divided by their scales."""
-        f = np.concatenate(self._solve_pair(b_sig, b_the))
-        f[:len(self.free)] -= sigma[self.free]
-        f[len(self.free):] -= theta[self.free]
-        f /= self.scale
-        return f
+    def picard_step(self, residual):
+        """g(x) - x = -K_D^-1 r for the residual rows r of an iterate
+        (zero on the Dirichlet nodes): one two-column solve.  Sigma's
+        values then theta's, divided by their scales."""
+        return (self._solve(residual.T).T / -self.scale).ravel()
 
     def _newton_operator(self, jacobian):
-        """v -> (I - K^-1 J_b) v on scaled free-node increments v."""
-        free, scale = self.free, self.scale
-        increment = np.zeros((2, self.mesh.n_vertices))  # 0 on the far field
+        """v -> (I - K_D^-1 J_b) v on scaled increments v; the Dirichlet
+        rows of J_b v are dropped, so a v that is zero on the Dirichlet
+        nodes maps to one that is zero there."""
+        scale = self.scale
 
         def matvec(v):
-            # row by row and np.take: fancy indexing across both rows of a
-            # (2, n) array at once is several times slower
-            increment[0, free], increment[1, free] = \
-                (v * scale).reshape(2, -1)
-            w = self._solve(np.take(jacobian(*increment), free, axis=1).T)
-            return v - w.T.ravel() / scale
+            w = jacobian(*(v.reshape(2, -1) * scale))
+            w *= self.keep
+            return v - (self._solve(w.T).T / scale).ravel()
         return matvec
 
     def _in_range(self, sigma):
@@ -390,7 +373,7 @@ class PicardSolver:
         Converged means that at the current iterate the scaled update
         |g(x) - x|_inf is below `picard_tol` and the relative residual
         below `residual_tol`.  Until then, each Newton step solves
-        (I - K^-1 J_b) delta = g(x) - x by `gmres` to |residual|_2 <=
+        (I - K_D^-1 J_b) delta = g(x) - x by `gmres` to |residual|_2 <=
         eta |g(x) - x|_2, where eta is 0.9 times the squared ratio of the
         last two norms |g - x|_2 (ETA_MAX at the first step), at most
         ETA_MAX, and no smaller than needed for a residual of half
@@ -405,7 +388,6 @@ class PicardSolver:
         Krylov steps of all of them.
         """
         cfg = self.config
-        free, n_free = self.free, len(self.free)
         n = self.mesh.n_vertices
         if warm_start is None:
             sigma = np.full(n, self.sigma_inf)
@@ -421,8 +403,8 @@ class PicardSolver:
         def evaluate(sigma, theta):
             nonlocal solves
             solves += 1
-            res, loads, jacobian = self.residual_norms(sigma, theta, eps)
-            return max(res), self.picard_step(sigma, theta, *loads), jacobian
+            res, residual, jacobian = self.residual_norms(sigma, theta, eps)
+            return max(res), self.picard_step(residual), jacobian
 
         def failure(reason):
             return ConvergenceError(
@@ -451,16 +433,14 @@ class PicardSolver:
                                  self.basis[:budget + 1])
             solves += steps
             krylov.append(steps)
-            delta *= self.scale
+            delta = delta.reshape(2, -1) * self.scale
             lam = 1.0
             for _ in range(MAX_HALVINGS + 1):
-                trial_s = sigma.copy()
-                trial_s[free] += lam * delta[:n_free]
+                trial_s = sigma + lam * delta[0]
                 if self._in_range(trial_s):
                     if solves >= cfg.max_iters:
                         raise failure("solve budget spent")
-                    trial_t = theta.copy()
-                    trial_t[free] += lam * delta[n_free:]
+                    trial_t = theta + lam * delta[1]
                     r, f_trial, jacobian = evaluate(trial_s, trial_t)
                     trial_norm = float(np.linalg.norm(f_trial))
                     if trial_norm <= (1.0 - 1e-4 * lam) * f_norm:

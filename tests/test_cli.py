@@ -320,6 +320,25 @@ def test_epsilons_sharing_a_fields_file_are_a_usage_error(tmp_path, capsys,
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("command", ("sweep", "check"))
+def test_channel_without_room_for_the_lattice_is_a_usage_error(
+        tmp_path, capsys, command):
+    # height 0.3 is a valid geometry (bump 0.05 < height / 2), but the
+    # interior lattice's rows need bump_height + 2 x 1.05 x 0.125: below
+    # that its supports reach the obstacle and the lid
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("geometry.height = 0.3\n"
+                   "geometry.h_mesh = 0.0625\n"
+                   "solver.epsilons = 0.2\n"
+                   f"output.dir = {run_dir}\n")
+    assert cli.main([command, "--config", str(cfg)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "at least bump_height + 0.2625 = 0.3125" in err
+    assert not run_dir.exists()
+
+
 def test_epsilon_at_h_over_2_5_is_accepted(tmp_path):
     # the default sits exactly on the bound (h = 1/32, eps down to 0.0125)
     cfg = RunConfig()

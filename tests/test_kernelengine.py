@@ -454,6 +454,14 @@ class TestAssembledKernels:
             xi2 = rec["xi"] ** 2
             assert abs(rec["rhoHnu_limit"] - xi2) < 1e-4 * (1 + xi2)
 
+    def test_exact_xi0_solution_regular(self, regular):
+        # at xi = 0 the generator equation is H_nunu = 0, and with the
+        # vacuum data the regular kernel's solution is H_r(nu, 0) = nu;
+        # dense in nu, so values between the grid nodes count too
+        nus = np.geomspace(regular.nu_min, regular.nu_star, 1201)
+        assert np.abs(regular.Hhat(nus, 0.0) - nus).max() <= 1e-4
+        assert np.abs(regular.Hhat_nu(nus, 0.0) - 1.0).max() <= 1e-4
+
     def test_calibration_factors(self, regular, singular):
         # paper c0 is already exact; d0 carries the documented factor 2
         assert regular.coeffs.calibration == pytest.approx(1.0, abs=1e-9)

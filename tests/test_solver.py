@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import cavlab.gaschart as gc
 from cavlab import meshing as mh
@@ -203,41 +204,78 @@ def test_nonconvergence_reports_history():
     assert len(history["updates"]) == len(history["krylov_steps"]) + 1
 
 
-def test_solve_pair_matches_single_solves():
+def _free_blocks(solver):
+    """Free nodes, K_ff and K_fd of the Laplacian with the Dirichlet
+    rows and columns taken out: the elimination the solver replaces by
+    identity rows."""
+    K = solver.mesh.stiffness_matrix()
+    free = np.flatnonzero(solver.keep)
+    return free, K[free][:, free].tocsc(), K[free][:, solver.dirichlet]
+
+
+def test_picard_step_matches_free_node_solve(monkeypatch):
+    # g(x) - x = -K_D^-1 r equals the free-node solve with the far-field
+    # values lifted into the load, K_ff^-1 (b_f - K_fd x_d) - x_f
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
     cfg = sv.SolverConfig(epsilons=(0.2,))
     solver = sv.PicardSolver(mesh, cfg)
     assert solver.K is mesh.stiffness_matrix()
     assert solver.dirichlet is mesh.dirichlet_nodes
-    b_sig, b_the = np.random.default_rng(3).standard_normal(
-        (2, mesh.n_vertices))
-    K_fd = mesh.stiffness_matrix()[solver.free][:, solver.dirichlet]
-    n_d = len(solver.dirichlet)
-    K_ff = mesh.stiffness_matrix()[solver.free][:, solver.free]
-    pair = solver._solve_pair(b_sig, b_the)
-    for got, b, bdry in zip(pair, (b_sig, b_the),
-                            (np.full(n_d, cfg.sigma_inf), np.zeros(n_d))):
-        rhs = b[solver.free] - K_fd @ bdry
-        ref = solver._solve(rhs)  # one column through the same factor
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.abs(K_ff @ got - rhs).max() <= 1e-12 * np.abs(rhs).max()
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, mesh.n_vertices))
+    x[0, solver.dirichlet] = cfg.sigma_inf
+    x[1, solver.dirichlet] = 0.0
+    b = rng.standard_normal((2, mesh.n_vertices))
+    monkeypatch.setattr(solver, "rhs", lambda *args: (b.copy(), None))
+    _, residual, _ = solver.residual_norms(x[0], x[1], 0.2)
+    step = solver.picard_step(residual).reshape(2, -1)
+    free, K_ff, K_fd = _free_blocks(solver)
+    for got, x_k, b_k, scale in zip(step, x, b, solver.scale[:, 0]):
+        ref = spla.spsolve(K_ff, b_k[free] - K_fd @ x_k[solver.dirichlet]) \
+            - x_k[free]
+        assert np.abs(got[free] - ref / scale).max() \
+            <= 1e-12 * np.abs(ref / scale).max()
+        assert np.all(got[solver.dirichlet] == 0.0)
+
+
+def test_newton_operator_keeps_the_dirichlet_entries_zero():
+    # (I - K_D^-1 J_b) v for v zero on the far field is zero there, and
+    # on the free nodes it is v_f - K_ff^-1 (J_b v)_f
+    mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 16))
+    cfg = sv.SolverConfig(epsilons=(0.2,))
+    solver = sv.PicardSolver(mesh, cfg)
+    x, y = mesh.vertices.T
+    _, jacobian = solver.rhs(cfg.sigma_inf + 0.02 * np.sin(3.0 * x) * y,
+                             0.1 * np.cos(2.0 * x) * y, 0.2)
+    v = np.random.default_rng(5).standard_normal((2, mesh.n_vertices))
+    v *= solver.keep
+    w = solver._newton_operator(jacobian)(v.ravel()).reshape(2, -1)
+    assert np.all(w[:, solver.dirichlet] == 0.0)
+    free, K_ff, _ = _free_blocks(solver)
+    load = jacobian(*(v * solver.scale))
+    for got, v_k, load_k, scale in zip(w, v, load, solver.scale[:, 0]):
+        ref = v_k[free] - spla.spsolve(K_ff, load_k[free]) / scale
+        assert np.abs(got[free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_stiffness_band_is_one_mesh_column_wide():
-    # build_mesh numbers vertices column by column, ny + 1 per column;
-    # without the far-field rows a free node's farthest neighbour is ny
-    # free nodes away, or ny + 1 where the column's bottom node lies on
-    # the obstacle.  K stores no zeros, and on a flat mesh the coupling
-    # at distance ny, across the diagonal of a rectangular cell, is zero
+    # build_mesh numbers vertices column by column, ny + 1 per column, so
+    # a node's farthest neighbour is ny + 2 vertices away, across the
+    # diagonal of a cell.  K stores no zeros, the identity rows of K_D
+    # add none, and on a flat mesh the coupling across the diagonal of a
+    # rectangular cell is zero: there the band ends at the neighbour in
+    # the next column, ny + 1 away
     for h in (1 / 16, 1 / 32):
         spec = mh.DomainSpec(h_mesh=h)
         ny = round(spec.height / h)
-        solver = sv.PicardSolver(mh.build_mesh(spec), sv.SolverConfig())
-        # the factor keeps the band's storage: one row per subdiagonal
-        assert solver.factor.shape == (ny + 2, len(solver.free))
+        mesh = mh.build_mesh(spec)
+        solver = sv.PicardSolver(mesh, sv.SolverConfig())
+        # the factor keeps the band's storage: one row per subdiagonal,
+        # over all vertices
+        assert solver.factor.shape == (ny + 3, mesh.n_vertices)
         flat = mh.build_mesh(mh.DomainSpec(bump_height=0.0, h_mesh=h))
         assert sv.PicardSolver(flat, sv.SolverConfig()).factor.shape[0] \
-            == ny
+            == ny + 2
 
 
 def test_banded_cholesky_rejects_matrix_not_positive_definite(monkeypatch):
@@ -245,19 +283,21 @@ def test_banded_cholesky_rejects_matrix_not_positive_definite(monkeypatch):
     band = sv._lower_band(A)
     assert band.flags.f_contiguous
     assert np.array_equal(band, [[2.0] * 6, [-1.0] * 5 + [0.0]])
-    # the solver factors its free-node Laplacian through that band, and
-    # one that is not positive definite is refused when it is built
+    # the solver factors K_D through that band, and one that is not
+    # positive definite is refused when it is built
     mesh = mh.build_mesh(mh.DomainSpec(h_mesh=1 / 4))
     K = mesh.stiffness_matrix()
     solver = sv.PicardSolver(mesh, sv.SolverConfig())
-    b = np.ones(len(solver.free))
-    assert np.allclose(K[solver.free][:, solver.free] @ solver._solve(b), 1.0)
+    free, K_ff, _ = _free_blocks(solver)
+    assert np.allclose(K_ff @ solver._solve(solver.keep)[free], 1.0)
     monkeypatch.setattr(mesh, "stiffness_matrix", lambda: -K)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         sv.PicardSolver(mesh, sv.SolverConfig())
+    # the identity rows of the far field come first; the first free row
+    # is the 7th
     indefinite = K - 2.0 * K.diagonal().max() * sp.eye(mesh.n_vertices)
     monkeypatch.setattr(mesh, "stiffness_matrix", lambda: indefinite)
-    with pytest.raises(np.linalg.LinAlgError, match="1-th leading minor"):
+    with pytest.raises(np.linalg.LinAlgError, match="7-th leading minor"):
         sv.PicardSolver(mesh, sv.SolverConfig())
 
 
