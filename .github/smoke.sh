@@ -37,6 +37,12 @@ printf 'geometry.h_mesh = nan\noutput.dir = nan-run\n' > nan.cfg
 status=0
 cavlab check --config nan.cfg || status=$?
 test "$status" -eq 2
+# so is an infinite viscosity
+printf 'solver.epsilons = inf\noutput.dir = inf-run\n' > inf.cfg
+status=0
+cavlab check --config inf.cfg || status=$?
+test "$status" -eq 2
+test ! -e inf-run
 # the viscous commands on one viscosity: each must exit 0, and the swept
 # run reads back
 cavlab tables --out chart.csv

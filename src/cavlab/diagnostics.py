@@ -9,19 +9,17 @@ sqrt(eps) envelope fits across a viscosity sweep.
 
 Test functions are P1 functions in V_h,0, the solver's own test space:
 each bump enters as its nodal interpolant psi_h, zero on the Dirichlet
-nodes the solver uses (`Mesh.dirichlet_nodes`), and a lattice is one
-sparse nodal matrix Psi with a column per bump (`nodal_test_functions`).
-Every functional is Psi.T applied to a load vector built from the mesh's
-two P1 primitives, the cell gradient G and the cell mean, as the
-solver's operators are, so the discrete weak identities hold to solver
-tolerance, not to a second quadrature's error.  Both sides of the
-special identity go through the scatter G^T |T| of `divergence_rhs`.
+nodes the solver uses (`Mesh.dirichlet_nodes`), and each of the two
+lattices is one sparse nodal matrix with a column per bump
+(`nodal_test_functions`).  Every functional is Psi.T applied to a load
+vector built from the mesh's two P1 primitives, the cell gradient G and
+the cell mean, as the solver's operators are, so the discrete weak
+identities hold to solver tolerance, not to a second quadrature's error.
 
-Each solution's state is derived once: rho is inverted from sigma once
-per `Solution`, and the per-triangle states, their gradients and the
-dissipation density |grad theta|^2 + f q^-2 |grad rho|^2 are one
-`CellStates` that the dissipation integral, the D1 + D2 splitting and
-the special identity all read.
+Each solution is evaluated in one pass: rho is inverted from sigma once,
+the cell states are one `CellStates`, and `lattice_functionals` takes
+every lattice functional from one `nodal_fluxes` call and one Psi_in.T
+product over the stacked loads.
 """
 
 from __future__ import annotations
@@ -44,67 +42,42 @@ INTERIOR_RADIUS = 0.125
 INTERIOR_MARGIN = 1.05 * INTERIOR_RADIUS
 
 
-@dataclass(frozen=True)
-class BumpFunction:
-    """Smooth bump exp(1 - 1/(1 - r^2/R^2)), supported in the open disc."""
-    center: tuple
-    radius: float
+def nodal_test_functions(mesh: Mesh) -> tuple:
+    """Nodal matrices (Psi_in, Psi_obs) of the two lattices of bumps
+    exp(1 - 1/(1 - r^2/R^2)), zero outside the disc of radius R: column
+    j holds bump j at the vertices, zeroed on `Mesh.dirichlet_nodes`, and
+    only the supports are stored.  Psi.T @ b evaluates at every psi_h the
+    functional l whose load vector is b_i = l(lambda_i).
 
-    def __call__(self, x, y):
-        r2 = ((np.asarray(x) - self.center[0]) ** 2
-              + (np.asarray(y) - self.center[1]) ** 2) / self.radius ** 2
+    Psi_in is 5 x 3 bumps of radius INTERIOR_RADIUS, fixed in physical
+    units so that every mesh of one domain gets the same test functions
+    and fits at two h can be compared; their supports stay off every
+    boundary when height - bump_height >= 2 INTERIOR_MARGIN and
+    half_length >= INTERIOR_MARGIN, which the sweep checks first.
+    Psi_obs is five bumps covering the obstacle arc, clear of the inlet,
+    outlet and lid but reaching the far-field bottom wall, zeroed there.
+    """
+    spec = mesh.spec
+    xs = np.linspace(-spec.half_length + INTERIOR_MARGIN,
+                     spec.half_length - INTERIOR_MARGIN, 5)
+    ys = np.linspace(spec.bump_height + INTERIOR_MARGIN,
+                     spec.height - INTERIOR_MARGIN, 3)
+    obstacle_radius = min(0.45 * (spec.half_length - spec.chord / 2),
+                          0.45 * spec.height, 0.6 * spec.chord)
+    lattices = [  # the centres' x and y, one per bump, and the radius
+        (np.repeat(xs, 3), np.tile(ys, 5), INTERIOR_RADIUS),
+        (np.linspace(-spec.chord / 2, spec.chord / 2, 5), 0.0,
+         obstacle_radius)]
+    x, y = mesh.vertices[:, :1], mesh.vertices[:, 1:]
+    blocks = []
+    for cx, cy, radius in lattices:
+        r2 = ((x - cx) ** 2 + (y - cy) ** 2) / radius ** 2
         inside = r2 < 1.0
         safe = np.where(inside, 1.0 - r2, 1.0)
-        return np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
-
-
-def interior_lattice(mesh: Mesh) -> list:
-    """Bumps on an interior 5 x 3 lattice, supports away from every
-    boundary.
-
-    The radius is fixed in physical units, so every mesh of one domain
-    gets the same test functions and fits at two h can be compared.  The
-    lattice fits when height - bump_height >= 2 INTERIOR_MARGIN and
-    half_length >= INTERIOR_MARGIN, which the sweep checks first.
-    """
-    spec = mesh.spec
-    margin = INTERIOR_MARGIN
-    xs = np.linspace(-spec.half_length + margin, spec.half_length - margin,
-                     5)
-    ys = np.linspace(spec.bump_height + margin, spec.height - margin, 3)
-    return [BumpFunction((float(x), float(y)), INTERIOR_RADIUS)
-            for x in xs for y in ys]
-
-
-def obstacle_lattice(mesh: Mesh) -> list:
-    """Five bumps covering the obstacle arc.
-
-    Their supports stay clear of the inlet, outlet and lid but reach the
-    far-field parts of the bottom wall, where `nodal_test_functions`
-    zeroes them.
-    """
-    spec = mesh.spec
-    xs = np.linspace(-spec.chord / 2, spec.chord / 2, 5)
-    radius = min(0.45 * (spec.half_length - spec.chord / 2),
-                 0.45 * spec.height, 0.6 * spec.chord)
-    return [BumpFunction((float(x), 0.0), radius) for x in xs]
-
-
-def nodal_test_functions(mesh: Mesh, bumps) -> sp.csc_matrix:
-    """Nodal matrix Psi (n_vertices x len(bumps)) of the P1 interpolants
-    psi_h in V_h,0: column j holds bump j at the vertices, zeroed on
-    `Mesh.dirichlet_nodes`.  Only the supports are stored.
-
-    For a load vector b with b_i = l(lambda_i), Psi.T @ b evaluates the
-    linear functional l at every psi_h.
-    """
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    columns = []
-    for bump in bumps:
-        phi = bump(x, y)
+        phi = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
         phi[mesh.dirichlet_nodes] = 0.0
-        columns.append(sp.csc_matrix(phi[:, None]))
-    return sp.hstack(columns, format="csc")
+        blocks.append(sp.csc_matrix(phi))
+    return tuple(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -143,43 +116,69 @@ def cell_states(mesh: Mesh, sol: Solution) -> CellStates:
                       density)
 
 
-def dissipation_integral(mesh: Mesh, cells: CellStates) -> float:
-    """eps * int |grad theta|^2 + (1 - c^2/q^2) q^-2 |grad rho|^2 dx."""
-    return cells.epsilon * mesh.integrate(cells.density)
+def lattice_functionals(mesh: Mesh, sol: Solution, cells: CellStates,
+                        pair, nu_bar: float, psi_in, psi_obs) -> dict:
+    """Every lattice functional of one solution, a vector each, from one
+    `nodal_fluxes` call and one Psi_in.T product over the stacked loads
+    D F, D G, D Q and the special load b (D = `Mesh.divergence_rhs`).
 
+    "mass", "curl": the inviscid residuals int rho u . grad(psi) and
+    int q e(theta - pi/2) . grad(psi).  Tested against psi_h, the
+    inviscid residual of a converged solution IS the viscous term, so
+    the sqrt(eps) laws are measured without an O(h^2) quadrature floor.
 
-def weak_form_residuals(mesh: Mesh, sol: Solution, psi) -> dict:
-    """Residuals of the inviscid system against interior test functions:
+    "defect_star": d_psi = int Q . grad(psi_h) for the entropy pair
+    `pair(rho, theta) -> (Q1, Q2)`; a distributional entropy inequality
+    div Q >= 0 makes every d_psi nonpositive up to the viscous
+    O(sqrt(eps)) excess.
 
-    mass: int rho u . grad(psi),   curl: int q e(theta - pi/2) . grad(psi).
+    "special_defect": |d_psi - eps Psi_in.T b| for the exact dissipation
+    identity of the distinguished pair,
 
-    Tested against psi_h, the inviscid residual of a converged solution
-    IS the viscous term, so the sqrt(eps) laws are measured without an
-    O(h^2) quadrature floor.
+    int Q* . grad(psi) = eps int (-theta grad theta + f N grad rho) . grad(psi)
+                         - eps int psi (|grad th|^2 + f q^-2 |grad rho|^2),
+
+    whose right side is eps times one load from the scatter G^T |T| of D,
+    b = G^T (|T| V) - cell_mean^T (|T| density), with V the first bracket
+    at the cell states.  This couples solver, chart, and entropy
+    machinery in one number.
+
+    "trace": weak normal trace functionals over the obstacle (n into the
+    fluid) on Psi_obs,
+
+        T(phi_h) = int phi_h |rho u.n| dH + int_D rho u . grad(phi_h) dx
+                   - eps int_D grad(phi_h) . grad(sigma) dx,
+
+    the load S |F.n| + D F - eps K sigma with the solver's wall
+    quadrature (S = `Mesh.obstacle_scatter`).  phi_h vanishes on the
+    Dirichlet nodes, so the solver's sigma equation makes this
+    Psi.T S (2|F.n| - F.n) >= 0 up to eps times its residual: the trace
+    gate checks a discrete identity.  The plain wall flux
+    int phi rho u.n dH alone does not shrink with eps: on the default
+    geometry its minimum over the obstacle lattice goes -1.77e-2 ...
+    -2.18e-2 for eps = 0.2 ... 0.0125, the same at h = 1/32 and 1/64.
     """
-    F, G = nodal_fluxes(sol.rho, sol.theta)
-    mass = psi.T @ mesh.divergence_rhs(F)
-    curl = psi.T @ mesh.divergence_rhs(G)
-    return {"mass": float(np.abs(mass).max()),
-            "curl": float(np.abs(curl).max())}
-
-
-def entropy_dissipation(mesh: Mesh, sol: Solution, pair,
-                        psi) -> np.ndarray:
-    """Defect vector d_psi = int Q(u) . grad(psi_h) dx, one per column,
-    for the entropy pair `pair(rho, theta) -> (Q1, Q2)`.
-
-    A distributional entropy inequality div Q >= 0 makes every d_psi
-    nonpositive up to the viscous O(sqrt(eps)) excess.
-    """
-    rho, theta = sol.rho, sol.theta
+    rho, theta, eps = sol.rho, sol.theta, sol.epsilon
+    F, G = nodal_fluxes(rho, theta)
     Q = np.stack([np.asarray(q) for q in pair(rho, theta)], axis=1)
     if not np.all(np.isfinite(Q)):
         bad = int(np.nonzero(~np.isfinite(Q).all(axis=1))[0][0])
         raise en.GeneratorDomainError(
             f"entropy pair not evaluable at node {bad} "
             f"(rho={rho[bad]:.4f}, theta={theta[bad]:.4f})")
-    return psi.T @ mesh.divergence_rhs(Q)
+    nvals = np.asarray(en.N_of_rho(cells.rho, gc.rho_of_nu(nu_bar)))
+    V = -cells.theta[:, None] * cells.grad_theta \
+        + (cells.f * nvals)[:, None] * cells.grad_rho
+    b = mesh.cell_gradient.T @ (mesh.areas[:, None] * V).ravel() \
+        - mesh.cell_mean.T @ (mesh.areas * cells.density)
+    DF = mesh.divergence_rhs(F)
+    mass, curl, d_star, special = (psi_in.T @ np.column_stack(
+        [DF, mesh.divergence_rhs(G), mesh.divergence_rhs(Q), b])).T
+    wall = mesh.obstacle_scatter @ np.abs(mesh.obstacle_normal_flux(F))
+    trace = psi_obs.T @ (wall + DF
+                         - eps * (mesh.stiffness_matrix() @ sol.sigma))
+    return {"mass": mass, "curl": curl, "defect_star": d_star,
+            "special_defect": np.abs(d_star - eps * special), "trace": trace}
 
 
 def compactness_decomposition(mesh: Mesh, cells: CellStates,
@@ -238,52 +237,6 @@ def invariant_region_report(sol: Solution) -> dict:
     }
 
 
-def obstacle_trace(mesh: Mesh, sol: Solution, psi) -> np.ndarray:
-    """Weak normal trace functionals over the obstacle (n into the fluid),
-
-        T(phi_h) = int phi_h |rho u.n| dH + int_D rho u . grad(phi_h) dx
-                   - eps int_D grad(phi_h) . grad(sigma) dx,
-
-    for each column phi_h of Psi, with the solver's wall quadrature
-    (`Mesh.obstacle_normal_flux`, `Mesh.obstacle_scatter`).  phi_h
-    vanishes on the Dirichlet nodes, so the solver's sigma equation makes
-    this Psi.T S (2|F.n| - F.n) >= 0 up to eps times its residual: the
-    trace gate checks a discrete identity.  The plain wall flux
-    int phi rho u.n dH alone does not shrink with eps: on the default
-    geometry its minimum over the obstacle lattice goes -1.77e-2 ...
-    -2.18e-2 for eps = 0.2 ... 0.0125, the same at h = 1/32 and 1/64.
-    """
-    F = nodal_fluxes(sol.rho, sol.theta)[0]
-    wall = mesh.obstacle_scatter @ np.abs(mesh.obstacle_normal_flux(F))
-    load = wall + mesh.divergence_rhs(F) \
-        - sol.epsilon * (mesh.stiffness_matrix() @ sol.sigma)
-    return psi.T @ load
-
-
-def special_identity_defect(mesh: Mesh, cells: CellStates, d_star,
-                            nu_bar: float, psi) -> float:
-    """Weak-form defect of the exact dissipation identity for the
-    distinguished pair:
-
-    int Q* . grad(psi) = eps int (-theta grad theta + f N grad rho) . grad(psi)
-                         - eps int psi (|grad th|^2 + f q^-2 |grad rho|^2)
-
-    on the P1 psi_h of Psi.  The left side is the pair's defect vector
-    d_star (`entropy_dissipation`), G^T |T| applied to the cell means of
-    Q*; the right side is one nodal load from the same scatter,
-    G^T (|T| V) - cell_mean^T (|T| density), with V the bracket of the
-    first term at the cell states.  This couples solver, chart, and
-    entropy machinery in one number.
-    """
-    rho_bar = gc.rho_of_nu(nu_bar)
-    nvals = np.asarray(en.N_of_rho(cells.rho, rho_bar))
-    V = -cells.theta[:, None] * cells.grad_theta \
-        + (cells.f * nvals)[:, None] * cells.grad_rho
-    load = mesh.cell_gradient.T @ (mesh.areas[:, None] * V).ravel() \
-        - mesh.cell_mean.T @ (mesh.areas * cells.density)
-    return float(np.abs(d_star - cells.epsilon * (psi.T @ load)).max())
-
-
 def cauchy_convergence(mesh: Mesh, solutions) -> dict:
     """Pairwise L2 differences of (rho, theta) along the sweep."""
     diffs = []
@@ -339,40 +292,37 @@ class RunReport:
 
 
 def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
-    """Assemble every diagnostic for a completed sweep.
-
-    Per solution, rho comes from its one inversion of sigma
-    (`Solution.rho`) and every cell-based diagnostic reads one
-    `cell_states`; the distinguished pair's defect vector is computed
-    once and serves both the entropy defect and the special identity.
+    """Assemble every diagnostic for a completed sweep, in one pass per
+    solution: one `cell_states` and one `lattice_functionals`, whose
+    defect vector serves both the entropy defect and the special identity.
     """
     nu_bar = gc.nu_of_rho(config.rho_inf)
     gen_star = en.special_generator(gc.GasChart(), nu_bar)
     pair_star = en.special_pair(nu_bar)
-    interior = interior_lattice(mesh)
-    psi = nodal_test_functions(mesh, interior + obstacle_lattice(mesh))
-    psi_in, psi_obs = psi[:, :len(interior)], psi[:, len(interior):]
+    psi_in, psi_obs = nodal_test_functions(mesh)
 
     records = []
     for sol in solutions:
         cells = cell_states(mesh, sol)
-        d_star = entropy_dissipation(mesh, sol, pair_star, psi_in)
-        trace = obstacle_trace(mesh, sol, psi_obs)
+        lattice = lattice_functionals(mesh, sol, cells, pair_star, nu_bar,
+                                      psi_in, psi_obs)
+        d_star = lattice["defect_star"]
         records.append({
             "epsilon": sol.epsilon,
             "iterations": sol.iterations,
             "krylov_steps": sol.krylov_steps,
             "final_residual": sol.residual_history[-1],
             "invariant_region": invariant_region_report(sol),
-            "dissipation_integral": dissipation_integral(mesh, cells),
-            "weak_residuals": weak_form_residuals(mesh, sol, psi_in),
+            "dissipation_integral":
+                sol.epsilon * mesh.integrate(cells.density),
+            "weak_residuals": {key: float(np.abs(lattice[key]).max())
+                               for key in ("mass", "curl")},
             "entropy_defect_star": float(np.max(d_star)),
             "entropy_defect_star_all": [float(x) for x in d_star],
             "compactness_star": compactness_decomposition(mesh, cells,
                                                           gen_star),
-            "obstacle_trace_min": float(trace.min()),
-            "special_identity_defect": special_identity_defect(
-                mesh, cells, d_star, nu_bar, psi_in)})
+            "obstacle_trace_min": float(lattice["trace"].min()),
+            "special_identity_defect": float(lattice["special_defect"].max())})
 
     eps = [r["epsilon"] for r in records]
     diss = [r["dissipation_integral"] for r in records]

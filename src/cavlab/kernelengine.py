@@ -202,6 +202,14 @@ _Z_DFHAT = {
 }
 
 
+def _table_columns(spec: _Kind) -> list:
+    """(column, function, j) for every column of a kind's table: each
+    function of `_Kind.columns` and its first n - 1 nu-derivatives, the
+    j-th named with the suffix "", "p" or "pp"."""
+    return [(name + suffix, name, j) for name, n in spec.columns
+            for j, suffix in enumerate(("", "p", "pp")[:n])]
+
+
 def _kind(kind: str) -> _Kind:
     try:
         return KINDS[kind]
@@ -289,15 +297,14 @@ class CoefficientModel:
         upper = nu_grid >= self._nu_switch
         jets = self._jets(kind, nu_grid[upper]) if upper.any() else {}
         cols = {}
-        for name, n in spec.columns:
-            for j, suffix in enumerate(("", "p", "pp")[:n]):
-                ser = (self.series[name].dnu().dnu() if j == 2
-                       else self.series[name + suffix])
-                col = np.empty_like(nu_grid)
-                col[~upper] = ser(nu_grid[~upper])
-                if jets:
-                    col[upper] = jets[name].derivative(j)
-                cols[name + suffix] = col
+        for column, name, j in _table_columns(spec):
+            ser = (self.series[name].dnu().dnu() if j == 2
+                   else self.series[column])
+            col = np.empty_like(nu_grid)
+            col[~upper] = ser(nu_grid[~upper])
+            if jets:
+                col[upper] = jets[name].derivative(j)
+            cols[column] = col
         return cols
 
 
@@ -422,7 +429,8 @@ _TABLE_VERSION = 1
 
 
 class KernelTableError(ValueError):
-    """A kernel table file that is truncated, padded or not a table."""
+    """A kernel table file that is truncated, padded, not a table, or
+    whose column names or grids are not those of a table."""
 
 
 @dataclass
@@ -610,7 +618,11 @@ class KernelTransform:
     @classmethod
     def load(cls, path: str) -> "KernelTransform":
         """Read a table written by save; a malformed file raises
-        KernelTableError naming the file and the section at fault."""
+        KernelTableError naming the file and the section at fault.  The
+        column names must be exactly those of the kind's table, the nu
+        grid at least 2 finite values > 0 and the xi grid at least 2
+        finite values >= 0, each strictly increasing: the splines in
+        log nu and the xi brackets of the remainder read them so."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
 
@@ -659,8 +671,24 @@ class KernelTransform:
                     raise KernelTableError(
                         f"{path}: undecodable name in section column names"
                     ) from exc
+            kind = list(KINDS)[kind_id]
+            expected = sorted(c for c, _, _ in _table_columns(KINDS[kind]))
+            if sorted(names) != expected:
+                raise KernelTableError(
+                    f"{path}: columns {sorted(names)} in section column "
+                    f"names are not the {kind} table's {expected}")
             nu_grid = floats(n_nu, "nu grid")
             xi_grid = floats(n_xi, "xi grid")
+            # (section, values, their bound, whether the first keeps it)
+            grids = (("nu grid", nu_grid, "> 0", nu_grid[:1] > 0),
+                     ("xi grid", xi_grid, ">= 0", xi_grid[:1] >= 0))
+            for section, grid, least, lowest_ok in grids:
+                if not (len(grid) >= 2 and lowest_ok.all()
+                        and np.all(np.isfinite(grid))
+                        and np.all(np.diff(grid) > 0)):
+                    raise KernelTableError(
+                        f"{path}: section {section} is not at least 2 "
+                        f"finite values {least}, strictly increasing")
             cols = {name: floats(n_nu, f"column {name}") for name in names}
             rem = [floats(n_nu * n_xi, f"remainder {name}")
                    for name in ("ghat", "ghat_nu", "ghat_xi", "ghat_nuxi")]
@@ -668,7 +696,6 @@ class KernelTransform:
                 raise KernelTableError(
                     f"{path}: {size - fh.tell()} trailing bytes after "
                     f"section remainder ghat_nuxi")
-        kind = list(KINDS)[kind_id]
         coeffs = CoefficientTable(kind, nu_star, nu_grid, cols, norm_paper,
                                   norm, calibration)
         return cls(kind, coeffs, xi_grid,

@@ -110,8 +110,8 @@ class SolverConfig:
         eps = tuple(self.epsilons)
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon list must be strictly decreasing")
-        if not all(e > 0.0 for e in eps):
-            raise ValueError("viscosities must be positive")
+        if not all(0.0 < e < np.inf for e in eps):
+            raise ValueError("viscosities must be finite and positive")
         if not (0.0 < self.picard_tol < np.inf
                 and 0.0 < self.residual_tol < np.inf):
             raise ValueError("tolerances must be finite and positive")

@@ -115,6 +115,9 @@ OUT_OF_RANGE = {
     "solve-epsilon-zero": (["solve", "--epsilon", "0"], ""),
     "solve-epsilon-negative": (["solve", "--epsilon", "-0.1"], ""),
     "config-epsilons": (["solve"], "solver.epsilons = 0.1, -0.1\n"),
+    "config-epsilons-inf-check": (["check"], "solver.epsilons = inf\n"),
+    "config-epsilons-inf-sweep": (["sweep"], "solver.epsilons = inf\n"),
+    "config-epsilons-inf-solve": (["solve"], "solver.epsilons = inf\n"),
     "config-h-mesh-nan": (["check"], "geometry.h_mesh = nan\n"),
     "config-half-length-inf": (["check"], "geometry.half_length = inf\n"),
     "config-bump-height-nan": (["check"], "geometry.bump_height = nan\n"),
@@ -127,7 +130,7 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, case):
     argv, cfg_text = OUT_OF_RANGE[case]
-    if argv[0] not in ("solve", "check"):
+    if argv[0] not in ("solve", "sweep", "check"):
         argv = argv + ["--out", str(tmp_path / "out")]
     if cfg_text is not None:
         cfg = tmp_path / "run.cfg"
@@ -366,6 +369,25 @@ def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
     path = tmp_path / "table.cavk"
     regular.save(str(path))
     path.write_bytes(path.read_bytes()[:-8])
+    assert cli.main(["kernel", "verify", str(path)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("bad kernel table: ") and "table.cavk" in err
+
+
+@pytest.mark.parametrize("change", ("no alpha0", "nu reversed"))
+def test_kernel_verify_on_table_with_bad_contents(regular, save_altered,
+                                                  tmp_path, capsys, change):
+    # a well-formed file without the alpha0 column, or with its nu grid
+    # reversed, is a malformed table: a usage error with a one-line
+    # message, not a KeyError or a spline's ValueError with a traceback
+    path = tmp_path / "table.cavk"
+    cols = regular.coeffs.columns
+    save_altered(regular, path, **{
+        "no alpha0": {"columns": {k: v for k, v in cols.items()
+                                  if k != "alpha0"}},
+        "nu reversed": {"nu_grid": regular.coeffs.nu_grid[::-1]}}[change])
     assert cli.main(["kernel", "verify", str(path)]) == cli.USAGE_ERROR
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -628,6 +628,35 @@ class TestAssembledKernels:
         with pytest.raises(ke.KernelTableError, match="3 trailing bytes"):
             ke.KernelTransform.load(str(path))
 
+    @pytest.mark.parametrize("change,section", [
+        ("no alpha0", "column names"), ("extra column", "column names"),
+        ("nu reversed", "nu grid"), ("nu from 0", "nu grid"),
+        ("nu with nan", "nu grid"), ("xi unsorted", "xi grid"),
+        ("xi negative", "xi grid"), ("xi with inf", "xi grid")])
+    def test_load_rejects_bad_contents(self, regular, save_altered,
+                                       tmp_path, change, section):
+        # each file is well formed byte for byte; its contents are not a
+        # table's, so the splines in log nu or the xi brackets would fail
+        # or read wrong values
+        cols, nu = regular.coeffs.columns, regular.coeffs.nu_grid.copy()
+        xi = regular.xi_grid.copy()
+        changes = {
+            "no alpha0": {"columns": {k: v for k, v in cols.items()
+                                      if k != "alpha0"}},
+            "extra column": {"columns": {**cols, "beta0": cols["alpha0"]}},
+            "nu reversed": {"nu_grid": nu[::-1]},
+            "nu from 0": {"nu_grid": np.concatenate([[0.0], nu[1:]])},
+            "nu with nan": {"nu_grid": np.where(nu == nu[5], np.nan, nu)},
+            "xi unsorted": {"xi_grid": xi[[0, 2, 1, *range(3, len(xi))]]},
+            "xi negative": {"xi_grid": np.concatenate([[-1.0], xi[1:]])},
+            "xi with inf": {"xi_grid": np.concatenate([xi[:-1], [np.inf]])},
+        }[change]
+        path = tmp_path / "table.bin"
+        save_altered(regular, path, **changes)
+        with pytest.raises(ke.KernelTableError,
+                           match=f"table.bin: .*section {section}"):
+            ke.KernelTransform.load(str(path))
+
     def test_verify_report(self, regular):
         rep = ke.verify_kernel(regular)
         assert rep["pass"], rep
