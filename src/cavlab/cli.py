@@ -22,12 +22,22 @@ traceback goes to stderr).  Reports are JSON with stable key order;
 tabular output is RFC-4180 CSV with a header row; field and mesh exports
 are legacy ASCII VTK.  All pipelines are deterministic, so identical
 configurations reproduce byte-identical reports.
+
+Every --out path is checked before any work is done: a missing
+directory, a directory in its place or one without write permission is
+a usage error, and nothing is computed or written.
+
+Importing the package loads numpy only.  scipy is loaded by `solve`,
+`sweep` and `check` when they build the mesh's sparse operators (see
+`meshing`); `tables`, `basis-check`, `kernel build|verify`,
+`entropy check` and `report` run without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -44,6 +54,23 @@ from .meshing import write_rows
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+
+def _check_out(path: str | None) -> None:
+    """Raise the error that writing the --out file `path` would raise, if
+    it is one, before any work is done and without making the file:
+    FileNotFoundError when its directory is missing, IsADirectoryError
+    when it names a directory, PermissionError when it may not be
+    written.  None (output to stdout) passes."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -143,6 +170,10 @@ class ArtifactStore:
 # ----------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
+    if args.nu_min >= args.nu_star:
+        print(f"bad --nu-min: {args.nu_min!r} is not below --nu-star "
+              f"{args.nu_star!r}", file=sys.stderr)
+        return USAGE_ERROR
     chart = gc.GasChart(nu_star=args.nu_star)
     nus = np.geomspace(args.nu_min, chart.nu_star, args.points)
     tab = chart.table(nus)
@@ -435,6 +466,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

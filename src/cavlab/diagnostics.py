@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import entropy as en
 from . import gaschart as gc
@@ -57,6 +56,7 @@ def nodal_test_functions(mesh: Mesh) -> tuple:
     Psi_obs is five bumps covering the obstacle arc, clear of the inlet,
     outlet and lid but reaching the far-field bottom wall, zeroed there.
     """
+    import scipy.sparse as sp
     spec = mesh.spec
     xs = np.linspace(-spec.half_length + INTERIOR_MARGIN,
                      spec.half_length - INTERIOR_MARGIN, 5)
@@ -141,7 +141,14 @@ def lattice_functionals(mesh: Mesh, sol: Solution, cells: CellStates,
     whose right side is eps times one load from the scatter G^T |T| of D,
     b = G^T (|T| V) - cell_mean^T (|T| density), with V the first bracket
     at the cell states.  This couples solver, chart, and entropy
-    machinery in one number.
+    machinery in one number.  The identity is exact for the continuous
+    problem, but the two sides are different quadratures (the left of
+    the nodal pair, the right of the cell states), so the defect is a
+    quadrature gap that shrinks with h, not a solver residual.  On the
+    default geometry it falls from 4.41e-5 at h = 1/32 to 7.70e-7 at
+    h = 1/128 for eps = 0.0125 (about h^2.9), and from 1.83e-5 to
+    8.89e-7 for eps = 0.025 (about h^2.2).  It is reported, and
+    `RunReport.ok` does not gate it.
 
     "trace": weak normal trace functionals over the obstacle (n into the
     fluid) on Psi_obs,

@@ -42,12 +42,14 @@ point per entry of the leading axes, so each stage (the Gauss nodes of
 all quadrature panels, the grid rows above the switch) is one chart solve
 and one batch of jet recurrences, looping over the jet order only.
 
-The stack needs numpy only.  The remainder ODE is integrated by
-cavlab._dop853, a port of the Dormand-Prince 8(5,3) stepper with its
-dense output (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10) that
-takes scipy's solve_ivp(method="DOP853") steps, and every interpolant
-(J between grid nodes, k, k' and the forcing in the remainder ODE, the
-table columns in log nu) is a not-a-knot cavlab._spline.CubicSpline.
+The stack needs numpy only, and so does a whole `cavlab kernel build`
+or `kernel verify` process: no module it imports loads scipy.  The
+remainder ODE is integrated by cavlab._dop853, a port of the
+Dormand-Prince 8(5,3) stepper with its dense output (Hairer, Norsett &
+Wanner, Solving ODEs I, Sec. II.10) that takes scipy's
+solve_ivp(method="DOP853") steps, and every interpolant (J between grid
+nodes, k, k' and the forcing in the remainder ODE, the table columns in
+log nu) is a not-a-knot cavlab._spline.CubicSpline.
 """
 
 from __future__ import annotations

@@ -17,6 +17,12 @@ The P1 cell operators derive from two sparse primitives built once per
 mesh, the cell gradient G and the cell mean: `gradient` is G f, the
 stiffness matrix G^T diag(|T|) G and the divergence load operator
 G^T diag(|T|) (cell mean x I_2).
+
+Importing this module loads numpy only.  Each function that builds a
+sparse matrix imports scipy.sparse itself, so a process loads scipy at
+its first operator build: `cavlab solve`, `sweep` and `check` do.  The
+other commands use only `DomainSpec` (through the config) and
+`write_rows`, and never load it.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OBSTACLE = 1
 FARFIELD = 2
@@ -56,13 +65,6 @@ class DomainSpec:
             return math.inf
         c, h = self.chord, self.bump_height
         return (c * c / 4.0 + h * h) / (2.0 * h)
-
-    @property
-    def arc_length(self) -> float:
-        if self.bump_height == 0:
-            return self.chord
-        R = self.arc_radius
-        return 2.0 * R * math.asin(self.chord / (2.0 * R))
 
     def bump_profile(self, x):
         """Bottom-wall elevation y_b(x)."""
@@ -158,6 +160,7 @@ class Mesh:
 
     def _area_weighted_gradient_t(self) -> sp.csr_matrix:
         """G^T diag(|T|) (n x 2m), a transient of building K and D."""
+        import scipy.sparse as sp
         G = self.cell_gradient
         return sp.csr_matrix((np.repeat(self.areas, 6) * G.data, G.indices,
                               G.indptr), shape=G.shape).T.tocsr()
@@ -193,6 +196,7 @@ class Mesh:
         """(n, n_obstacle_edges) trapezoid scatter of per-edge values g
         onto both edge endpoints, |e| g_e / 2 each: psi . (S g) is the
         trapezoid rule for int psi_h g dH over the obstacle."""
+        import scipy.sparse as sp
         e, _, lengths = self._obstacle
         half = 0.5 * lengths
         edge = np.arange(len(half))
@@ -226,6 +230,7 @@ class Mesh:
 
 def _three_per_row(data, columns, n_columns) -> sp.csr_matrix:
     """CSR matrix with data[3r:3r + 3] in columns[3r:3r + 3] of row r."""
+    import scipy.sparse as sp
     return sp.csr_matrix(
         (data, np.asarray(columns, dtype=np.int32),
          np.arange(0, len(data) + 1, 3, dtype=np.int32)),

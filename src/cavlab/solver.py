@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import gaschart as gc
 from .meshing import Mesh
@@ -267,7 +266,8 @@ class PicardSolver:
         self.keep[self.dirichlet] = 0.0
         self.K = mesh.stiffness_matrix()
         # imported here, so that importing the solver (as the config does)
-        # does not load scipy.linalg
+        # loads numpy only: scipy loads at the first operator build
+        import scipy.sparse as sp
         from scipy.linalg import cho_solve_banded, cholesky_banded
         keep = sp.diags(self.keep)
         K_D = keep @ self.K @ keep + sp.diags(1.0 - self.keep)

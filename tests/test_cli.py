@@ -15,6 +15,7 @@ import cavlab
 import cavlab.gaschart as gc
 from cavlab import cli
 from cavlab import entropy as en
+from cavlab import kernelengine as ke
 from cavlab import meshing as mh
 from cavlab import solver as sv
 from cavlab.config import RunConfig, parse_config
@@ -140,6 +141,43 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("nu_min, points", [("0.1", "200"),
+                                             ("0.0871334029164978", "3")])
+def test_tables_nu_min_must_be_below_nu_star(tmp_path, capsys, nu_min,
+                                             points):
+    # the default nu_star is NU_CR/2 = 0.08713340291649779; at or above
+    # it the chart rows would not increase in nu
+    out = tmp_path / "chart.csv"
+    assert cli.main(["tables", "--nu-min", nu_min, "--points", points,
+                     "--out", str(out)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "Traceback" not in err
+    assert nu_min in err and repr(gc.NU_CR / 2.0) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_kernel_out_is_checked_before_any_work(tmp_path, monkeypatch, capsys,
+                                               command, out):
+    calls = []
+
+    def must_not_run(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran before its --out path was checked")
+    monkeypatch.setattr(ke, "build_kernel", must_not_run)
+    monkeypatch.setattr(ke.KernelTransform, "load",
+                        staticmethod(must_not_run))
+    path = tmp_path / "missing" / "out" if out == "missing-directory" \
+        else tmp_path
+    argv = (["kernel", "build", "--kind", "regular"] if command == "build"
+            else ["kernel", "verify", str(tmp_path / "table.cavk")])
+    assert cli.main(argv + ["--out", str(path)]) == cli.USAGE_ERROR
+    assert calls == []
+    assert str(path) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 UNUSABLE_PATHS = ["config-is-a-directory", "output-dir-is-a-file",
@@ -579,11 +617,23 @@ def test_sweep_process_does_not_load_kernel_stack():
     assert _fresh_interpreter(code).strip() == ""
 
 
-def test_kernel_processes_load_numpy_and_sparse_only(tmp_path):
+def test_importing_every_module_loads_no_scipy():
+    # scipy.sparse is imported by the functions that build sparse
+    # operators, so importing the package loads numpy only
+    code = """
+import importlib, pkgutil, sys
+import cavlab
+for info in pkgutil.iter_modules(cavlab.__path__):
+    importlib.import_module("cavlab." + info.name)
+print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
+"""
+    assert _fresh_interpreter(code).strip() == ""
+
+
+def test_kernel_processes_load_numpy_only(tmp_path):
     # build, verify (as `cavlab kernel verify`), reload and evaluate both
     # kinds on a small grid: the kernel stack is numpy code of its own and
-    # needs none of scipy's integrators, splines, root finders, special
-    # functions or dense linear algebra
+    # loads no scipy module at all
     code = f"""
 import os, sys
 import numpy as np
@@ -600,11 +650,52 @@ for kind in ("regular", "singular"):
                        ).all()
     assert np.isfinite(tr.Hhat_nu(tr.nu_star, np.linspace(0.0, 3.0, 4))
                        ).all()
-print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',
-                           'scipy.optimize', 'scipy.special', 'scipy.linalg')
-               if m in sys.modules))
+print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
 """
     assert _fresh_interpreter(code).strip() == ""
+
+
+def test_commands_without_solver_run_without_scipy(swept, tmp_path,
+                                                   monkeypatch, capsys):
+    # with scipy unimportable, each command that solves nothing gives the
+    # exit code, standard output and files it gives with scipy
+    commands = [["tables", "--out", "chart.csv"],
+                ["basis-check", "--out", "basis.json"],
+                ["entropy", "check", "--out", "margins.csv"],
+                ["kernel", "build", "--kind", "regular", "--out",
+                 "regular.cavk"],
+                ["kernel", "verify", "regular.cavk", "--out", "verify.json"],
+                ["report", str(swept)]]
+    blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+    blocked.mkdir()
+    plain.mkdir()
+    code = f"""
+import contextlib, io, json, os, sys
+sys.modules["scipy"] = None
+from cavlab import cli
+os.chdir({str(blocked)!r})
+results = []
+for argv in {commands!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    results.append([status, out.getvalue()])
+print(json.dumps(results))
+"""
+    got = json.loads(_fresh_interpreter(code))
+    monkeypatch.chdir(plain)
+    want = []
+    for argv in commands:
+        status = cli.main(argv)
+        want.append([status, capsys.readouterr().out])
+    assert got == want
+    assert [status for status, _ in want] == [0] * len(commands)
+    names = sorted(os.listdir(plain))
+    assert names == ["basis.json", "chart.csv", "margins.csv",
+                     "regular.cavk", "verify.json"]
+    assert sorted(os.listdir(blocked)) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes()
 
 
 def _imported_modules(tree):
