@@ -15,6 +15,26 @@ for kind in regular singular; do
   cavlab kernel build --kind "$kind" --out "$work/$kind.cavk"
   cavlab kernel verify "$work/$kind.cavk"
 done
+# a copy of the regular table with a NaN as its last value, and one whose
+# header nu_star (bytes 15-22) is not its last nu node: each is a
+# malformed table, a usage error (exit 2)
+python3 - "$work/regular.cavk" "$work" <<'PY'
+import struct, sys
+table, work = sys.argv[1:]
+with open(table, "rb") as fh:
+    data = fh.read()
+for name, offset, value in (("nan-last", len(data) - 8, float("nan")),
+                            ("nu-star-0.2", 15, 0.2)):
+    copy = bytearray(data)
+    struct.pack_into("<d", copy, offset, value)
+    with open(f"{work}/{name}.cavk", "wb") as fh:
+        fh.write(copy)
+PY
+for bad in nan-last nu-star-0.2; do
+  status=0
+  cavlab kernel verify "$work/$bad.cavk" || status=$?
+  test "$status" -eq 2
+done
 # generator derivatives, Loewner-Morawetz pairs and admissibility margins
 cavlab entropy check --out "$work/entropy_margins.csv"
 # a nu_star below the calibration point nu = 1e-7 is a usage error

@@ -50,6 +50,7 @@ import numpy as np
 from . import gaschart as gc
 from .config import ConfigError, RunConfig, dump_config, parse_config
 from .meshing import write_rows
+from .solver import ConvergenceError
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -214,8 +215,13 @@ def cmd_kernel_build(args) -> int:
 
 
 def cmd_kernel_verify(args) -> int:
-    from .kernelengine import KernelTransform, verify_kernel
-    rep = verify_kernel(KernelTransform.load(args.table))
+    from .kernelengine import KernelTableError, KernelTransform, verify_kernel
+    try:
+        table = KernelTransform.load(args.table)
+    except KernelTableError as exc:
+        print(f"bad kernel table: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    rep = verify_kernel(table)
     _write_json(args.out or sys.stdout, rep)
     return 0 if rep["pass"] else CHECK_FAILED
 
@@ -471,6 +477,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -478,17 +487,7 @@ def main(argv=None) -> int:
             PermissionError) as exc:
         print(f"unusable path: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except Exception as exc:
-        # solver and kernelengine are imported lazily; only a loaded
-        # module can raise its own error
-        solver = sys.modules.get("cavlab.solver")
-        if solver is not None and isinstance(exc, solver.ConvergenceError):
-            print(f"no convergence: {exc}", file=sys.stderr)
-            return CHECK_FAILED
-        kernels = sys.modules.get("cavlab.kernelengine")
-        if kernels is not None and isinstance(exc, kernels.KernelTableError):
-            print(f"bad kernel table: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+    except Exception:
         traceback.print_exc()
         return INTERNAL_ERROR
 

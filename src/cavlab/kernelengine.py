@@ -36,6 +36,18 @@ Just above the switch the two agree to <= 2e-12 for alpha0, alpha1 and
 beta0.  The beta2 chain departs by up to 7.7e-8 (beta2'' at nu = 2.2e-3),
 because the jets read J between grid nodes through a cubic spline.
 
+A kernel table stores each fact once: KernelTransform holds the kind,
+the xi grid and the remainder tables ghat, ghat_nu, ghat_xi, ghat_nuxi,
+its CoefficientTable the nu grid, the columns and the calibration.
+nu_star (the last nu node) and both normalizations are derived
+(`_header`), and the copies in a `.cavk` header must equal them bit for
+bit.  The constructor is the one check of a table, built, rescaled or
+loaded: a known kind, exactly its column names, nu and xi grids of at
+least 2 finite, strictly increasing values with nu > 0 and xi >= 0, a nu
+grid that spans NU_CALIBRATION/8 ... NU_CALIBRATION, shapes that match
+the grids, and finite columns, remainders and calibration.  Each breach
+raises KernelTableError naming its section.
+
 The jet branch is evaluated on whole node arrays at once: a TaylorJet
 keeps its Taylor coefficients on the last axis of ``c`` and one base
 point per entry of the leading axes, so each stage (the Gauss nodes of
@@ -276,9 +288,8 @@ class CoefficientModel:
             return integrand.integral(spline(nodes ** (1 / 3)))
 
         def chart_jets(at, order):
-            k, kp, _ = speed_coefficient_jets(gc.rho_of_nu(at),
-                                              gc.k_of_nu(at), order)
-            return k, kp
+            return speed_coefficient_jets(gc.rho_of_nu(at), gc.k_of_nu(at),
+                                          order)
 
         chain(norm, *chart_jets(nodes, _NODE_ORDER), on_nodes)
         return chain(norm, *chart_jets(nu, _JET_ORDER),
@@ -316,29 +327,31 @@ class CoefficientModel:
 
 @dataclass
 class CoefficientTable:
-    kind: str
-    nu_star: float
+    """The columns of a kind's table on its nu grid, and the calibration
+    factor they carry; what follows from these is derived (`_header`)."""
     nu_grid: np.ndarray
     columns: dict
-    normalization_paper: float
-    normalization: float
     calibration: float = 1.0
 
     def scaled(self, factor: float) -> "CoefficientTable":
         cols = {k: v * factor for k, v in self.columns.items()}
-        return CoefficientTable(self.kind, self.nu_star, self.nu_grid, cols,
-                                self.normalization_paper,
-                                self.normalization * factor,
-                                self.calibration * factor)
+        return CoefficientTable(self.nu_grid, cols, self.calibration * factor)
+
+
+def _header(kind: str, coeffs: CoefficientTable) -> tuple:
+    """(nu_star, normalization, paper normalization) of a table: the last
+    grid node, and the kind's normalizations with the calibration."""
+    spec = KINDS[kind]
+    return (float(coeffs.nu_grid[-1]),
+            spec.normalization * coeffs.calibration,
+            spec.normalization_paper)
 
 
 def _coefficient_table(kind: str, chart: gc.GasChart,
                        grid: GridSpec) -> CoefficientTable:
     nu_grid = grid.nu_grid(chart.nu_star)
-    spec = KINDS[kind]
-    return CoefficientTable(kind, chart.nu_star, nu_grid,
-                            CoefficientModel(chart).rows(kind, nu_grid),
-                            spec.normalization_paper, spec.normalization)
+    return CoefficientTable(nu_grid,
+                            CoefficientModel(chart).rows(kind, nu_grid))
 
 
 def build_regular_coeffs(chart: gc.GasChart,
@@ -384,11 +397,12 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     n = x.size
     # smooth interpolants in w = nu^(1/3): k and k' on shared knots, and
     # the forcing column
-    w = np.linspace((1e-10 * coeffs.nu_star) ** (1 / 3),
-                    coeffs.nu_star ** (1 / 3), 1200)
+    nu_grid = coeffs.nu_grid
+    w = np.linspace((1e-10 * nu_grid[-1]) ** (1 / 3),
+                    nu_grid[-1] ** (1 / 3), 1200)
     k_of_w = CubicSpline(w, gc.k_of_nu(w ** 3))
     kp_of_w = CubicSpline(w, gc.kprime_of_nu(w ** 3))
-    forcing = CubicSpline(coeffs.nu_grid ** (1 / 3), coeffs.columns[name])
+    forcing = CubicSpline(nu_grid ** (1 / 3), coeffs.columns[name])
     n_parts = 4 if with_xi_derivative else 2
 
     def rhs(nu, Y):
@@ -408,9 +422,8 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
     # shrinking both tolerances by that factor keeps every column within
     # rtol/atol
     shrink = np.sqrt(n_parts * n)
-    nu_grid = coeffs.nu_grid
     try:
-        sol = _dop853.solve(rhs, nu_grid[0], coeffs.nu_star,
+        sol = _dop853.solve(rhs, nu_grid[0], nu_grid[-1],
                             np.zeros(n_parts * n), nu_grid, rtol / shrink,
                             atol / shrink)
     except _dop853.StepSizeError as exc:
@@ -428,11 +441,13 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
 
 MAGIC = b"CAVK1"
 _TABLE_VERSION = 1
+_REMAINDERS = ("ghat", "ghat_nu", "ghat_xi", "ghat_nuxi")
 
 
 class KernelTableError(ValueError):
-    """A kernel table file that is truncated, padded, not a table, or
-    whose column names or grids are not those of a table."""
+    """A kernel table, built or read, that breaks the table contract (see
+    the module docstring), or a table file that is truncated, padded or
+    not a table."""
 
 
 @dataclass
@@ -454,10 +469,46 @@ class KernelTransform:
     ghat_nuxi: np.ndarray
 
     def __post_init__(self):
-        shape = (len(self.coeffs.nu_grid), len(self.xi_grid))
-        if any(t.shape != shape for t in (self.ghat, self.ghat_nu,
-                                          self.ghat_xi, self.ghat_nuxi)):
-            raise ValueError("remainder table shape does not match the grids")
+        """The table contract of the module docstring, in section order."""
+        if self.kind not in KINDS:
+            raise KernelTableError(
+                f"section version/kind names no kind: {self.kind!r}")
+        cols = self.coeffs.columns
+        expected = sorted(c for c, _, _ in _table_columns(KINDS[self.kind]))
+        if sorted(cols) != expected:
+            raise KernelTableError(
+                f"columns {sorted(cols)} in section column names are not "
+                f"the {self.kind} table's {expected}")
+        nu, xi = self.coeffs.nu_grid, self.xi_grid
+        # the splines in log nu and the xi brackets of the remainder read
+        # the grids so
+        for section, grid, least, lowest_ok in (
+                ("nu grid", nu, "> 0", nu[:1] > 0),
+                ("xi grid", xi, ">= 0", xi[:1] >= 0)):
+            if not (len(grid) >= 2 and lowest_ok.all()
+                    and np.all(np.isfinite(grid))
+                    and np.all(np.diff(grid) > 0)):
+                raise KernelTableError(
+                    f"section {section} is not at least 2 finite values "
+                    f"{least}, strictly increasing")
+        if not nu[0] <= NU_CALIBRATION / 8.0 or not nu[-1] >= NU_CALIBRATION:
+            raise KernelTableError(
+                f"section nu grid [{nu[0]!r}, {nu[-1]!r}] does not span the "
+                f"calibration pair [{NU_CALIBRATION / 8.0!r}, "
+                f"{NU_CALIBRATION!r}]")
+        shape = (len(nu), len(xi))
+        for section, values, want in (
+                *((f"column {name}", cols[name], shape[:1]) for name in cols),
+                *((f"remainder {name}", getattr(self, name), shape)
+                  for name in _REMAINDERS),
+                ("calibration", np.asarray(self.coeffs.calibration), ())):
+            if values.shape != want:
+                raise KernelTableError(
+                    f"section {section} has shape {values.shape}, which does "
+                    f"not match the grids {want}")
+            if not np.isfinite(values).all():
+                raise KernelTableError(
+                    f"section {section} holds a value that is not finite")
         # cubic splines in log nu, one per group of columns read together:
         # the expansion's coefficients A and their derivatives A', and the
         # remainder's values and slopes, each with its xi-derivative
@@ -473,7 +524,7 @@ class KernelTransform:
 
     @property
     def nu_star(self) -> float:
-        return self.coeffs.nu_star
+        return float(self.coeffs.nu_grid[-1])
 
     @property
     def nu_min(self) -> float:
@@ -600,9 +651,7 @@ class KernelTransform:
                                  list(KINDS).index(self.kind)))
             fh.write(struct.pack("<II", len(self.coeffs.nu_grid),
                                  len(self.xi_grid)))
-            fh.write(struct.pack("<ddd", self.coeffs.nu_star,
-                                 self.coeffs.normalization,
-                                 self.coeffs.normalization_paper))
+            fh.write(struct.pack("<ddd", *_header(self.kind, self.coeffs)))
             fh.write(struct.pack("<d", self.coeffs.calibration))
             fh.write(struct.pack("<I", len(names)))
             for name in names:
@@ -613,18 +662,16 @@ class KernelTransform:
             self.xi_grid.astype("<f8").tofile(fh)
             for name in names:
                 cols[name].astype("<f8").tofile(fh)
-            for arr in (self.ghat, self.ghat_nu, self.ghat_xi,
-                        self.ghat_nuxi):
-                arr.astype("<f8").tofile(fh)
+            for name in _REMAINDERS:
+                getattr(self, name).astype("<f8").tofile(fh)
 
     @classmethod
     def load(cls, path: str) -> "KernelTransform":
         """Read a table written by save; a malformed file raises
         KernelTableError naming the file and the section at fault.  The
-        column names must be exactly those of the kind's table, the nu
-        grid at least 2 finite values > 0 and the xi grid at least 2
-        finite values >= 0, each strictly increasing: the splines in
-        log nu and the xi brackets of the remainder read them so."""
+        bytes are parsed here and the contents checked by the constructor;
+        then the header's nu_star and normalizations must equal those
+        derived from the body (`_header`)."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
 
@@ -660,7 +707,7 @@ class KernelTransform:
                     f"{path}: unknown kind byte {kind_id} in section "
                     f"version/kind")
             n_nu, n_xi = unpack("<II", "grid sizes")
-            nu_star, norm, norm_paper = unpack("<ddd", "normalization")
+            header = unpack("<ddd", "normalization")
             calibration, = unpack("<d", "calibration")
             n_names, = unpack("<I", "column names")
             names = []
@@ -673,35 +720,29 @@ class KernelTransform:
                     raise KernelTableError(
                         f"{path}: undecodable name in section column names"
                     ) from exc
-            kind = list(KINDS)[kind_id]
-            expected = sorted(c for c, _, _ in _table_columns(KINDS[kind]))
-            if sorted(names) != expected:
-                raise KernelTableError(
-                    f"{path}: columns {sorted(names)} in section column "
-                    f"names are not the {kind} table's {expected}")
             nu_grid = floats(n_nu, "nu grid")
             xi_grid = floats(n_xi, "xi grid")
-            # (section, values, their bound, whether the first keeps it)
-            grids = (("nu grid", nu_grid, "> 0", nu_grid[:1] > 0),
-                     ("xi grid", xi_grid, ">= 0", xi_grid[:1] >= 0))
-            for section, grid, least, lowest_ok in grids:
-                if not (len(grid) >= 2 and lowest_ok.all()
-                        and np.all(np.isfinite(grid))
-                        and np.all(np.diff(grid) > 0)):
-                    raise KernelTableError(
-                        f"{path}: section {section} is not at least 2 "
-                        f"finite values {least}, strictly increasing")
             cols = {name: floats(n_nu, f"column {name}") for name in names}
             rem = [floats(n_nu * n_xi, f"remainder {name}")
-                   for name in ("ghat", "ghat_nu", "ghat_xi", "ghat_nuxi")]
+                   for name in _REMAINDERS]
             if fh.tell() != size:
                 raise KernelTableError(
                     f"{path}: {size - fh.tell()} trailing bytes after "
                     f"section remainder ghat_nuxi")
-        coeffs = CoefficientTable(kind, nu_star, nu_grid, cols, norm_paper,
-                                  norm, calibration)
-        return cls(kind, coeffs, xi_grid,
-                   *(r.reshape(n_nu, n_xi) for r in rem))
+        kind = list(KINDS)[kind_id]
+        coeffs = CoefficientTable(nu_grid, cols, calibration)
+        try:
+            table = cls(kind, coeffs, xi_grid,
+                        *(r.reshape(n_nu, n_xi) for r in rem))
+        except KernelTableError as exc:
+            raise KernelTableError(f"{path}: {exc}") from None
+        derived = _header(kind, coeffs)
+        if header != derived:
+            raise KernelTableError(
+                f"{path}: section normalization holds (nu_star, "
+                f"normalization, paper normalization) = {header!r}, not "
+                f"{derived!r} as the grid, kind and calibration give")
+        return table
 
 
 # the name perfbench's self-tests build a transform by
@@ -715,7 +756,8 @@ def build_kernel(kind: str, chart: gc.GasChart = gc.GasChart(),
     Calibration rescales the whole (linear) construction by one scalar so
     the measured vacuum limit (Hhat_nu -> 1 regular, Hhat -> 1 singular)
     holds exactly at the Richardson estimate; the paper normalization is
-    retained in the metadata.
+    retained in the metadata.  Coefficients or a remainder that break the
+    table contract raise KernelTableError.
     """
     spec = _kind(kind)
     # looked up by name at call time, so a wrapper set on the module sees it
@@ -766,7 +808,7 @@ def verify_cancellation(transform: KernelTransform) -> dict:
     Hn = transform.Hhat_nu(NU, XI)
     rho = np.asarray(gc.rho_of_nu(nus))[:, None]
     defect = np.abs(rho * Hn - XI ** 2 * H)
-    a, b = _kind(transform.kind).cancellation
+    a, b = KINDS[transform.kind].cancellation
     # fixed-xi decay slope of the defect as nu -> 0 (regular: >= 1/3)
     j1 = int(np.argmin(np.abs(xis - 1.0)))
     lo = nus <= 1e-3
@@ -781,7 +823,7 @@ def verify_remainder_envelope(transform: KernelTransform) -> dict:
     nus = transform.coeffs.nu_grid
     k = np.asarray(gc.k_of_nu(nus))
     zk = np.abs(np.outer(k, transform.xi_grid))
-    p, q = _kind(transform.kind).envelope
+    p, q = KINDS[transform.kind].envelope
     return _fitted_constant(
         np.abs(transform.ghat) / (nus[:, None] ** p / (1.0 + zk) ** q))
 
@@ -793,7 +835,7 @@ def verify_energy_inequality(transform: KernelTransform) -> dict:
     atol resolves |y| ~ 1e-17 at the regular grid's small nu, where the
     ratio peaks, so the ratio is measured, not integrator error."""
     coeffs = transform.coeffs
-    name, lam = _kind(transform.kind).forcing
+    name, lam = KINDS[transform.kind].forcing
     xis = np.array([0.5, 3.0, 40.0])
     nu, y, yp = integrate_remainder(transform.kind, coeffs, xis, atol=1e-22)
     kp = np.asarray(gc.kprime_of_nu(nu))[:, None]
@@ -822,7 +864,7 @@ def verify_pde_residual(transform: KernelTransform) -> dict:
     at the first two xi.
     """
     coeffs = transform.coeffs
-    spec = _kind(transform.kind)
+    spec = KINDS[transform.kind]
     rows = np.argmin(np.abs(np.log(coeffs.nu_grid)[:, None]
                             - np.log([2e-3, 1e-2, 5e-2])), axis=0)
     cols = {name: col[rows, None] for name, col in coeffs.columns.items()}
@@ -863,12 +905,13 @@ def verify_kernel(transform: KernelTransform) -> dict:
     every vacuum limit (initial_data) is met to 1e-4, both fitted constants
     drift by less than _DRIFT_TOL, the energy ratio is at most 1 + 1e-6
     and the Huygens leakage is below 1e-6."""
+    nu_star, norm, norm_paper = _header(transform.kind, transform.coeffs)
     rep = {
         "kind": transform.kind,
-        "nu_star": transform.nu_star,
+        "nu_star": nu_star,
         "calibration": transform.coeffs.calibration,
-        "normalization": transform.coeffs.normalization,
-        "normalization_paper": transform.coeffs.normalization_paper,
+        "normalization": norm,
+        "normalization_paper": norm_paper,
         "initial_data": transform.limit_estimates(),
         "cancellation": verify_cancellation(transform),
         "remainder_envelope": verify_remainder_envelope(transform),
@@ -879,7 +922,7 @@ def verify_kernel(transform: KernelTransform) -> dict:
           and rep["remainder_envelope"]["drift_ok"]
           and rep["energy_inequality"]["pass"]
           and rep["huygens_leakage"] < 1e-6)
-    H0, key, m = _kind(transform.kind).vacuum
+    H0, key, m = KINDS[transform.kind].vacuum
     for rec in rep["initial_data"]:
         xi2 = rec["xi"] ** 2
         ok &= abs(rec["H_limit"] - H0) < 1e-4

@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _frozen
+
 # k(nu) = C_SHARP*nu**(1/3) + C_FLAT*nu + C_L*nu**(5/3) + O(nu**(7/3))
 C_SHARP = 3.0 ** (1.0 / 3.0)
 
@@ -53,12 +55,6 @@ class CubeRootSeries:
         self.c = c
         self.hi = int(hi) if hi is not None else self.lead + len(c)
 
-    def _trim(self) -> "CubeRootSeries":
-        n = max(self.hi - self.lead, 0)
-        if len(self.c) > n:
-            self.c = self.c[:n]
-        return self
-
     def compact(self) -> "CubeRootSeries":
         """Drop leading coefficients that are pure cancellation noise, at
         most 1e-12 of the largest."""
@@ -72,8 +68,6 @@ class CubeRootSeries:
         return CubeRootSeries(self.lead + j, self.c[j:].copy(), hi=self.hi)
 
     def __add__(self, other):
-        if np.isscalar(other):
-            other = CubeRootSeries(0, [float(other)], hi=10**9)
         lead = min(self.lead, other.lead)
         hi = min(self.hi, other.hi)
         n = hi - lead
@@ -86,17 +80,6 @@ class CubeRootSeries:
                 c[s:s + m] += src[:m]
         return CubeRootSeries(lead, c, hi=hi)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-float(other))
-        return self + other * (-1.0)
-
-    def __rsub__(self, other):
-        return (self * (-1.0)) + other
-
     def __mul__(self, other):
         if np.isscalar(other):
             return CubeRootSeries(self.lead, self.c * float(other), hi=self.hi)
@@ -106,8 +89,7 @@ class CubeRootSeries:
         c = np.convolve(self.c, other.c)[:n]
         return CubeRootSeries(lead, c, hi=hi)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def power(self, a: float) -> "CubeRootSeries":
         """self**a; the leading coefficient must be positive."""
@@ -202,13 +184,9 @@ class TaylorJet:
         c[..., 1:] = self.c / np.arange(1, self.c.shape[-1] + 1)
         return TaylorJet(c)
 
-    def _coerce(self, other):
-        if isinstance(other, TaylorJet):
-            return other
-        return TaylorJet.constant(other, self.order)
-
     def _operands(self, other):
-        o = self._coerce(other)
+        o = (other if isinstance(other, TaylorJet)
+             else TaylorJet.constant(other, self.order))
         n = min(self.c.shape[-1], o.c.shape[-1])
         a, b = np.broadcast_arrays(self.c[..., :n], o.c[..., :n])
         return a, b, n
@@ -219,14 +197,8 @@ class TaylorJet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TaylorJet(-self.c)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __rsub__(self, other):
-        return (-self) + other
+        return TaylorJet(-self.c) + other
 
     def __mul__(self, other):
         a, b, n = self._operands(other)
@@ -250,9 +222,6 @@ class TaylorJet:
             out[..., k] = acc / b[..., 0]
         return TaylorJet(out)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     def power(self, a: float) -> "TaylorJet":
         f = self.c
         n = f.shape[-1]
@@ -266,9 +235,6 @@ class TaylorJet:
                 acc = acc + (a * j - (k - j)) * f[..., j] * out[..., k - j]
             out[..., k] = acc / (k * f[..., 0])
         return TaylorJet(out)
-
-    def sqrt(self) -> "TaylorJet":
-        return self.power(0.5)
 
 
 def density_jet(rho0, order: int) -> TaylorJet:
@@ -294,21 +260,16 @@ def speed_coefficient_jets(rho0, k0, order: int):
     it.  Arrays rho0, k0 of one shape give jets over that shape.
     """
     rj = density_jet(rho0, order)
-    kp = (1.0 - 2.0 * rj * rj).sqrt() / (rj * rj)
+    kp = (1.0 - 2.0 * rj * rj).power(0.5) / (rj * rj)
     kc = np.empty(kp.c.shape[:-1] + (order + 2,))
     kc[..., 0] = k0
     kc[..., 1:] = kp.c / np.arange(1, order + 2)
-    return TaylorJet(kc), kp, rj
+    return TaylorJet(kc), kp
 
 
 # ----------------------------------------------------------------------
 # Frozen constants
 # ----------------------------------------------------------------------
-
-def _load_frozen():
-    from . import _frozen
-    return _frozen
-
 
 def characteristic_series():
     """Float cube-root series (in w = nu**(1/3)) of k and rho near vacuum,
@@ -317,15 +278,11 @@ def characteristic_series():
     Coefficients come from the frozen rational series; the t-series
     coefficient a_j maps to a_j * 3**(j/3) in w.
     """
-    fr = _load_frozen()
     scale = 3.0 ** (np.arange(SERIES_ORDER) / 3.0)
-    kc = np.array([float(Fraction(n, d))
-                   for (n, d) in fr.K_SERIES_T[:SERIES_ORDER]])
-    rc = np.array([float(Fraction(n, d))
-                   for (n, d) in fr.RHO_SERIES_T[:SERIES_ORDER]])
-    k = CubeRootSeries(0, kc * scale)._trim()
-    rho = CubeRootSeries(0, rc * scale)._trim()
-    # drop the zero constant term so lead reflects the w**1 behaviour
-    k = CubeRootSeries(1, k.c[1:], hi=k.hi)
-    rho = CubeRootSeries(1, rho.c[1:], hi=rho.hi)
-    return k, rho
+
+    def series(coeffs_t):
+        c = np.array([float(Fraction(n, d))
+                      for (n, d) in coeffs_t[:SERIES_ORDER]]) * scale
+        # drop the zero constant term so lead reflects the w**1 behaviour
+        return CubeRootSeries(1, c[1:], hi=SERIES_ORDER)
+    return series(_frozen.K_SERIES_T), series(_frozen.RHO_SERIES_T)

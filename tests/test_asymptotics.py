@@ -232,8 +232,6 @@ def test_cube_root_series_algebra():
     kp = k_ser.dnu()  # leading power w**(-2) keeps w**1 after power(-1/2)
     inv_sqrt = kp.power(-0.5)
     assert np.allclose(inv_sqrt(nus), kp(nus) ** -0.5, rtol=1e-10)
-    total = k_ser + 2.5 - k_ser
-    assert np.allclose(total(nus), 2.5, rtol=1e-12)
     integ = k_ser.dnu().integrate0()
     assert np.allclose(integ(nus), k_ser(nus), rtol=1e-12)
 
@@ -244,7 +242,7 @@ def test_taylor_jet_algebra():
     assert np.allclose(sq.c, f.power(2.0).c, rtol=1e-13)
     div = sq / f
     assert np.allclose(div.c, f.c, rtol=1e-13)
-    root = sq.sqrt()
+    root = sq.power(0.5)
     assert np.allclose(root.c, f.c, rtol=1e-13)
 
 
@@ -255,7 +253,7 @@ def test_jet_and_series_share_the_derivative():
     k_ser, _ = vacuum.characteristic_series()
     nus = vacuum.NU_SERIES_SWITCH * np.array([1.05, 1.5, 2.2])
     k0 = gc.k_of_nu(nus)
-    k_jet, kp_jet, _ = vacuum.speed_coefficient_jets(gc.rho_of_nu(nus), k0, 6)
+    k_jet, kp_jet = vacuum.speed_coefficient_jets(gc.rho_of_nu(nus), k0, 6)
     jet, ser = k_jet, k_ser
     for _ in range(3):
         assert np.allclose(jet.c[:, 0], ser(nus), rtol=1e-13, atol=0)
@@ -285,7 +283,7 @@ def test_speed_jets_match_highprec_derivatives():
     rho0 = 0.45
     nu0 = float(np.arctanh(rho0) - rho0)
     k0 = gc.k_of_nu(nu0)
-    kjet, kpjet, _ = vacuum.speed_coefficient_jets(rho0, k0, 7)
+    kjet, kpjet = vacuum.speed_coefficient_jets(rho0, k0, 7)
 
     def k_of_nu_mp(nu):
         r = mp.mpf("0.45")
@@ -308,8 +306,7 @@ BATCH_NUS = np.geomspace(2.0 * vacuum.NU_SERIES_SWITCH, gc.NU_CR / 2.0, 6)
 def test_batched_speed_jets_match_highprec():
     # value, c[1] and 2 c[2] of the k jet are k, k' and k'' at each node
     rho = gc.rho_of_nu(BATCH_NUS)
-    kjet, _, _ = vacuum.speed_coefficient_jets(rho, gc.k_of_nu(BATCH_NUS),
-                                               10)
+    kjet, _ = vacuum.speed_coefficient_jets(rho, gc.k_of_nu(BATCH_NUS), 10)
     assert kjet.c.shape == (len(BATCH_NUS), 12)
     with mp.workdps(50):
         for i, nu in enumerate(BATCH_NUS):
@@ -324,14 +321,18 @@ def test_batched_jets_equal_single_points():
     # jet per point: identical coefficients, element for element
     rho = gc.rho_of_nu(BATCH_NUS)
     k = gc.k_of_nu(BATCH_NUS)
-    batch = vacuum.speed_coefficient_jets(rho, k, 10)
-    derived = (batch[0] * batch[0]).power(-1.0) * batch[1].sqrt() / batch[2]
+    def jets(rho, k):
+        return (*vacuum.speed_coefficient_jets(rho, k, 10),
+                vacuum.density_jet(rho, 10))
+    batch = jets(rho, k)
+    derived = (batch[0] * batch[0]).power(-1.0) * batch[1].power(0.5) \
+        / batch[2]
     for i in range(len(BATCH_NUS)):
-        single = vacuum.speed_coefficient_jets(float(rho[i]), float(k[i]), 10)
+        single = jets(float(rho[i]), float(k[i]))
         for got, want in zip(batch, single):
             assert want.c.ndim == 1
             assert np.array_equal(got.c[i], want.c)
-        want = (single[0] * single[0]).power(-1.0) * single[1].sqrt() \
+        want = (single[0] * single[0]).power(-1.0) * single[1].power(0.5) \
             / single[2]
         assert np.array_equal(derived.c[i], want.c)
 

@@ -401,17 +401,49 @@ def test_epsilon_at_h_over_2_5_is_accepted(tmp_path):
     assert [r["epsilon"] for r in report["records"]] == [0.2, 0.05]
 
 
-def test_kernel_verify_on_corrupt_table(regular, tmp_path, capsys):
-    # a truncated table is a usage error with a one-line message, not an
-    # internal error with a traceback
+def test_kernel_verify_on_corrupt_table(regular, save_corrupted, tmp_path,
+                                       capsys):
+    # a truncated table, one holding a value that is not finite, or one
+    # whose header disagrees with its body is a usage error with a
+    # one-line message: not a passed or failed check, and not an internal
+    # error with a traceback
     path = tmp_path / "table.cavk"
-    regular.save(str(path))
-    path.write_bytes(path.read_bytes()[:-8])
-    assert cli.main(["kernel", "verify", str(path)]) == cli.USAGE_ERROR
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.count("\n") == 1
-    assert err.startswith("bad kernel table: ") and "table.cavk" in err
+    for change in ("truncated", "nan in ghat", "nan last in ghat_nuxi",
+                   "inf last in ghat_nu", "nan in alpha0",
+                   "header nu_star 0.2", "header nu_star 5e-8",
+                   "normalization 1 ulp off"):
+        if change == "truncated":
+            regular.save(str(path))
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            save_corrupted(regular, path, change)
+        assert cli.main(["kernel", "verify", str(path)]) == cli.USAGE_ERROR, \
+            change
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith("bad kernel table: ") and "table.cavk" in err
+
+
+def test_kernel_build_breaking_the_table_contract(tmp_path, monkeypatch,
+                                                  capsys):
+    # a remainder integration that returns a NaN fails the build in the
+    # table's constructor; `kernel build` reports it as an internal error
+    # and writes no table
+    def nan_remainder(kind, coeffs, xi, **kwargs):
+        tables = [np.zeros((len(coeffs.nu_grid), len(xi))) for _ in range(4)]
+        tables[0][-1, -1] = np.nan
+        return (coeffs.nu_grid.copy(), *tables)
+    monkeypatch.setattr(ke, "integrate_remainder", nan_remainder)
+    with pytest.raises(ke.KernelTableError,
+                       match="section remainder ghat holds"):
+        ke.build_kernel("regular", grid=ke.GridSpec(n_nu=41, n_xi_linear=3,
+                                                    n_xi_log=1))
+    path = tmp_path / "regular.cavk"
+    assert cli.main(["kernel", "build", "--kind", "regular", "--out",
+                     str(path)]) == cli.INTERNAL_ERROR
+    assert "KernelTableError" in capsys.readouterr().err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("change", ("no alpha0", "nu reversed"))

@@ -466,8 +466,8 @@ class TestAssembledKernels:
         # paper c0 is already exact; d0 carries the documented factor 2
         assert regular.coeffs.calibration == pytest.approx(1.0, abs=1e-9)
         assert singular.coeffs.calibration == pytest.approx(1.0, abs=1e-8)
-        assert singular.coeffs.normalization == pytest.approx(
-            2.0 * singular.coeffs.normalization_paper, rel=1e-8)
+        _, norm, norm_paper = ke._header("singular", singular.coeffs)
+        assert norm == pytest.approx(2.0 * norm_paper, rel=1e-8)
 
     def test_cancellation_estimates(self, regular, singular):
         rep = ke.verify_cancellation(regular)
@@ -631,13 +631,24 @@ class TestAssembledKernels:
     @pytest.mark.parametrize("change,section", [
         ("no alpha0", "column names"), ("extra column", "column names"),
         ("nu reversed", "nu grid"), ("nu from 0", "nu grid"),
-        ("nu with nan", "nu grid"), ("xi unsorted", "xi grid"),
-        ("xi negative", "xi grid"), ("xi with inf", "xi grid")])
+        ("nu with nan", "nu grid"), ("nu below the calibration point",
+                                     "nu grid"),
+        ("xi unsorted", "xi grid"), ("xi negative", "xi grid"),
+        ("xi with inf", "xi grid"), ("nan in ghat", "remainder ghat"),
+        ("nan last in ghat_nuxi", "remainder ghat_nuxi"),
+        ("inf last in ghat_nu", "remainder ghat_nu"),
+        ("nan in alpha0", "column alpha0"),
+        ("header nu_star 0.2", "normalization"),
+        ("header nu_star 5e-8", "normalization"),
+        ("normalization 1 ulp off", "normalization")])
     def test_load_rejects_bad_contents(self, regular, save_altered,
-                                       tmp_path, change, section):
+                                       save_corrupted, tmp_path, change,
+                                       section):
         # each file is well formed byte for byte; its contents are not a
         # table's, so the splines in log nu or the xi brackets would fail
-        # or read wrong values
+        # or read wrong values, a value that is not finite would pass the
+        # verdicts that skip NaN, or the header would disagree with the
+        # body it describes
         cols, nu = regular.coeffs.columns, regular.coeffs.nu_grid.copy()
         xi = regular.xi_grid.copy()
         changes = {
@@ -647,14 +658,18 @@ class TestAssembledKernels:
             "nu reversed": {"nu_grid": nu[::-1]},
             "nu from 0": {"nu_grid": np.concatenate([[0.0], nu[1:]])},
             "nu with nan": {"nu_grid": np.where(nu == nu[5], np.nan, nu)},
+            "nu below the calibration point": {"nu_grid": nu * 1e-7},
             "xi unsorted": {"xi_grid": xi[[0, 2, 1, *range(3, len(xi))]]},
             "xi negative": {"xi_grid": np.concatenate([[-1.0], xi[1:]])},
             "xi with inf": {"xi_grid": np.concatenate([xi[:-1], [np.inf]])},
-        }[change]
+        }.get(change)
         path = tmp_path / "table.bin"
-        save_altered(regular, path, **changes)
+        if changes is None:
+            save_corrupted(regular, path, change)
+        else:
+            save_altered(regular, path, **changes)
         with pytest.raises(ke.KernelTableError,
-                           match=f"table.bin: .*section {section}"):
+                           match=f"table.bin: .*section {section} "):
             ke.KernelTransform.load(str(path))
 
     def test_verify_report(self, regular):
@@ -821,7 +836,7 @@ class TestQuadrature:
             """tr on its nu-grid rows lo:hi, nu_star the last of them."""
             c = tr.coeffs
             coeffs = dataclasses.replace(
-                c, nu_star=float(c.nu_grid[hi - 1]), nu_grid=c.nu_grid[lo:hi],
+                c, nu_grid=c.nu_grid[lo:hi],
                 columns={k: v[lo:hi] for k, v in c.columns.items()})
             return ke.KernelTransform(tr.kind, coeffs, tr.xi_grid,
                                       tr.ghat[lo:hi], tr.ghat_nu[lo:hi],
