@@ -465,6 +465,35 @@ def test_kernel_verify_on_table_with_bad_contents(regular, save_altered,
     assert err.startswith("bad kernel table: ") and "table.cavk" in err
 
 
+# the columns a table keeps: each expansion coefficient with its first two
+# nu-derivatives, and the forcing of the remainder ODE
+KEPT_COLUMNS = {
+    "regular": ("alpha0", "alpha0p", "alpha0pp", "alpha1", "alpha1p",
+                "alpha1pp", "ell"),
+    "singular": ("beta0", "beta0p", "beta0pp", "beta1", "beta1p", "beta1pp",
+                 "beta2", "beta2p", "beta2pp", "ell2"),
+}
+
+
+@pytest.mark.parametrize("kind,column", [
+    (kind, column) for kind, columns in KEPT_COLUMNS.items()
+    for column in columns])
+def test_kernel_verify_checks_every_column(request, save_altered, tmp_path,
+                                           kind, column):
+    # whichever stored column is 1e-4 off, the generator-equation residual
+    # of `kernel verify` shows it and the table fails
+    tr = request.getfixturevalue(kind)
+    cols = tr.coeffs.columns
+    path, out = tmp_path / "table.cavk", tmp_path / "verify.json"
+    save_altered(tr, path, columns={**cols, column: cols[column] * 1.0001})
+    assert cli.main(["kernel", "verify", str(path), "--out",
+                     str(out)]) == cli.CHECK_FAILED
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is False
+    assert rep["generator_residual"] > 1e-10
+    assert sorted(cols) == sorted(KEPT_COLUMNS[kind])
+
+
 @pytest.mark.parametrize("xi_max", ("2", "4"))
 def test_kernel_build_rejects_folded_xi_grid(xi_max, tmp_path, capsys):
     # an --xi-max at or below the end of the linear xi part would write a
