@@ -36,19 +36,25 @@ for bad in nan-last nu-star-0.2; do
   test "$status" -eq 2
 done
 # a well-formed copy of the regular table with its alpha1 column 1e-4 off
-# breaks the generator equation: a failed check (exit 1)
-python3 - "$work/regular.cavk" "$work/alpha1-off.cavk" <<'PY'
+# breaks the generator equation, and one with its remainder ghat 1e-4 off
+# breaks the remainder ODE: each is a failed check (exit 1)
+python3 - "$work/regular.cavk" "$work" <<'PY'
 import dataclasses, sys
 from cavlab.kernelengine import KernelTransform
-tr = KernelTransform.load(sys.argv[1])
+table, work = sys.argv[1:]
+tr = KernelTransform.load(table)
 cols = {**tr.coeffs.columns, "alpha1": tr.coeffs.columns["alpha1"] * 1.0001}
 KernelTransform(tr.kind, dataclasses.replace(tr.coeffs, columns=cols),
                 tr.xi_grid, tr.ghat, tr.ghat_nu, tr.ghat_xi,
-                tr.ghat_nuxi).save(sys.argv[2])
+                tr.ghat_nuxi).save(f"{work}/alpha1-off.cavk")
+KernelTransform(tr.kind, tr.coeffs, tr.xi_grid, tr.ghat * 1.0001, tr.ghat_nu,
+                tr.ghat_xi, tr.ghat_nuxi).save(f"{work}/ghat-off.cavk")
 PY
-status=0
-cavlab kernel verify "$work/alpha1-off.cavk" > /dev/null || status=$?
-test "$status" -eq 1
+for bad in alpha1-off ghat-off; do
+  status=0
+  cavlab kernel verify "$work/$bad.cavk" > /dev/null || status=$?
+  test "$status" -eq 1
+done
 # generator derivatives, Loewner-Morawetz pairs and admissibility margins
 cavlab entropy check --out "$work/entropy_margins.csv"
 # a nu_star below the calibration point nu = 1e-7 is a usage error

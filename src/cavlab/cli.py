@@ -225,11 +225,16 @@ def cmd_kernel_verify(args) -> int:
 def cmd_entropy_check(args) -> int:
     from . import entropy as en
     cfg = _load_config(args.config)
+    nu_lo, nu_hi = 1e-4, cfg.kernel.nu_star * 0.99  # the states' nu range
+    if nu_lo >= nu_hi:
+        print(f"bad kernel.nu_star: {cfg.kernel.nu_star!r} puts 0.99 nu_star "
+              f"at or below the least state nu = {nu_lo:g}", file=sys.stderr)
+        return USAGE_ERROR
     chart = gc.GasChart(nu_star=cfg.kernel.nu_star)
     nu_bar = gc.nu_of_rho(gc.rho_of_q(cfg.solver.q_inf))
     gen = en.special_generator(chart, nu_bar)
     pair = en.special_pair(nu_bar)
-    nus = np.geomspace(1e-4, chart.nu_star * 0.99, args.points)
+    nus = np.geomspace(nu_lo, nu_hi, args.points)
     ths = np.linspace(-1.0, 1.0, args.points)
     # one row per (nu, theta) state, theta varying fastest
     c1, c2 = en.admissibility_margins(gen, nus, ths)

@@ -20,6 +20,12 @@ Each solution is evaluated in one pass: rho is inverted from sigma once,
 the cell states are one `CellStates`, and `lattice_functionals` takes
 every lattice functional from one `nodal_fluxes` call and one Psi_in.T
 product over the stacked loads.
+
+For the special pair, whose generator has H_tt = 1 and every other
+second or third derivative 0, D1's flux is V = -theta grad theta +
+f N grad rho and D2 is eps times the dissipation density: the two terms
+of the special identity, which `CellStates` holds.  So D2_L1 is the
+dissipation integral up to rounding.
 """
 
 from __future__ import annotations
@@ -87,8 +93,10 @@ def nodal_test_functions(mesh: Mesh) -> tuple:
 @dataclass(frozen=True)
 class CellStates:
     """One solution's per-triangle mean (rho, theta), P1 gradients,
-    degeneracy f = 1 - c^2/q^2 and dissipation density
-    |grad theta|^2 + f q^-2 |grad rho|^2, at viscosity eps."""
+    degeneracy f = 1 - c^2/q^2, and the special identity's two terms:
+    dissipation density |grad theta|^2 + f q^-2 |grad rho|^2 and flux
+    V = -theta grad theta + f N grad rho, at viscosity eps.  For the
+    special pair they are also D2/eps and D1's flux."""
 
     epsilon: float
     rho: np.ndarray
@@ -97,13 +105,14 @@ class CellStates:
     grad_theta: np.ndarray
     f: np.ndarray
     density: np.ndarray
+    flux: np.ndarray
 
 
-def cell_states(mesh: Mesh, sol: Solution) -> CellStates:
+def cell_states(mesh: Mesh, sol: Solution, nu_bar: float) -> CellStates:
     """CellStates of a solution, f = (1 - 2 rho^2)/(1 - rho^2) floored
-    against transients.  The cell means and the gradients of rho and
-    theta are one `Mesh.cell_mean` product and one `Mesh.gradient` call
-    on the stacked (rho, theta)."""
+    against transients and N of the special pair at nu_bar.  The cell
+    means and the gradients of rho and theta are one `Mesh.cell_mean`
+    product and one `Mesh.gradient` call on the stacked (rho, theta)."""
     fields = np.column_stack([sol.rho, sol.theta])
     rho, theta = (mesh.cell_mean @ fields).T
     grads = mesh.gradient(fields)
@@ -112,12 +121,14 @@ def cell_states(mesh: Mesh, sol: Solution) -> CellStates:
     f = np.clip((1.0 - 2.0 * rho * rho) / q2, DEGENERACY_FLOOR, None)
     density = np.sum(grad_th ** 2, axis=1) \
         + f / q2 * np.sum(grad_rho ** 2, axis=1)
+    nvals = np.asarray(en.N_of_rho(rho, gc.rho_of_nu(nu_bar)))
+    flux = -theta[:, None] * grad_th + (f * nvals)[:, None] * grad_rho
     return CellStates(sol.epsilon, rho, theta, grad_rho, grad_th, f,
-                      density)
+                      density, flux)
 
 
 def lattice_functionals(mesh: Mesh, sol: Solution, cells: CellStates,
-                        pair, nu_bar: float, psi_in, psi_obs) -> dict:
+                        pair, psi_in, psi_obs) -> dict:
     """Every lattice functional of one solution, a vector each, from one
     `nodal_fluxes` call and one Psi_in.T product over the stacked loads
     D F, D G, D Q and the special load b (D = `Mesh.divergence_rhs`).
@@ -140,12 +151,12 @@ def lattice_functionals(mesh: Mesh, sol: Solution, cells: CellStates,
 
     whose right side is eps times one load from the scatter G^T |T| of D,
     b = G^T (|T| V) - cell_mean^T (|T| density), with V the first bracket
-    at the cell states.  This couples solver, chart, and entropy
-    machinery in one number.  The identity is exact for the continuous
-    problem, but the two sides are different quadratures (the left of
-    the nodal pair, the right of the cell states), so the defect is a
-    quadrature gap that shrinks with h, not a solver residual.  On the
-    default geometry it falls from 4.41e-5 at h = 1/32 to 7.70e-7 at
+    at the cell states (`CellStates.flux`).  This couples solver, chart
+    and entropy machinery in one number.  The identity is exact for the
+    continuous problem, but the two sides are different quadratures (the
+    left of the nodal pair, the right of the cell states), so the defect
+    is a quadrature gap that shrinks with h, not a solver residual.  On
+    the default geometry it falls from 4.41e-5 at h = 1/32 to 7.70e-7 at
     h = 1/128 for eps = 0.0125 (about h^2.9), and from 1.83e-5 to
     8.89e-7 for eps = 0.025 (about h^2.2).  It is reported, and
     `RunReport.ok` does not gate it.
@@ -173,10 +184,7 @@ def lattice_functionals(mesh: Mesh, sol: Solution, cells: CellStates,
         raise en.GeneratorDomainError(
             f"entropy pair not evaluable at node {bad} "
             f"(rho={rho[bad]:.4f}, theta={theta[bad]:.4f})")
-    nvals = np.asarray(en.N_of_rho(cells.rho, gc.rho_of_nu(nu_bar)))
-    V = -cells.theta[:, None] * cells.grad_theta \
-        + (cells.f * nvals)[:, None] * cells.grad_rho
-    b = mesh.cell_gradient.T @ (mesh.areas[:, None] * V).ravel() \
+    b = mesh.cell_gradient.T @ (mesh.areas[:, None] * cells.flux).ravel() \
         - mesh.cell_mean.T @ (mesh.areas * cells.density)
     DF = mesh.divergence_rhs(F)
     mass, curl, d_star, special = (psi_in.T @ np.column_stack(
@@ -186,41 +194,6 @@ def lattice_functionals(mesh: Mesh, sol: Solution, cells: CellStates,
                          - eps * (mesh.stiffness_matrix() @ sol.sigma))
     return {"mass": mass, "curl": curl, "defect_star": d_star,
             "special_defect": np.abs(d_star - eps * special), "trace": trace}
-
-
-def compactness_decomposition(mesh: Mesh, cells: CellStates,
-                              gen: en.Generator) -> dict:
-    """The D1 + D2 splitting of the entropy dissipation measure.
-
-    D2 = -eps [ (rho H_ntt - H_tt)(|grad th|^2 + f q^-2 |grad rho|^2)
-                + (H_ttt + rho H_nt)(2/rho) f grad th . grad rho ],
-    D1 = eps div( grad th (rho H_nt - H_t)
-                  + f grad rho (H_n + H_tt / rho) ),
-
-    with the first bracket's density `CellStates.density`, reported as
-    the L1 norm of D2 and eps times the L2 norm of the D1 flux (whose
-    analytic bound is C sqrt(eps)).  The D2 weights are -c1 and m of
-    `entropy.admissibility_terms`; they are formed here from the same six
-    derivative fields as the D1 flux, so no derivative is evaluated twice.
-    """
-    eps = cells.epsilon
-    rho_c, th_c, f = cells.rho, cells.theta, cells.f
-    grad_rho, grad_th = cells.grad_rho, cells.grad_theta
-    nu_c = np.asarray(gc.nu_of_rho(rho_c))
-    H_nt = gen.d(1, 1, nu_c, th_c)
-    H_t = gen.d(0, 1, nu_c, th_c)
-    H_n = gen.d(1, 0, nu_c, th_c)
-    H_tt = gen.d(0, 2, nu_c, th_c)
-    H_ntt = gen.d(1, 2, nu_c, th_c)
-    H_ttt = gen.d(0, 3, nu_c, th_c)
-    cross = np.sum(grad_th * grad_rho, axis=1)
-    D2 = -eps * ((rho_c * H_ntt - H_tt) * cells.density
-                 + (H_ttt + rho_c * H_nt) * (2.0 / rho_c) * f * cross)
-    D2_L1 = mesh.integrate(np.abs(D2))
-    flux = grad_th * (rho_c * H_nt - H_t)[:, None] \
-        + (f * (H_n + H_tt / rho_c))[:, None] * grad_rho
-    D1_est = eps * math.sqrt(mesh.integrate(np.sum(flux ** 2, axis=1)))
-    return {"D2_L1": float(D2_L1), "D1_est": float(D1_est)}
 
 
 def invariant_region_report(sol: Solution) -> dict:
@@ -302,18 +275,22 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
     """Assemble every diagnostic for a completed sweep, in one pass per
     solution: one `cell_states` and one `lattice_functionals`, whose
     defect vector serves both the entropy defect and the special identity.
+
+    "compactness_star" is the special pair's D1 + D2 splitting from the
+    cell states' special-identity terms: the L1 norm of D2 = eps density
+    and eps times the L2 norm of the D1 flux V (bound C sqrt(eps)).
     """
     nu_bar = gc.nu_of_rho(config.rho_inf)
-    gen_star = en.special_generator(gc.GasChart(), nu_bar)
     pair_star = en.special_pair(nu_bar)
     psi_in, psi_obs = nodal_test_functions(mesh)
 
     records = []
     for sol in solutions:
-        cells = cell_states(mesh, sol)
-        lattice = lattice_functionals(mesh, sol, cells, pair_star, nu_bar,
-                                      psi_in, psi_obs)
+        cells = cell_states(mesh, sol, nu_bar)
+        lattice = lattice_functionals(mesh, sol, cells, pair_star, psi_in,
+                                      psi_obs)
         d_star = lattice["defect_star"]
+        flux_l2 = math.sqrt(mesh.integrate(np.sum(cells.flux ** 2, axis=1)))
         records.append({
             "epsilon": sol.epsilon,
             "iterations": sol.iterations,
@@ -326,8 +303,9 @@ def run_report(mesh: Mesh, config: SolverConfig, solutions) -> RunReport:
                                for key in ("mass", "curl")},
             "entropy_defect_star": float(np.max(d_star)),
             "entropy_defect_star_all": [float(x) for x in d_star],
-            "compactness_star": compactness_decomposition(mesh, cells,
-                                                          gen_star),
+            "compactness_star": {
+                "D2_L1": mesh.integrate(np.abs(sol.epsilon * cells.density)),
+                "D1_est": sol.epsilon * flux_l2},
             "obstacle_trace_min": float(lattice["trace"].min()),
             "special_identity_defect": float(lattice["special_defect"].max())})
 

@@ -34,7 +34,6 @@ Q_CAV = 1.0
 RHO_CR = math.sqrt(0.5)
 NU_CR = math.atanh(RHO_CR) - RHO_CR
 SIGMA_CR = 2.0 * RHO_CR - math.atanh(RHO_CR)
-K_AT_QCR = (math.sqrt(2.0) - 1.0) * math.pi / 2.0
 
 
 _K_SERIES, _RHO_SERIES = characteristic_series()

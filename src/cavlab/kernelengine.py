@@ -52,8 +52,10 @@ Every stored column is read.  A table keeps each expansion coefficient
 A with A' and A'' (suffixes "p", "pp") and the forcing column (ell or
 ell2), nothing else: Hhat reads A and Hhat_nu reads A', the remainder
 ODE reads the forcing, and generator_residual, part of verify_kernel,
-reads all of them on every nu row.  What the chains compute on the way
-(the integrals I, J, K and the singular chain's ell1) is not stored.
+reads all of them on every nu row; verify_energy_inequality compares
+ghat and ghat_nu with the remainder ODE on three xi columns.  What the
+chains compute on the way (the integrals I, J, K and the singular
+chain's ell1) is not stored.
 
 The jet branch is evaluated on whole node arrays at once: a TaylorJet
 keeps its Taylor coefficients on the last axis of ``c`` and one base
@@ -834,15 +836,24 @@ def verify_remainder_envelope(transform: KernelTransform) -> dict:
         np.abs(transform.ghat) / (nus[:, None] ** p / (1.0 + zk) ** q))
 
 
-def verify_energy_inequality(transform: KernelTransform) -> dict:
-    """E(nu) = y'^2 + k'^2 xi^2 y^2 <= nu * int of forcing^2 along the
-    columns xi = 0.5, 3, 40.
+def verify_energy_inequality(transform: KernelTransform) -> tuple:
+    """(report, remainder_mismatch) of one remainder integration on the
+    stored xi columns nearest 0.5, 3 and 40.
 
-    atol resolves |y| ~ 1e-17 at the regular grid's small nu, where the
-    ratio peaks, so the ratio is measured, not integrator error."""
+    report: "max_ratio" of E(nu) = y'^2 + k'^2 xi^2 y^2 to its bound
+    nu * int of forcing^2, and "pass".  atol resolves |y| ~ 1e-17 at the
+    regular grid's small nu, where the ratio peaks, so the ratio is
+    measured, not integrator error.
+
+    remainder_mismatch: the largest difference of y from the stored ghat
+    and of y' from ghat_nu there, relative to each column's maximum:
+    <= 5.8e-9 on built tables, 1e-4 with either scaled by 1 + 1e-4.
+    ghat_xi and ghat_nuxi are not compared."""
     coeffs = transform.coeffs
     name, lam = KINDS[transform.kind].forcing
-    xis = np.array([0.5, 3.0, 40.0])
+    idx = [int(np.argmin(np.abs(transform.xi_grid - x)))
+           for x in (0.5, 3.0, 40.0)]
+    xis = transform.xi_grid[idx]
     nu, y, yp = integrate_remainder(transform.kind, coeffs, xis, atol=1e-22)
     kp = np.asarray(gc.kprime_of_nu(nu))[:, None]
     kv = np.asarray(gc.k_of_nu(nu))[:, None]
@@ -852,7 +863,11 @@ def verify_energy_inequality(transform: KernelTransform) -> dict:
         0.5 * (F2[1:] + F2[:-1]) * np.diff(nu)[:, None], axis=0)])
     bound = nu[:, None] * cum
     worst = float(np.max(E[1:] / np.maximum(bound[1:], 1e-300)))
-    return {"max_ratio": worst, "pass": bool(worst <= 1.0 + 1e-6)}
+    mismatch = max(float(np.max(np.max(np.abs(got - stored[:, idx]), axis=0)
+                                / np.max(np.abs(stored[:, idx]), axis=0)))
+                   for got, stored in ((y, transform.ghat),
+                                       (yp, transform.ghat_nu)))
+    return {"max_ratio": worst, "pass": bool(worst <= 1.0 + 1e-6)}, mismatch
 
 
 def generator_residual(transform: KernelTransform) -> float:
@@ -897,9 +912,11 @@ def verify_kernel(transform: KernelTransform) -> dict:
     """Full estimate report for a built kernel table.  "pass" holds when
     every vacuum limit (initial_data) is met to 1e-4, both fitted constants
     drift by less than _DRIFT_TOL, the energy ratio is at most 1 + 1e-6,
+    the stored remainder matches its ODE (remainder_mismatch) to 1e-6,
     the Huygens leakage is below 1e-6 and the generator-equation residual
     (generator_residual) is below 1e-10."""
     nu_star, norm, norm_paper = _header(transform.kind, transform.coeffs)
+    energy, mismatch = verify_energy_inequality(transform)
     rep = {
         "kind": transform.kind,
         "nu_star": nu_star,
@@ -909,13 +926,15 @@ def verify_kernel(transform: KernelTransform) -> dict:
         "initial_data": transform.limit_estimates(),
         "cancellation": verify_cancellation(transform),
         "remainder_envelope": verify_remainder_envelope(transform),
-        "energy_inequality": verify_energy_inequality(transform),
+        "energy_inequality": energy,
+        "remainder_mismatch": mismatch,
         "huygens_leakage": huygens_leakage(transform),
         "generator_residual": generator_residual(transform),
     }
     ok = (rep["cancellation"]["drift_ok"]
           and rep["remainder_envelope"]["drift_ok"]
           and rep["energy_inequality"]["pass"]
+          and rep["remainder_mismatch"] <= 1e-6
           and rep["huygens_leakage"] < 1e-6
           and rep["generator_residual"] < 1e-10)
     H0, key, m = KINDS[transform.kind].vacuum

@@ -5,8 +5,7 @@ quantity built from the characteristic speed k(nu) is an analytic function
 of w near w = 0.  The module provides
 
 * ``characteristic_series``, the cube-root series of the density and of k
-  itself, from the exact rational coefficients frozen in ``_frozen``
-  together with the constants C_FLAT and C_L,
+  itself, from the exact rational coefficients frozen in ``_frozen``,
 * ``CubeRootSeries``, a small Puiseux-series type in powers of nu**(1/3)
   used to evaluate kernel coefficient functions without cancellation for
   small nu,
@@ -21,9 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _frozen
-
-# k(nu) = C_SHARP*nu**(1/3) + C_FLAT*nu + C_L*nu**(5/3) + O(nu**(7/3))
-C_SHARP = 3.0 ** (1.0 / 3.0)
 
 # Series order of the frozen rational coefficients and of the float series
 # (powers of w = nu**(1/3) up to w**(SERIES_ORDER-1)).

@@ -12,6 +12,15 @@ import numpy as np
 
 from cavlab import _frozen
 
+# k(nu) = C_SHARP nu^(1/3) + C_FLAT nu + C_L nu^(5/3) + C_SERIES_NEXT nu^(7/3)
+# + O(nu^3): the frozen coefficient a_j of k in t = (3 nu)^(1/3) is the
+# coefficient 3^(j/3) a_j of nu^(j/3)
+A3, A5, A7 = (Fraction(*_frozen.K_SERIES_T[j]) for j in (3, 5, 7))
+C_SHARP = 3.0 ** (1.0 / 3.0)
+C_FLAT = float(3 * A3)
+C_L = float(A5) * 3.0 ** (5.0 / 3.0)
+C_SERIES_NEXT = float(A7) * 3.0 ** (7.0 / 3.0)
+
 
 def chart_highprec(nu, dps: int = 50):
     """(rho, k, k', k'') at one nu via mpmath; test oracle precision."""
@@ -47,10 +56,8 @@ def k_remainder_highprec(nu_values, dps: int = 50):
     out = []
     with mp.workdps(dps):
         c_sharp = mp.cbrt(3)
-        c_flat = mp.mpf(Fraction(_frozen.C_FLAT).numerator) / Fraction(
-            _frozen.C_FLAT).denominator
-        num, den = _frozen.K_SERIES_T[5]
-        c_l = mp.mpf(num) / den * mp.cbrt(3) ** 5
+        c_flat = 3 * mp.mpf(A3.numerator) / A3.denominator
+        c_l = mp.mpf(A5.numerator) / A5.denominator * mp.cbrt(3) ** 5
         for nu in nu_values:
             nu_m = mp.mpf(repr(float(nu)))
             k = chart_highprec(nu_m, dps)[1]

@@ -15,7 +15,8 @@ import pytest
 
 import cavlab.gaschart as gc
 from cavlab import _frozen, vacuum
-from chart_oracle import chart_highprec, k_highprec, k_remainder_highprec
+from chart_oracle import (C_FLAT, C_L, C_SERIES_NEXT, chart_highprec,
+                          k_highprec, k_remainder_highprec)
 
 
 # ----------------------------------------------------------------------
@@ -122,9 +123,6 @@ def frozen_text() -> str:
     """The text of `cavlab/_frozen.py`, from the exact rational series."""
     rho_t, k_t = rational_chart_series(vacuum.SERIES_ORDER)
     assert k_t[1] == 1, "leading k coefficient must be exactly 1"
-    c_flat = 3 * k_t[3]
-    c_l = float(k_t[5]) * 3.0 ** (5.0 / 3.0)
-    c_next = float(k_t[7]) * 3.0 ** (7.0 / 3.0)
     lines = [
         '"""Frozen near-vacuum series constants (generated; do not edit).',
         "",
@@ -132,10 +130,6 @@ def frozen_text() -> str:
         "rational series inversion of the renormalized density followed by",
         "term-by-term integration of the characteristic-speed derivative.",
         '"""',
-        "",
-        f"C_FLAT = {float(c_flat)!r}  # exactly {c_flat}",
-        f"C_L = {c_l!r}  # exactly {k_t[5]} * 3**(5/3)",
-        f"C_SERIES_NEXT = {c_next!r}  # nu**(7/3) coefficient, exactly {k_t[7]} * 3**(7/3)",
         "",
         "# k(t) = sum_j a_j t**j with t = (3 nu)**(1/3); (numerator, denominator)",
         "K_SERIES_T = [",
@@ -158,7 +152,7 @@ def test_rational_oracle_reproduces_frozen_file():
     assert [(a.numerator, a.denominator) for a in k_t] == _frozen.K_SERIES_T
     assert [(a.numerator, a.denominator) for a in rho_t] == _frozen.RHO_SERIES_T
     assert k_t[1] == Fraction(1)  # c_sharp = 3**(1/3) exactly
-    assert 3 * k_t[3] == Fraction(_frozen.C_FLAT).limit_denominator(10)
+    assert 3 * k_t[3] == Fraction(-3, 5)  # c_flat, the nu coefficient
 
 
 def test_frozen_file_is_generated():
@@ -177,13 +171,12 @@ def test_fit_asymptotic_constants():
     fit_c_sharp, fit_c_flat, fit_c_l = (float(c) for c in coef)
     envelope_C = float(np.max(np.abs(k_remainder_highprec(nus))
                               / nus ** (7 / 3)))
-    assert vacuum.C_SHARP == pytest.approx(3 ** (1 / 3), abs=0)
     assert fit_c_sharp == pytest.approx(3 ** (1 / 3), abs=1e-8)
     # the 3-term fit omits the nu^(7/3) remainder; on [1e-8, 1e-4] that
     # contaminates c_flat at ~nu_hi^(4/3) and c_l at ~nu_hi^(2/3)
-    assert fit_c_flat == pytest.approx(_frozen.C_FLAT, rel=1e-4)
-    assert fit_c_l == pytest.approx(_frozen.C_L, rel=1e-2)
-    assert envelope_C < 10 * abs(_frozen.C_SERIES_NEXT)
+    assert fit_c_flat == pytest.approx(C_FLAT, rel=1e-4)
+    assert fit_c_l == pytest.approx(C_L, rel=1e-2)
+    assert envelope_C < 10 * abs(C_SERIES_NEXT)
 
 
 def test_remainder_slope():
@@ -196,7 +189,7 @@ def test_remainder_slope():
 
 def test_cancellation_slope():
     # (2k'^2 + k k'') - (10/9) c_sharp c_flat nu^(-2/3) - c_tilde = O(nu^(2/3))
-    c_sharp, c_flat, c_l = 3 ** (1 / 3), _frozen.C_FLAT, _frozen.C_L
+    c_sharp, c_flat, c_l = 3 ** (1 / 3), C_FLAT, C_L
     c_tilde = (28 / 9) * c_sharp * c_l + 2 * c_flat ** 2
     nus = np.geomspace(1e-8, 1e-4, 25)
     vals = []

@@ -158,6 +158,27 @@ def test_tables_nu_min_must_be_below_nu_star(tmp_path, capsys, nu_min,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu_star", ["5e-05", "0.0001"])
+def test_entropy_check_nu_star_must_clear_the_least_state(tmp_path, capsys,
+                                                           nu_star):
+    # the states' nu run from 1e-4 up to 0.99 kernel.nu_star; a nu_star
+    # that puts that top at or below 1e-4 would write rows above nu_star
+    out, cfg = tmp_path / "margins.csv", tmp_path / "run.cfg"
+    cfg.write_text(f"kernel.nu_star = {nu_star}\n")
+    assert cli.main(["entropy", "check", "--config", str(cfg), "--points",
+                     "3", "--out", str(out)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "Traceback" not in err
+    assert err.startswith("bad kernel.nu_star: ") and nu_star in err
+    assert not out.exists()
+    cfg.write_text("kernel.nu_star = 0.00011\n")
+    assert cli.main(["entropy", "check", "--config", str(cfg), "--points",
+                     "3", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        nus = [float(row["nu"]) for row in csv.DictReader(fh)]
+    assert min(nus) == 1e-4 and max(nus) <= 0.99 * 0.00011
+
+
 @pytest.mark.parametrize("out", ["missing-directory", "a-directory"])
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_kernel_out_is_checked_before_any_work(tmp_path, monkeypatch, capsys,
@@ -492,6 +513,40 @@ def test_kernel_verify_checks_every_column(request, save_altered, tmp_path,
     assert rep["pass"] is False
     assert rep["generator_residual"] > 1e-10
     assert sorted(cols) == sorted(KEPT_COLUMNS[kind])
+
+
+@pytest.mark.parametrize("kind", ("regular", "singular"))
+@pytest.mark.parametrize("remainder", ("ghat", "ghat_nu"))
+def test_kernel_verify_checks_the_stored_remainder(request, save_altered,
+                                                   tmp_path, kind, remainder):
+    # a remainder table 1e-4 off its ODE fails `kernel verify` on
+    # remainder_mismatch, which one integration of the remainder ODE
+    # serves together with the energy inequality
+    tr = request.getfixturevalue(kind)
+    path, out = tmp_path / "table.cavk", tmp_path / "verify.json"
+    save_altered(tr, path, **{remainder: getattr(tr, remainder) * 1.0001})
+    assert cli.main(["kernel", "verify", str(path), "--out",
+                     str(out)]) == cli.CHECK_FAILED
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is False
+    assert rep["remainder_mismatch"] > 1e-6
+    assert rep["energy_inequality"]["pass"] is True
+
+
+def test_kernel_verify_integrates_the_remainder_once(regular, singular,
+                                                     monkeypatch):
+    calls = []
+    integrate = ke.integrate_remainder
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(ke, "integrate_remainder", counting)
+    for tr in (regular, singular):
+        rep = ke.verify_kernel(tr)
+        assert rep["pass"] is True
+        assert rep["remainder_mismatch"] <= 1e-6
+    assert calls == ["regular", "singular"]
 
 
 @pytest.mark.parametrize("xi_max", ("2", "4"))

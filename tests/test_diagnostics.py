@@ -1,8 +1,10 @@
 """Diagnostics: the P1 test space, the lattice functionals against their
 per-functional formulas, the obstacle trace identity, the entropy
-defect, the sqrt(eps) fits and the gates of RunReport.ok."""
+defect, the D1 + D2 splitting against the generic formula, the sqrt(eps)
+fits and the gates of RunReport.ok."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ def functionals_oracle(mesh, sol, pair, nu_bar, psi_in, psi_obs):
     load = wall + mesh.divergence_rhs(F) \
         - sol.epsilon * (mesh.stiffness_matrix() @ sol.sigma)
     trace = psi_obs.T @ load
-    cells = dg.cell_states(mesh, sol)
+    cells = dg.cell_states(mesh, sol, nu_bar)
     nvals = np.asarray(en.N_of_rho(cells.rho, gc.rho_of_nu(nu_bar)))
     V = -cells.theta[:, None] * cells.grad_theta \
         + (cells.f * nvals)[:, None] * cells.grad_rho
@@ -92,8 +94,36 @@ def functionals_oracle(mesh, sol, pair, nu_bar, psi_in, psi_obs):
 
 def dissipation_oracle(mesh, sol):
     """eps * int |grad theta|^2 + (1 - c^2/q^2) q^-2 |grad rho|^2 dx."""
-    cells = dg.cell_states(mesh, sol)
+    cells = dg.cell_states(mesh, sol, gc.nu_of_rho(sol.config.rho_inf))
     return cells.epsilon * mesh.integrate(cells.density)
+
+
+def compactness_oracle(mesh, cells, gen):
+    """The D1 + D2 splitting of the entropy dissipation measure of a
+    generator, by the generic formula from six derivative fields:
+
+    D2 = -eps [ (rho H_ntt - H_tt)(|grad th|^2 + f q^-2 |grad rho|^2)
+                + (H_ttt + rho H_nt)(2/rho) f grad th . grad rho ],
+    D1 = eps div( grad th (rho H_nt - H_t)
+                  + f grad rho (H_n + H_tt / rho) ),
+
+    reported as the L1 norm of D2 and eps times the L2 norm of the D1
+    flux."""
+    eps = cells.epsilon
+    rho_c, th_c, f = cells.rho, cells.theta, cells.f
+    grad_rho, grad_th = cells.grad_rho, cells.grad_theta
+    nu_c = np.asarray(gc.nu_of_rho(rho_c))
+    H_nt, H_t, H_n, H_tt, H_ntt, H_ttt = (
+        gen.d(i, j, nu_c, th_c)
+        for i, j in ((1, 1), (0, 1), (1, 0), (0, 2), (1, 2), (0, 3)))
+    cross = np.sum(grad_th * grad_rho, axis=1)
+    D2 = -eps * ((rho_c * H_ntt - H_tt) * cells.density
+                 + (H_ttt + rho_c * H_nt) * (2.0 / rho_c) * f * cross)
+    flux = grad_th * (rho_c * H_nt - H_t)[:, None] \
+        + (f * (H_n + H_tt / rho_c))[:, None] * grad_rho
+    return {"D2_L1": mesh.integrate(np.abs(D2)),
+            "D1_est": eps * math.sqrt(mesh.integrate(np.sum(flux ** 2,
+                                                            axis=1)))}
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +199,9 @@ def _functionals(mesh, sol):
     nu_bar = gc.nu_of_rho(sol.config.rho_inf)
     pair = en.special_pair(nu_bar)
     psi_in, psi_obs = dg.nodal_test_functions(mesh)
-    return dg.lattice_functionals(mesh, sol, dg.cell_states(mesh, sol),
-                                  pair, nu_bar, psi_in, psi_obs)
+    return dg.lattice_functionals(mesh, sol,
+                                  dg.cell_states(mesh, sol, nu_bar), pair,
+                                  psi_in, psi_obs)
 
 
 def test_lattice_functionals_equal_their_oracles_bit_for_bit(mesh,
@@ -308,14 +339,40 @@ def test_run_report_derives_each_state_once(mesh, monkeypatch):
     assert not sol.rho.flags.writeable
 
 
-def test_special_generator_d2_is_the_dissipation(mesh):
+@pytest.fixture(scope="module")
+def swept(mesh):
+    """The solutions of an h = 1/16 sweep over eps = 0.2, 0.1, 0.05 and
+    their report."""
+    cfg = sv.SolverConfig(epsilons=(0.2, 0.1, 0.05))
+    solutions = sv.sweep(cfg, mesh)
+    return solutions, dg.run_report(mesh, cfg, solutions)
+
+
+def test_special_generator_d2_is_the_dissipation(swept):
     # for the special generator D2's weights are -1 and 0, so its L1 norm
     # is the dissipation integral; within 2 ulps, not bit for bit, as the
     # two round in different places
-    cfg = sv.SolverConfig(epsilons=(0.2, 0.1, 0.05))
-    report = dg.run_report(mesh, cfg, sv.sweep(cfg, mesh))
+    _, report = swept
     assert len(report.records) == 3
     for rec in report.records:
         d2 = rec["compactness_star"]["D2_L1"]
         assert d2 == pytest.approx(rec["dissipation_integral"], rel=1e-14,
                                    abs=0.0)
+
+
+def test_compactness_star_is_the_generic_splitting(mesh, swept):
+    # the report's D1 and D2 come from the special identity's two cell
+    # terms; the generic formula with the special generator's six
+    # derivative fields gives D2 bit for bit (its weights are -1 and 0)
+    # and D1 to rounding
+    solutions, report = swept
+    nu_bar = gc.nu_of_rho(solutions[0].config.rho_inf)
+    gen = en.special_generator(gc.GasChart(), nu_bar)
+    for sol, rec in zip(solutions, report.records):
+        want = compactness_oracle(mesh, dg.cell_states(mesh, sol, nu_bar),
+                                  gen)
+        got = rec["compactness_star"]
+        assert sorted(got) == ["D1_est", "D2_L1"]
+        assert got["D2_L1"] == want["D2_L1"]
+        assert got["D1_est"] == pytest.approx(want["D1_est"], rel=1e-13,
+                                              abs=0.0)

@@ -8,6 +8,8 @@ import pytest
 import cavlab.gaschart as gc
 from chart_oracle import k_highprec
 
+K_AT_QCR = (math.sqrt(2.0) - 1.0) * math.pi / 2.0  # k at the sonic speed
+
 
 def kprime_of_q(q):
     """dk/dq = -(1/q) sqrt((2q^2-1)/(1-q^2)); -0.0 at q_cr, -inf at q_cav.
@@ -28,7 +30,6 @@ def test_constants():
     assert gc.NU_CR == pytest.approx(math.atanh(math.sqrt(0.5)) - math.sqrt(0.5),
                                      abs=1e-16)
     assert gc.NU_CR > 0
-    assert gc.K_AT_QCR == pytest.approx((math.sqrt(2) - 1) * math.pi / 2, abs=0)
 
 
 def test_rho_of_q_examples():
@@ -78,7 +79,7 @@ def test_round_trips_dense():
 
 def test_k_endpoints_exact():
     assert abs(gc.k_of_q(gc.Q_CAV)) < 1e-14
-    assert abs(gc.k_of_q(gc.Q_CR) - gc.K_AT_QCR) < 1e-14
+    assert abs(gc.k_of_q(gc.Q_CR) - K_AT_QCR) < 1e-14
 
 
 def test_k_of_q_against_quadrature():
