@@ -15,22 +15,23 @@ for kind in regular singular; do
   cavlab kernel build --kind "$kind" --out "$work/$kind.cavk"
   cavlab kernel verify "$work/$kind.cavk"
 done
-# a copy of the regular table with a NaN as its last value, and one whose
-# header nu_star (bytes 15-22) is not its last nu node: each is a
-# malformed table, a usage error (exit 2)
+# a copy of the regular table with a NaN over its last bytes, and one
+# whose calibration (bytes 15-22 of the prefix) reads 0.2: the CRC-32
+# does not match either, so each is a malformed table, a usage error
+# (exit 2)
 python3 - "$work/regular.cavk" "$work" <<'PY'
 import struct, sys
 table, work = sys.argv[1:]
 with open(table, "rb") as fh:
     data = fh.read()
 for name, offset, value in (("nan-last", len(data) - 8, float("nan")),
-                            ("nu-star-0.2", 15, 0.2)):
+                            ("calibration-0.2", 15, 0.2)):
     copy = bytearray(data)
     struct.pack_into("<d", copy, offset, value)
     with open(f"{work}/{name}.cavk", "wb") as fh:
         fh.write(copy)
 PY
-for bad in nan-last nu-star-0.2; do
+for bad in nan-last calibration-0.2; do
   status=0
   cavlab kernel verify "$work/$bad.cavk" || status=$?
   test "$status" -eq 2

@@ -39,14 +39,22 @@ because the jets read J between grid nodes through a cubic spline.
 A kernel table stores each fact once: KernelTransform holds the kind,
 the xi grid and the remainder tables ghat, ghat_nu, ghat_xi, ghat_nuxi,
 its CoefficientTable the nu grid, the columns and the calibration.
-nu_star (the last nu node) and both normalizations are derived
-(`_header`), and the copies in a `.cavk` header must equal them bit for
-bit.  The constructor is the one check of a table, built, rescaled or
-loaded: a known kind, exactly its column names, nu and xi grids of at
-least 2 finite, strictly increasing values with nu > 0 and xi >= 0, a nu
-grid that spans NU_CALIBRATION/8 ... NU_CALIBRATION, shapes that match
-the grids, and finite columns, remainders and calibration.  Each breach
+nu_star (the last nu node) and both normalizations are derived.  The
+constructor is the one check of a table, built, rescaled or loaded: a
+known kind, exactly its column names, nu and xi grids of at least 2
+finite, strictly increasing values with nu > 0 and xi >= 0, a nu grid
+that spans NU_CALIBRATION/8 ... NU_CALIBRATION, shapes that match the
+grids, and finite columns, remainders and calibration.  Each breach
 raises KernelTableError naming its section.
+
+A `.cavk` file (version 3) is the prefix struct "<5sBBIId" (magic
+"CAVK1", version 3, the kind's index in KINDS, n_nu, n_xi, calibration),
+then as little-endian doubles the nu grid, the xi grid, the kind's
+columns in `_table_columns` order and the remainders in `_REMAINDERS`
+order, then the CRC-32 of every byte before it.  The prefix fixes the
+file's size, which is checked before anything is read, and the CRC-32
+covers every stored number; a file that fails either, or the
+constructor, raises KernelTableError naming the file.
 
 Every stored column is read.  A table keeps each expansion coefficient
 A with A' and A'' (suffixes "p", "pp") and the forcing column (ell or
@@ -336,7 +344,7 @@ class CoefficientModel:
 @dataclass
 class CoefficientTable:
     """The columns of a kind's table on its nu grid, and the calibration
-    factor they carry; what follows from these is derived (`_header`)."""
+    factor they carry; nu_star and the normalization follow from these."""
     nu_grid: np.ndarray
     columns: dict
     calibration: float = 1.0
@@ -344,15 +352,6 @@ class CoefficientTable:
     def scaled(self, factor: float) -> "CoefficientTable":
         cols = {k: v * factor for k, v in self.columns.items()}
         return CoefficientTable(self.nu_grid, cols, self.calibration * factor)
-
-
-def _header(kind: str, coeffs: CoefficientTable) -> tuple:
-    """(nu_star, normalization, paper normalization) of a table: the last
-    grid node, and the kind's normalizations with the calibration."""
-    spec = KINDS[kind]
-    return (float(coeffs.nu_grid[-1]),
-            spec.normalization * coeffs.calibration,
-            spec.normalization_paper)
 
 
 def _coefficient_table(kind: str, chart: gc.GasChart,
@@ -448,7 +447,9 @@ def integrate_remainder(kind: str, coeffs: CoefficientTable, xi,
 # ----------------------------------------------------------------------
 
 MAGIC = b"CAVK1"
-_TABLE_VERSION = 2
+_TABLE_VERSION = 3
+# magic, version, kind byte (index in KINDS), n_nu, n_xi, calibration
+_PREFIX = struct.Struct("<5sBBIId")
 _REMAINDERS = ("ghat", "ghat_nu", "ghat_xi", "ghat_nuxi")
 
 
@@ -480,13 +481,13 @@ class KernelTransform:
         """The table contract of the module docstring, in section order."""
         if self.kind not in KINDS:
             raise KernelTableError(
-                f"section version/kind names no kind: {self.kind!r}")
+                f"section kind names no kind: {self.kind!r}")
         cols = self.coeffs.columns
         expected = sorted(c for c, _, _ in _table_columns(KINDS[self.kind]))
         if sorted(cols) != expected:
             raise KernelTableError(
-                f"columns {sorted(cols)} in section column names are not "
-                f"the {self.kind} table's {expected}")
+                f"section columns holds {sorted(cols)}, not the "
+                f"{self.kind} table's {expected}")
         nu, xi = self.coeffs.nu_grid, self.xi_grid
         # the splines in log nu and the xi brackets of the remainder read
         # the grids so
@@ -651,106 +652,70 @@ class KernelTransform:
     # ---- persistence ---------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write the table as `.cavk` version 3 (module docstring), one
+        array at a time, with the CRC-32 of every byte before it last."""
+        import zlib
         cols = self.coeffs.columns
-        names = sorted(cols)
+        prefix = _PREFIX.pack(MAGIC, _TABLE_VERSION, list(KINDS).index(
+            self.kind), len(self.coeffs.nu_grid), len(self.xi_grid),
+            self.coeffs.calibration)
+        crc = zlib.crc32(prefix)
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<BB", _TABLE_VERSION,
-                                 list(KINDS).index(self.kind)))
-            fh.write(struct.pack("<II", len(self.coeffs.nu_grid),
-                                 len(self.xi_grid)))
-            fh.write(struct.pack("<ddd", *_header(self.kind, self.coeffs)))
-            fh.write(struct.pack("<d", self.coeffs.calibration))
-            fh.write(struct.pack("<I", len(names)))
-            for name in names:
-                b = name.encode()
-                fh.write(struct.pack("<I", len(b)))
-                fh.write(b)
-            self.coeffs.nu_grid.astype("<f8").tofile(fh)
-            self.xi_grid.astype("<f8").tofile(fh)
-            for name in names:
-                cols[name].astype("<f8").tofile(fh)
-            for name in _REMAINDERS:
-                getattr(self, name).astype("<f8").tofile(fh)
+            fh.write(prefix)
+            for values in (self.coeffs.nu_grid, self.xi_grid,
+                           *(cols[name] for name, _, _ in
+                             _table_columns(KINDS[self.kind])),
+                           *(getattr(self, name) for name in _REMAINDERS)):
+                values = np.ascontiguousarray(values, dtype="<f8")
+                fh.write(values)
+                crc = zlib.crc32(values, crc)
+            fh.write(struct.pack("<I", crc))
 
     @classmethod
     def load(cls, path: str) -> "KernelTransform":
-        """Read a table written by save; a malformed file raises
-        KernelTableError naming the file and the section at fault.  The
-        bytes are parsed here and the contents checked by the constructor;
-        then the header's nu_star and normalizations must equal those
-        derived from the body (`_header`)."""
+        """Read a table written by save.  A bad magic, version or kind
+        byte, a file size other than the prefix implies (checked before
+        anything is allocated) or a CRC-32 that does not match raises
+        KernelTableError naming the file; the constructor checks the
+        contents."""
+        import zlib
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-
-            def need(n, section):
-                # checked before reading, so a corrupt count allocates nothing
-                left = size - fh.tell()
-                if left < n:
-                    raise KernelTableError(
-                        f"{path}: truncated in section {section} (needs {n} "
-                        f"bytes at offset {fh.tell()}, {left} left)")
-
-            def unpack(fmt, section):
-                n = struct.calcsize(fmt)
-                need(n, section)
-                return struct.unpack(fmt, fh.read(n))
-
-            def floats(n, section):
-                need(8 * n, section)
-                return np.fromfile(fh, "<f8", n)
-
-            need(len(MAGIC), "magic")
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise KernelTableError(
-                    f"{path}: not a kernel table (magic {magic!r})")
-            version, kind_id = unpack("<BB", "version/kind")
+            prefix = fh.read(_PREFIX.size)
+            if prefix[:len(MAGIC)] != MAGIC:
+                raise KernelTableError(f"{path}: not a kernel table (magic "
+                                       f"{prefix[:len(MAGIC)]!r})")
+            if len(prefix) < _PREFIX.size:
+                raise KernelTableError(f"{path}: truncated in the prefix")
+            _, version, kind_id, n_nu, n_xi, calibration = \
+                _PREFIX.unpack(prefix)
             if version != _TABLE_VERSION:
                 raise KernelTableError(
-                    f"{path}: unknown table version {version} in section "
-                    f"version/kind")
+                    f"{path}: unknown table version {version} (version "
+                    f"{_TABLE_VERSION} is read; rebuild the table)")
             if kind_id >= len(KINDS):
+                raise KernelTableError(f"{path}: unknown kind byte {kind_id}")
+            kind = list(KINDS)[kind_id]
+            columns = [name for name, _, _ in _table_columns(KINDS[kind])]
+            sizes = ([n_nu, n_xi] + [n_nu] * len(columns)
+                     + [n_nu * n_xi] * len(_REMAINDERS))
+            size = os.fstat(fh.fileno()).st_size
+            want = _PREFIX.size + 8 * sum(sizes) + 4
+            if size != want:
                 raise KernelTableError(
-                    f"{path}: unknown kind byte {kind_id} in section "
-                    f"version/kind")
-            n_nu, n_xi = unpack("<II", "grid sizes")
-            header = unpack("<ddd", "normalization")
-            calibration, = unpack("<d", "calibration")
-            n_names, = unpack("<I", "column names")
-            names = []
-            for _ in range(n_names):
-                ln, = unpack("<I", "column names")
-                need(ln, "column names")
-                try:
-                    names.append(fh.read(ln).decode())
-                except UnicodeDecodeError as exc:
-                    raise KernelTableError(
-                        f"{path}: undecodable name in section column names"
-                    ) from exc
-            nu_grid = floats(n_nu, "nu grid")
-            xi_grid = floats(n_xi, "xi grid")
-            cols = {name: floats(n_nu, f"column {name}") for name in names}
-            rem = [floats(n_nu * n_xi, f"remainder {name}")
-                   for name in _REMAINDERS]
-            if fh.tell() != size:
-                raise KernelTableError(
-                    f"{path}: {size - fh.tell()} trailing bytes after "
-                    f"section remainder ghat_nuxi")
-        kind = list(KINDS)[kind_id]
-        coeffs = CoefficientTable(nu_grid, cols, calibration)
+                    f"{path}: {size} bytes, not the {want} that a {kind} "
+                    f"table of {n_nu} x {n_xi} takes")
+            values = np.fromfile(fh, "<f8", sum(sizes))
+            crc, = struct.unpack("<I", fh.read(4))
+        if zlib.crc32(values, zlib.crc32(prefix)) != crc:
+            raise KernelTableError(f"{path}: CRC-32 does not match")
+        nu_grid, xi_grid, *rest = np.split(values, np.cumsum(sizes)[:-1])
+        coeffs = CoefficientTable(nu_grid, dict(zip(columns, rest)),
+                                  calibration)
         try:
-            table = cls(kind, coeffs, xi_grid,
-                        *(r.reshape(n_nu, n_xi) for r in rem))
+            return cls(kind, coeffs, xi_grid, *(r.reshape(n_nu, n_xi)
+                                                for r in rest[len(columns):]))
         except KernelTableError as exc:
             raise KernelTableError(f"{path}: {exc}") from None
-        derived = _header(kind, coeffs)
-        if header != derived:
-            raise KernelTableError(
-                f"{path}: section normalization holds (nu_star, "
-                f"normalization, paper normalization) = {header!r}, not "
-                f"{derived!r} as the grid, kind and calibration give")
-        return table
 
 
 # the name perfbench's self-tests build a transform by
@@ -915,14 +880,15 @@ def verify_kernel(transform: KernelTransform) -> dict:
     the stored remainder matches its ODE (remainder_mismatch) to 1e-6,
     the Huygens leakage is below 1e-6 and the generator-equation residual
     (generator_residual) is below 1e-10."""
-    nu_star, norm, norm_paper = _header(transform.kind, transform.coeffs)
+    spec = KINDS[transform.kind]
+    calibration = transform.coeffs.calibration
     energy, mismatch = verify_energy_inequality(transform)
     rep = {
         "kind": transform.kind,
-        "nu_star": nu_star,
-        "calibration": transform.coeffs.calibration,
-        "normalization": norm,
-        "normalization_paper": norm_paper,
+        "nu_star": transform.nu_star,
+        "calibration": calibration,
+        "normalization": spec.normalization * calibration,
+        "normalization_paper": spec.normalization_paper,
         "initial_data": transform.limit_estimates(),
         "cancellation": verify_cancellation(transform),
         "remainder_envelope": verify_remainder_envelope(transform),
@@ -937,7 +903,7 @@ def verify_kernel(transform: KernelTransform) -> dict:
           and rep["remainder_mismatch"] <= 1e-6
           and rep["huygens_leakage"] < 1e-6
           and rep["generator_residual"] < 1e-10)
-    H0, key, m = KINDS[transform.kind].vacuum
+    H0, key, m = spec.vacuum
     for rec in rep["initial_data"]:
         xi2 = rec["xi"] ** 2
         ok &= abs(rec["H_limit"] - H0) < 1e-4

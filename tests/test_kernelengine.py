@@ -470,8 +470,9 @@ class TestAssembledKernels:
         # paper c0 is already exact; d0 carries the documented factor 2
         assert regular.coeffs.calibration == pytest.approx(1.0, abs=1e-9)
         assert singular.coeffs.calibration == pytest.approx(1.0, abs=1e-8)
-        _, norm, norm_paper = ke._header("singular", singular.coeffs)
-        assert norm == pytest.approx(2.0 * norm_paper, rel=1e-8)
+        spec = ke.KINDS["singular"]
+        assert spec.normalization * singular.coeffs.calibration == \
+            pytest.approx(2.0 * spec.normalization_paper, rel=1e-8)
 
     def test_cancellation_estimates(self, regular, singular):
         rep = ke.verify_cancellation(regular)
@@ -598,23 +599,30 @@ class TestAssembledKernels:
             bad.write_bytes(b"NOPE!")
             ke.KernelTransform.load(str(bad))
 
-    @pytest.mark.parametrize("cut,section", [
-        (6, "version/kind"), (30, "normalization"), (70, "column names"),
+    @pytest.mark.parametrize("cut,field", [
+        (6, "version/kind"), (30, "nu grid"), (4000, "column alpha0"),
         (-8, "remainder ghat_nuxi")])
     def test_load_rejects_truncated_table(self, regular, tmp_path, cut,
-                                          section):
+                                          field):
+        # a cut in the 23-byte prefix, or anywhere after it: the field
+        # names where the file ends on the default grid
         path = tmp_path / "table.bin"
         regular.save(str(path))
         data = path.read_bytes()
         path.write_bytes(data[:cut])
-        with pytest.raises(ke.KernelTableError,
-                           match=f"table.bin: truncated in section {section}"):
+        match = ("table.bin: truncated in the prefix" if 0 <= cut < 23 else
+                 f"table.bin: {len(data[:cut])} bytes, not the {len(data)} ")
+        with pytest.raises(ke.KernelTableError, match=match):
             ke.KernelTransform.load(str(path))
 
     @pytest.mark.parametrize("offset,byte,message", [
-        (5, 7, "unknown table version 7"), (6, 2, "unknown kind byte 2")])
+        (5, 7, "unknown table version 7"),
+        (5, 2, "unknown table version 2 .* rebuild"),
+        (6, 2, "unknown kind byte 2")])
     def test_load_rejects_bad_header_byte(self, regular, tmp_path, offset,
                                           byte, message):
+        # version 2 is the format before the CRC-32: such a table is
+        # rebuilt, not read
         path = tmp_path / "table.bin"
         regular.save(str(path))
         data = bytearray(path.read_bytes())
@@ -626,12 +634,44 @@ class TestAssembledKernels:
     def test_load_rejects_trailing_bytes(self, regular, tmp_path):
         path = tmp_path / "table.bin"
         regular.save(str(path))
+        size = len(path.read_bytes())
         path.write_bytes(path.read_bytes() + b"\0\0\0")
-        with pytest.raises(ke.KernelTableError, match="3 trailing bytes"):
+        with pytest.raises(ke.KernelTableError,
+                           match=f"{size + 3} bytes, not the {size} "):
+            ke.KernelTransform.load(str(path))
+
+    def test_load_checks_the_size_before_allocating(self, regular,
+                                                    save_corrupted, tmp_path):
+        # n_nu = 2**31 in the prefix asks for tens of GB: the size it
+        # implies is refused before any array is read
+        path = tmp_path / "table.bin"
+        save_corrupted(regular, path, "n_nu 2**31")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ke.KernelTableError,
+                               match="bytes, not the .* 2147483648 x 249"):
+                ke.KernelTransform.load(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("field", [
+        "calibration", "nu grid", "xi grid",
+        *(f"column {name}" for name, _, _ in
+          ke._table_columns(ke.KINDS["regular"])),
+        *(f"remainder {name}" for name in ke._REMAINDERS), "CRC-32"])
+    def test_load_rejects_flipped_byte(self, regular, save_corrupted,
+                                       tmp_path, field):
+        # the CRC-32 covers every byte: one bit changed in the middle of
+        # any array, however plausible the value it makes, is refused
+        path = tmp_path / "table.bin"
+        save_corrupted(regular, path, f"flipped byte in {field}")
+        with pytest.raises(ke.KernelTableError,
+                           match="table.bin: CRC-32 does not match"):
             ke.KernelTransform.load(str(path))
 
     @pytest.mark.parametrize("change,section", [
-        ("no alpha0", "column names"), ("extra column", "column names"),
         ("nu reversed", "nu grid"), ("nu from 0", "nu grid"),
         ("nu with nan", "nu grid"), ("nu below the calibration point",
                                      "nu grid"),
@@ -639,24 +679,16 @@ class TestAssembledKernels:
         ("xi with inf", "xi grid"), ("nan in ghat", "remainder ghat"),
         ("nan last in ghat_nuxi", "remainder ghat_nuxi"),
         ("inf last in ghat_nu", "remainder ghat_nu"),
-        ("nan in alpha0", "column alpha0"),
-        ("header nu_star 0.2", "normalization"),
-        ("header nu_star 5e-8", "normalization"),
-        ("normalization 1 ulp off", "normalization")])
+        ("nan in alpha0", "column alpha0")])
     def test_load_rejects_bad_contents(self, regular, save_altered,
                                        save_corrupted, tmp_path, change,
                                        section):
-        # each file is well formed byte for byte; its contents are not a
-        # table's, so the splines in log nu or the xi brackets would fail
-        # or read wrong values, a value that is not finite would pass the
-        # verdicts that skip NaN, or the header would disagree with the
-        # body it describes
-        cols, nu = regular.coeffs.columns, regular.coeffs.nu_grid.copy()
-        xi = regular.xi_grid.copy()
+        # each file is well formed byte for byte, its CRC-32 included;
+        # its contents are not a table's, so the splines in log nu or the
+        # xi brackets would fail or read wrong values, or a value that is
+        # not finite would pass the verdicts that skip NaN
+        nu, xi = regular.coeffs.nu_grid.copy(), regular.xi_grid.copy()
         changes = {
-            "no alpha0": {"columns": {k: v for k, v in cols.items()
-                                      if k != "alpha0"}},
-            "extra column": {"columns": {**cols, "beta0": cols["alpha0"]}},
             "nu reversed": {"nu_grid": nu[::-1]},
             "nu from 0": {"nu_grid": np.concatenate([[0.0], nu[1:]])},
             "nu with nan": {"nu_grid": np.where(nu == nu[5], np.nan, nu)},
@@ -673,6 +705,21 @@ class TestAssembledKernels:
         with pytest.raises(ke.KernelTableError,
                            match=f"table.bin: .*section {section} "):
             ke.KernelTransform.load(str(path))
+
+    @pytest.mark.parametrize("change", ("no alpha0", "extra column"))
+    def test_constructor_rejects_other_columns(self, regular, change):
+        # a file holds exactly the kind's columns, so only a table built
+        # in memory can hold others
+        cols = regular.coeffs.columns
+        cols = {"no alpha0": {k: v for k, v in cols.items()
+                              if k != "alpha0"},
+                "extra column": {**cols, "beta0": cols["alpha0"]}}[change]
+        with pytest.raises(ke.KernelTableError,
+                           match="not the regular table's"):
+            ke.KernelTransform(
+                "regular", dataclasses.replace(regular.coeffs, columns=cols),
+                regular.xi_grid, regular.ghat, regular.ghat_nu,
+                regular.ghat_xi, regular.ghat_nuxi)
 
     def test_verify_report(self, regular):
         rep = ke.verify_kernel(regular)
