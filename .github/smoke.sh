@@ -37,8 +37,9 @@ for bad in nan-last calibration-0.2; do
   test "$status" -eq 2
 done
 # a well-formed copy of the regular table with its alpha1 column 1e-4 off
-# breaks the generator equation, and one with its remainder ghat 1e-4 off
-# breaks the remainder ODE: each is a failed check (exit 1)
+# breaks the generator equation, and one with its remainder ghat or its
+# xi-derivative ghat_xi 1e-4 off breaks the remainder ODE: each is a
+# failed check (exit 1)
 python3 - "$work/regular.cavk" "$work" <<'PY'
 import dataclasses, sys
 from cavlab.kernelengine import KernelTransform
@@ -50,8 +51,11 @@ KernelTransform(tr.kind, dataclasses.replace(tr.coeffs, columns=cols),
                 tr.ghat_nuxi).save(f"{work}/alpha1-off.cavk")
 KernelTransform(tr.kind, tr.coeffs, tr.xi_grid, tr.ghat * 1.0001, tr.ghat_nu,
                 tr.ghat_xi, tr.ghat_nuxi).save(f"{work}/ghat-off.cavk")
+KernelTransform(tr.kind, tr.coeffs, tr.xi_grid, tr.ghat, tr.ghat_nu,
+                tr.ghat_xi * 1.0001,
+                tr.ghat_nuxi).save(f"{work}/ghat-xi-off.cavk")
 PY
-for bad in alpha1-off ghat-off; do
+for bad in alpha1-off ghat-off ghat-xi-off; do
   status=0
   cavlab kernel verify "$work/$bad.cavk" > /dev/null || status=$?
   test "$status" -eq 1

@@ -33,8 +33,10 @@ kind's chain of formulas (regular_chain, singular_chain) is written once
 and evaluated in two truncated-series arithmetics: as cube-root series
 below the switch point and as Taylor jets of the closed forms above it.
 Just above the switch the two agree to <= 2e-12 for alpha0, alpha1 and
-beta0.  The beta2 chain departs by up to 7.7e-8 (beta2'' at nu = 2.2e-3),
-because the jets read J between grid nodes through a cubic spline.
+beta0.  The beta2 chain departs by up to 4.3e-8 (beta2'' at nu = 2.2e-3
+on the default grid; 5.9e-8 on 30 nodes from 1e-3 to 2.3e-3, where
+splining J between the nodes gave 5.94e-8 and the panels' own Gauss
+integration gives 5.93e-8).  The cause of that departure is not known.
 
 A kernel table stores each fact once: KernelTransform holds the kind,
 the xi grid and the remainder tables ghat, ghat_nu, ghat_xi, ghat_nuxi,
@@ -56,14 +58,15 @@ file's size, which is checked before anything is read, and the CRC-32
 covers every stored number; a file that fails either, or the
 constructor, raises KernelTableError naming the file.
 
-Every stored column is read.  A table keeps each expansion coefficient
-A with A' and A'' (suffixes "p", "pp") and the forcing column (ell or
-ell2), nothing else: Hhat reads A and Hhat_nu reads A', the remainder
-ODE reads the forcing, and generator_residual, part of verify_kernel,
-reads all of them on every nu row; verify_energy_inequality compares
-ghat and ghat_nu with the remainder ODE on three xi columns.  What the
-chains compute on the way (the integrals I, J, K and the singular
-chain's ell1) is not stored.
+Every stored number is checked against the file by the CRC-32, and
+every stored array against its equation by verify_kernel.  A table keeps
+each expansion coefficient A with A' and A'' (suffixes "p", "pp") and
+the forcing column (ell or ell2), nothing else: Hhat reads A and Hhat_nu
+reads A', the remainder ODE reads the forcing, and generator_residual,
+part of verify_kernel, reads all of them on every nu row;
+verify_energy_inequality compares all four remainder tables with the
+remainder ODE on three xi columns.  What the chains compute on the way
+(the integrals I, J, K and the singular chain's ell1) is not stored.
 
 The jet branch is evaluated on whole node arrays at once: a TaylorJet
 keeps its Taylor coefficients on the last axis of ``c`` and one base
@@ -76,9 +79,9 @@ or `kernel verify` process: no module it imports loads scipy.  The
 remainder ODE is integrated by cavlab._dop853, a port of the
 Dormand-Prince 8(5,3) stepper with its dense output (Hairer, Norsett &
 Wanner, Solving ODEs I, Sec. II.10) that takes scipy's
-solve_ivp(method="DOP853") steps, and every interpolant (J between grid
-nodes, k, k' and the forcing in the remainder ODE, the table columns in
-log nu) is a not-a-knot cavlab._spline.CubicSpline.
+solve_ivp(method="DOP853") steps, and every interpolant (k, k' and the
+forcing in the remainder ODE, the table columns in log nu) is a
+not-a-knot cavlab._spline.CubicSpline.
 """
 
 from __future__ import annotations
@@ -279,28 +282,35 @@ class CoefficientModel:
 
         A first pass at order _NODE_ORDER runs on the Gauss nodes of the
         panels [switch, nu_0], [nu_0, nu_1], ...: each integral sums its
-        integrand's node values from the series value at the switch.
-        Between the nodes it is a cubic spline in w = nu^(1/3) through
-        those sums, which the chain's later integrands read (ell1 reads
-        J).  The second pass, at _JET_ORDER on nu, takes the sums as the
-        integrals' values.
+        integrand's node values from the series value at the switch, and
+        at the Gauss nodes it is the panel's start value plus the
+        integral of the integrand's interpolating polynomial on the
+        panel (S below), which the chain's later integrands read (ell1
+        reads J).  The second pass, at _JET_ORDER on nu, takes the sums
+        as the integrals' values.
         """
         chain, norm = KINDS[kind].chain, KINDS[kind].normalization
         starts = np.concatenate([[self._nu_switch], nu[:-1]])
         mid, half = 0.5 * (starts + nu), 0.5 * (nu - starts)
-        x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        leg = np.polynomial.legendre
+        x, w = leg.leggauss(_GAUSS_NODES)
         nodes = mid[:, None] + half[:, None] * x
-        w_knots, keep = np.unique(
-            np.concatenate([[self._nu_switch], nu]) ** (1 / 3),
-            return_index=True)
+        # S f: the integrals from -1 to each x of the polynomial through
+        # the values f at the nodes x, S = Q V^-1 with V the Vandermonde
+        # matrix and Q the node values of the integrated basis
+        vander = leg.legvander(x, _GAUSS_NODES - 1)
+        basis_integrals = leg.legvander(x, _GAUSS_NODES) @ leg.legint(
+            np.eye(_GAUSS_NODES), lbnd=-1)
+        S = np.linalg.solve(vander.T, basis_integrals.T).T
         sums = {}
 
         def on_nodes(name, integrand):
-            panels = half * np.sum(w * integrand.c[..., 0], axis=1)
+            f = integrand.c[..., 0]
+            panels = half * np.sum(w * f, axis=1)
             vals = np.cumsum(np.concatenate([[self._start[name]], panels]))
             sums[name] = vals[1:]
-            spline = CubicSpline(w_knots, vals[keep])
-            return integrand.integral(spline(nodes ** (1 / 3)))
+            return integrand.integral(vals[:-1, None]
+                                      + half[:, None] * (f @ S.T))
 
         def chart_jets(at, order):
             return speed_coefficient_jets(gc.rho_of_nu(at), gc.k_of_nu(at),
@@ -315,11 +325,6 @@ class CoefficientModel:
         expansion coefficient with its first two derivatives, and the
         forcing, from the series below the switch and from the jets above
         it.
-
-        The jets read J between the grid's nodes through a spline, so the
-        singular rows above the switch depend on the grid: beta2'' departs
-        from its series by up to 2.6e-3 (relative) on the grid (1.05e-3,
-        2e-3, 4e-3), by <= 7.7e-8 up to nu = 2.3e-3 on the default grid.
         """
         spec = _kind(kind)
         nu_grid = np.asarray(nu_grid, dtype=float)
@@ -810,16 +815,18 @@ def verify_energy_inequality(transform: KernelTransform) -> tuple:
     regular grid's small nu, where the ratio peaks, so the ratio is
     measured, not integrator error.
 
-    remainder_mismatch: the largest difference of y from the stored ghat
-    and of y' from ghat_nu there, relative to each column's maximum:
-    <= 5.8e-9 on built tables, 1e-4 with either scaled by 1 + 1e-4.
-    ghat_xi and ghat_nuxi are not compared."""
+    remainder_mismatch: the largest difference of y, y', dy/dxi and
+    dy'/dxi from the stored ghat, ghat_nu, ghat_xi and ghat_nuxi there,
+    relative to each column's maximum: <= 6.3e-9 on built tables, 1e-4
+    with any of the four scaled by 1 + 1e-4."""
     coeffs = transform.coeffs
     name, lam = KINDS[transform.kind].forcing
     idx = [int(np.argmin(np.abs(transform.xi_grid - x)))
            for x in (0.5, 3.0, 40.0)]
     xis = transform.xi_grid[idx]
-    nu, y, yp = integrate_remainder(transform.kind, coeffs, xis, atol=1e-22)
+    nu, *solved = integrate_remainder(transform.kind, coeffs, xis,
+                                      atol=1e-22, with_xi_derivative=True)
+    y, yp = solved[:2]
     kp = np.asarray(gc.kprime_of_nu(nu))[:, None]
     kv = np.asarray(gc.k_of_nu(nu))[:, None]
     E = yp ** 2 + (kp * xis) ** 2 * y ** 2
@@ -830,8 +837,8 @@ def verify_energy_inequality(transform: KernelTransform) -> tuple:
     worst = float(np.max(E[1:] / np.maximum(bound[1:], 1e-300)))
     mismatch = max(float(np.max(np.max(np.abs(got - stored[:, idx]), axis=0)
                                 / np.max(np.abs(stored[:, idx]), axis=0)))
-                   for got, stored in ((y, transform.ghat),
-                                       (yp, transform.ghat_nu)))
+                   for got, stored in zip(solved, (
+                       getattr(transform, rem) for rem in _REMAINDERS)))
     return {"max_ratio": worst, "pass": bool(worst <= 1.0 + 1e-6)}, mismatch
 
 

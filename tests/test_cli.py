@@ -507,12 +507,14 @@ def test_kernel_verify_checks_every_column(request, save_altered, tmp_path,
 
 
 @pytest.mark.parametrize("kind", ("regular", "singular"))
-@pytest.mark.parametrize("remainder", ("ghat", "ghat_nu"))
+@pytest.mark.parametrize("remainder", ("ghat", "ghat_nu", "ghat_xi",
+                                       "ghat_nuxi"))
 def test_kernel_verify_checks_the_stored_remainder(request, save_altered,
                                                    tmp_path, kind, remainder):
-    # a remainder table 1e-4 off its ODE fails `kernel verify` on
-    # remainder_mismatch, which one integration of the remainder ODE
-    # serves together with the energy inequality
+    # any remainder table 1e-4 off its ODE, the xi-derivatives ghat_xi
+    # and ghat_nuxi included, fails `kernel verify` on remainder_mismatch,
+    # which one integration of the remainder ODE serves together with the
+    # energy inequality
     tr = request.getfixturevalue(kind)
     path, out = tmp_path / "table.cavk", tmp_path / "verify.json"
     save_altered(tr, path, **{remainder: getattr(tr, remainder) * 1.0001})
