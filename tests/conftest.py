@@ -43,13 +43,13 @@ def save_altered():
 
 def _arrays(tr):
     """(name, start byte, length in bytes) of each array of tr's `.cavk`
-    file, in file order after the 23-byte prefix."""
+    file, in file order after the prefix."""
     n_nu, n_xi = len(tr.coeffs.nu_grid), len(tr.xi_grid)
     sizes = [("nu grid", n_nu), ("xi grid", n_xi)]
     sizes += [(f"column {name}", n_nu)
               for name, _, _ in ke._table_columns(ke.KINDS[tr.kind])]
     sizes += [(f"remainder {name}", n_nu * n_xi) for name in ke._REMAINDERS]
-    out, start = [], 23
+    out, start = [], ke._PREFIX.size
     for name, n in sizes:
         out.append((name, start, 8 * n))
         start += 8 * n
